@@ -155,7 +155,8 @@ def matmul(a: Var, b: Var) -> Var:
 
 def relu(x: Var) -> Var:
     mask = x.value > 0
-    return Var(np.where(mask, x.value, 0.0), (x,), lambda g: (g * mask,))
+    # np.maximum propagates NaN, so a non-finite input stays visible downstream
+    return Var(np.maximum(x.value, 0.0), (x,), lambda g: (g * mask,))
 
 
 def sigmoid(x: Var) -> Var:

@@ -40,11 +40,13 @@ class NumericError(SnaplinkError):
 
 
 class TrainingDiverged(SnaplinkError):
-    """Training produced a non-finite loss. Carries epoch and learning rate."""
+    """Training produced a non-finite loss or gradient. Carries epoch and
+    learning rate."""
 
     def __init__(self, epoch: int, learning_rate: float):
         super().__init__(
-            f"non-finite loss at epoch {epoch} (learning_rate={learning_rate})"
+            f"non-finite loss or gradient at epoch {epoch} "
+            f"(learning_rate={learning_rate})"
         )
         self.epoch = epoch
         self.learning_rate = learning_rate

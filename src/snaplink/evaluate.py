@@ -31,26 +31,14 @@ from .train import MetaParams, TrainConfig, fine_tune, meta_update
 # ---------------------------------------------------------------------------
 
 
-def reciprocal_rank(pos_score: float, neg_scores: np.ndarray) -> float:
-    """1 / rank of the positive among its negatives, ties counted against it.
-
-    rank = 1 + #(negatives scoring higher) + #(negatives scoring equal), so a
-    constant model earns 1/(k+1) rather than a free win.
-    """
-    neg_scores = np.asarray(neg_scores)
-    if neg_scores.size == 0:
-        raise ValueError("neg_scores must be non-empty")
-    if not np.isfinite(pos_score) or not np.isfinite(neg_scores).all():
-        raise NumericError("non-finite score in ranking")
-    rank = 1 + int((neg_scores > pos_score).sum()) + int((neg_scores == pos_score).sum())
-    return 1.0 / rank
-
-
 def mrr(top_repr: np.ndarray, labels: LabelSet, model: ModelParams) -> float:
     """Mean reciprocal rank over all positives of one label set.
 
     Each positive (u, v) is ranked against u's sampled negative list using
-    the prediction head over fixed node representations.
+    the prediction head over fixed node representations. Ties count against
+    the positive: rank = 1 + #(negatives scoring higher) + #(negatives
+    scoring equal), so a constant model earns 1/(k+1) rather than a free
+    win. A positive whose source has no negatives ranks first.
     """
     if labels.skip or labels.positives.shape[0] == 0:
         raise EmptyInputError(f"step {labels.step}: no positives to evaluate")
@@ -355,7 +343,8 @@ def fixed_split_run(g: DynamicGraph, cfg: RunConfig, step_callback=None,
         report.per_step.append(record)
         if step_callback is not None:
             step_callback(record)
-    assert params_checksum(deploy) == frozen_checksum, "parameters moved in test block"
+    if params_checksum(deploy) != frozen_checksum:
+        raise NumericError("parameters moved in the frozen test block")
     if artifacts_out is not None:
         artifacts_out.update(model=deploy, state=state, counter=counter)
     return report

@@ -167,10 +167,6 @@ class LabelSet:
         return LabelSet(self.step, self.val_pos, np.empty((0, 2), np.int64),
                         self.val_pos, self.eval_negatives, self.val_pos.size == 0)
 
-    def n_elements(self) -> int:
-        neg = sum(v.size for v in self.eval_negatives.values())
-        return self.positives.size + self.train_pos.size + self.val_pos.size + neg
-
 
 # ---------------------------------------------------------------------------
 # Ingestion
@@ -356,9 +352,13 @@ def build_labels(g: DynamicGraph, t: int, val_fraction: float, k_neg: int,
     """Labels for predicting snapshot t+1: dedup positives, a random
     train/val split, and per-source negative dst lists.
 
-    Negatives are sampled uniformly without replacement from the node
-    universe, rejecting only this step's positives; when the candidate pool
-    is smaller than k_neg the list is truncated to the pool.
+    Each source's negatives are drawn uniformly without replacement from the
+    complement of its positive dsts in this step (the pool), truncated to
+    the pool when it holds fewer than k_neg nodes. The draw picks k ranks in
+    the sorted pool and maps each rank to its node by counting the
+    positives at or below it, so it costs O(c + k log c) for c positives
+    instead of a set difference over all nodes. It consumes the generator
+    exactly as `rng.choice(pool, k, replace=False)` would.
     """
     if not 0 <= t < len(g) - 1:
         raise ValueError(f"step {t} out of range for {len(g)} snapshots")
@@ -386,34 +386,47 @@ def build_labels(g: DynamicGraph, t: int, val_fraction: float, k_neg: int,
     srcs, src_starts = np.unique(positives[:, 0], return_index=True)
     for i, src in enumerate(srcs):
         hi = src_starts[i + 1] if i + 1 < len(srcs) else n_pos
-        pos_dsts = positives[src_starts[i]:hi, 1]
-        pool = np.setdiff1d(np.arange(n_nodes, dtype=np.int64), pos_dsts,
-                            assume_unique=False)
-        k = min(k_neg, pool.size)
-        if k == 0:
+        pos_dsts = positives[src_starts[i]:hi, 1]  # sorted, unique
+        pool_size = n_nodes - pos_dsts.size
+        if pool_size == 0:
             eval_negatives[int(src)] = np.empty(0, dtype=np.int64)
-        else:
-            eval_negatives[int(src)] = rng.choice(pool, size=k, replace=False)
+            continue
+        ranks = rng.choice(pool_size, size=min(k_neg, pool_size), replace=False)
+        # pos_dsts[j] - j pool nodes lie below pos_dsts[j], so the positives
+        # below the rank-th pool node are those with pos_dsts[j] - j <= rank
+        below = np.searchsorted(pos_dsts - np.arange(pos_dsts.size), ranks,
+                                side="right")
+        eval_negatives[int(src)] = ranks + below
     return LabelSet(t, positives, train_pos, val_pos, eval_negatives)
 
 
 def sample_training_negatives(labels: LabelSet, n_nodes: int,
                               rng: np.random.Generator,
                               per_positive: int = 1) -> np.ndarray:
-    """Fresh uniform negatives (src, dst) for each train positive, rejecting
-    this step's positives. Returns an (n, 2) array."""
+    """Fresh uniform negatives (src, dst), per_positive for each train
+    positive, rejecting this step's positives. Returns an (n, 2) array.
+
+    Colliding draws are redrawn up to 100 times; rows that still collide
+    (a source linked to almost every node) are dropped, so n can be below
+    per_positive * len(train_pos).
+    """
     pos_keys = labels.positives[:, 0] * n_nodes + labels.positives[:, 1]
     pos_keys = np.sort(pos_keys)
+
+    def collides(srcs, dsts):
+        keys = srcs * n_nodes + dsts
+        at = np.searchsorted(pos_keys, keys)
+        return (at < pos_keys.size) & (pos_keys[np.minimum(at, pos_keys.size - 1)] == keys)
+
     srcs = np.repeat(labels.train_pos[:, 0], per_positive)
     dsts = rng.integers(0, n_nodes, size=srcs.size)
     for _ in range(100):
-        keys = srcs * n_nodes + dsts
-        bad = np.searchsorted(pos_keys, keys)
-        bad = (bad < pos_keys.size) & (pos_keys[np.minimum(bad, pos_keys.size - 1)] == keys)
+        bad = collides(srcs, dsts)
         if not bad.any():
-            break
+            return np.stack([srcs, dsts], axis=1)
         dsts[bad] = rng.integers(0, n_nodes, size=int(bad.sum()))
-    return np.stack([srcs, dsts], axis=1)
+    keep = ~collides(srcs, dsts)
+    return np.stack([srcs[keep], dsts[keep]], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,9 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
 
     Per epoch: resample one uniform negative per train positive, take a BCE
     step on the (positives + negatives) scores from a train-mode forward,
-    then measure validation MRR with an eval-mode forward. Stops after
+    then measure validation MRR with an eval-mode forward. Raises
+    TrainingDiverged when the loss or any gradient is non-finite, before
+    the step writes it into the parameters. Stops after
     `patience` consecutive epochs without a new best or at max_epochs, keeps
     the best-validation parameters, and recomputes the outgoing state once
     with them so the returned state matches the returned model.
@@ -123,18 +125,21 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
 
     if labels.train_pos.shape[0] > 0:
         n_pos = labels.train_pos.shape[0]
-        y = np.zeros((n_pos * (1 + cfg.train_neg_per_pos), 1), dtype=np.float64)
-        y[:n_pos] = 1.0
         for epoch in range(1, cfg.max_epochs + 1):
             negatives = sample_training_negatives(labels, n_nodes, rng,
                                                   cfg.train_neg_per_pos)
             pairs = np.vstack([labels.train_pos, negatives])
+            y = np.zeros((n_pos + len(negatives), 1), dtype=np.float64)
+            y[:n_pos] = 1.0
             model.params.zero_grad()
             result = forward(snapshot, h_prev, model, counter, pairs, mode="train")
             loss = bce_loss(result.scores, y)
             if not np.isfinite(loss.value):
                 raise TrainingDiverged(epoch, cfg.learning_rate)
             dc.backward(loss)
+            if not all(np.isfinite(p.grad).all() for p in model.params
+                       if p.grad is not None):
+                raise TrainingDiverged(epoch, cfg.learning_rate)
             opt.step()
             final_train_loss = float(loss.value)
             epochs_run = epoch

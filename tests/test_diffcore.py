@@ -100,6 +100,17 @@ def test_affine_shape_mismatch_names_both_shapes():
 # ---------------------------------------------------------------------------
 
 
+def test_relu_propagates_nan_and_masks_gradient():
+    x = dc.Param("x", [[np.nan, -1.0, 0.0, 2.0]])
+    out = dc.relu(x)
+    assert np.isnan(out.value[0, 0])
+    np.testing.assert_array_equal(out.value[0, 1:], [0.0, 0.0, 2.0])
+    loss = dc.mean_all(out)
+    assert np.isnan(loss.value)  # NaN reaches the loss instead of vanishing
+    dc.backward(loss)
+    np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 0.0, 0.25]])
+
+
 def test_mlp2_zero_params_zero_output():
     x = dc.constant(rng_for(3).normal(size=(5, 3)))
     zeros = lambda shape: dc.Param("p", np.zeros(shape))

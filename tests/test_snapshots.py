@@ -252,6 +252,94 @@ def test_build_labels_causality_only_reads_next_snapshot():
         np.testing.assert_array_equal(a.eval_negatives[k], b.eval_negatives[k])
 
 
+def reference_build_negatives(g, t, val_fraction, k_neg, rng):
+    """The original draw: a set difference over all nodes per source, then
+    rng.choice over the materialised pool. Kept as the oracle that
+    build_labels must match bit for bit, generator stream included."""
+    nxt = g[t + 1]
+    positives = np.unique(np.stack([nxt.edge_src, nxt.edge_dst], axis=1), axis=0)
+    n_pos = positives.shape[0]
+    rng.permutation(n_pos)  # the train/val split
+    out = {}
+    srcs, src_starts = np.unique(positives[:, 0], return_index=True)
+    for i, src in enumerate(srcs):
+        hi = src_starts[i + 1] if i + 1 < len(srcs) else n_pos
+        pool = np.setdiff1d(np.arange(g.node_count, dtype=np.int64),
+                            positives[src_starts[i]:hi, 1])
+        k = min(k_neg, pool.size)
+        out[int(src)] = (np.empty(0, dtype=np.int64) if k == 0
+                         else rng.choice(pool, size=k, replace=False))
+    return out
+
+
+def future_graph(n_nodes, src, dst):
+    """Window 0 holds one edge; window 1 holds the given future edges."""
+    n = len(src)
+    return sn.partition_snapshots(sn.edges_from_arrays(
+        [0, *src], [0, *dst], [0.0, *np.linspace(10.0, 19.0, n)],
+        node_count=n_nodes), 10)
+
+
+NEGATIVE_REGIMES = {
+    # source 0: 3 positives in 60 nodes, k=5 -> pool >= 2k
+    "pool_ge_2k": (future_graph(60, [0, 0, 0, 4], [5, 17, 59, 0]), 5),
+    # source 1: 2 positives in 12 nodes, k=8 -> pool 10, between k and 2k
+    "pool_between_k_2k": (future_graph(12, [1, 1, 3], [2, 9, 3]), 8),
+    # pool <= k: every list is truncated to the pool
+    "pool_le_k": (future_graph(6, [0, 2, 2, 5], [1, 0, 4, 5]), 10),
+    # source 0 links to every node -> empty pool; source 1 does not
+    "pool_empty": (future_graph(3, [0, 0, 0, 1], [0, 1, 2, 2]), 2),
+    "self_loop": (future_graph(8, [3, 3, 6], [3, 7, 6]), 4),
+    "multi_edges": (future_graph(9, [2, 2, 2, 2, 4, 4], [5, 5, 5, 1, 8, 8]), 3),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(NEGATIVE_REGIMES))
+def test_build_labels_negatives_match_reference_draw(regime):
+    g, k = NEGATIVE_REGIMES[regime]
+    for seed in range(25):
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sn.build_labels(g, 0, 0.3, k, rng_new).eval_negatives
+        want = reference_build_negatives(g, 0, 0.3, k, rng_ref)
+        assert list(got) == list(want)
+        for src in want:
+            assert got[src].dtype == want[src].dtype == np.int64
+            np.testing.assert_array_equal(got[src], want[src])
+        # the same stream was consumed
+        assert rng_new.integers(0, 2**62) == rng_ref.integers(0, 2**62)
+
+
+def test_build_labels_regimes_cover_pool_sizes():
+    sizes = {}
+    for regime, (g, k) in NEGATIVE_REGIMES.items():
+        negs = sn.build_labels(g, 0, 0.3, k, np.random.default_rng(0)).eval_negatives
+        sizes[regime] = {src: (len(v), k) for src, v in negs.items()}
+    assert sizes["pool_ge_2k"][0] == (5, 5)
+    assert sizes["pool_between_k_2k"][1] == (8, 8)
+    assert all(n < k for n, k in sizes["pool_le_k"].values())
+    assert sizes["pool_empty"][0] == (0, 2)
+
+
+def test_build_labels_negatives_uniform_over_pool():
+    # source 0 with positives {0, 2, 5, 7} among 10 nodes: pool of 6, k=3
+    g = future_graph(10, [0, 0, 0, 0], [0, 2, 5, 7])
+    k, rounds = 3, 6000
+    rng = np.random.default_rng(123)
+    counts = np.zeros(10, dtype=np.int64)
+    for _ in range(rounds):
+        negs = sn.build_labels(g, 0, 0.3, k, rng).eval_negatives[0]
+        assert len(np.unique(negs)) == k
+        counts += np.bincount(negs, minlength=10)
+    positives = [0, 2, 5, 7]
+    assert counts[positives].sum() == 0
+    # each pool node is drawn in a round with p = k / pool, independently
+    # across rounds: its count is Binomial(rounds, p)
+    p = k / 6
+    tol = 5.0 * np.sqrt(rounds * p * (1 - p))
+    pool = np.setdiff1d(np.arange(10), positives)
+    assert np.all(np.abs(counts[pool] - rounds * p) < tol), counts
+
+
 def test_sample_training_negatives_rejects_positives():
     g = two_step_graph()
     labels = sn.build_labels(g, 0, 0.25, 3, np.random.default_rng(5))
@@ -263,6 +351,17 @@ def test_sample_training_negatives_rejects_positives():
         np.testing.assert_array_equal(negs[:, 0], labels.train_pos[:, 0])
         for s, d in negs:
             assert (int(s), int(d)) not in pos
+
+
+def test_sample_training_negatives_drops_unresolvable_rows():
+    # source 0 links to all 3 nodes: no negative exists for it
+    g = future_graph(3, [0, 0, 0], [0, 1, 2])
+    labels = sn.build_labels(g, 0, 0.34, 3, np.random.default_rng(0))
+    assert labels.train_pos.shape[0] == 2
+    negs = sn.sample_training_negatives(labels, g.node_count,
+                                        np.random.default_rng(1))
+    assert negs.shape == (0, 2)
+    assert negs.dtype == np.int64
 
 
 def test_val_view_shares_negatives():

@@ -10,7 +10,8 @@ from snaplink.errors import ConfigError, TrainingDiverged
 from snaplink.evaluate import RunConfig, live_update_run
 from snaplink.model import ModelConfig, forward
 from snaplink.seeding import derive_rng
-from snaplink.snapshots import LabelSet, build_labels, partition_snapshots
+from snaplink.snapshots import (LabelSet, build_labels, edges_from_arrays,
+                                partition_snapshots)
 from snaplink.synthetic import generate_edges
 
 
@@ -104,6 +105,38 @@ def test_fine_tune_divergence_raises_with_diagnostics():
         run_fine_tune(model)
     assert err.value.epoch == 1
     assert err.value.learning_rate == 0.05
+
+
+@pytest.mark.parametrize("name,scale", [("head.w1", 1.0), ("pre.0.w", 1e150),
+                                        ("pre.0.w", 1e308), ("mp.0.w", 1e200)])
+def test_fine_tune_never_returns_nan_parameters(name, scale):
+    model = toy_model(update="gru", hidden=4, batch_norm=False)
+    model.params[name].value[:] *= scale
+    try:
+        result, *_ = run_fine_tune(model, cfg=tr.TrainConfig(
+            learning_rate=0.05, max_epochs=5, patience=5))
+    except TrainingDiverged:
+        assert scale != 1.0, "a well-scaled model must train"
+        return
+    for p in result.model.params:
+        assert np.isfinite(p.value).all(), p.name
+    for layer in result.state.layers:
+        assert np.isfinite(layer).all()
+
+
+def test_fine_tune_trains_when_a_source_has_no_negatives():
+    # source 0 links to every node, so its training negatives are dropped
+    edges = edges_from_arrays([0, 0, 0, 0, 1], [1, 0, 1, 2, 2],
+                              [0.0, 10.0, 11.0, 12.0, 13.0], node_count=3)
+    g = partition_snapshots(edges, 10)
+    labels = build_labels(g, 0, 0.25, 5, np.random.default_rng(0))
+    model = toy_model(update="gru", hidden=4)
+    result = tr.fine_tune(model, g[0], fresh_state(model, 3), labels,
+                          fresh_counter(model, 3),
+                          tr.TrainConfig(learning_rate=0.05, max_epochs=3),
+                          np.random.default_rng(1))
+    assert result.epochs_run >= 1
+    assert np.isfinite(result.final_train_loss)
 
 
 def test_fine_tune_skip_labels_rejected():
@@ -228,8 +261,6 @@ def repeat_zipf_graph(n_nodes=30, m=80, T=10, seed=7):
     src = np.tile(bsrc, T)
     dst = np.tile(bdst, T)
     ts = np.concatenate([t * 100 + np.sort(rng.uniform(0, 100, m)) for t in range(T)])
-    from snaplink.snapshots import edges_from_arrays
-
     return partition_snapshots(edges_from_arrays(src, dst, ts, node_count=n_nodes), 100)
 
 
