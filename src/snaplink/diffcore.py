@@ -159,13 +159,15 @@ def relu(x: Var) -> Var:
     return Var(np.maximum(x.value, 0.0), (x,), lambda g: (g * mask,))
 
 
+def _stable_sigmoid(v: np.ndarray) -> np.ndarray:
+    """1/(1+e^-v) for v >= 0 and e^v/(1+e^v) below, without overflow."""
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(x: Var) -> Var:
-    v = x.value
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    out = _stable_sigmoid(x.value)
     return Var(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -399,12 +401,7 @@ def bce_with_logits(scores: Var, labels: np.ndarray) -> Var:
     out = np.asarray(per.mean())
 
     def vjp(g):
-        p = np.empty_like(s)
-        pos = s >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-        es = np.exp(s[~pos])
-        p[~pos] = es / (1.0 + es)
-        return (float(g) * (p - y) / y.size,)
+        return (float(g) * (_stable_sigmoid(s) - y) / y.size,)
 
     return Var(out, (scores,), vjp)
 

@@ -63,10 +63,11 @@ def mrr(top_repr: np.ndarray, labels: LabelSet, model: ModelParams) -> float:
         neg_scores = scorer.scores_against(int(src), negs)
         if not np.isfinite(neg_scores).all():
             raise NumericError(f"non-finite negative score at step {labels.step}")
-        for ps in pos_scores:
-            rank = 1 + int((neg_scores > ps).sum()) + int((neg_scores == ps).sum())
+        # scores are finite here, so >= is exactly "higher or tied"
+        ranks = 1 + (neg_scores[None, :] >= pos_scores[:, None]).sum(axis=1)
+        for rank in ranks.tolist():
             total += 1.0 / rank
-            count += 1
+        count += len(ranks)
     return total / count
 
 

@@ -358,10 +358,20 @@ class PairScorer:
         return hidden @ self.w2 + self.b2
 
     def scores_against(self, src: int, dsts: np.ndarray) -> np.ndarray:
-        """All candidate dsts for one source."""
-        if not 0 <= src < self.n_nodes:
+        """All candidate dsts for one source; bitwise equal to `scores`.
+
+        Builds a single (len(dsts), d) temporary: `np.take` always copies, so
+        the in-place adds never write into `self.b`, and each element sees the
+        same additions in the same order as `scores` (b + a == a + b exactly).
+        """
+        dsts = np.asarray(dsts)
+        if not 0 <= src < self.n_nodes or (
+                dsts.size and (dsts.min() < 0 or dsts.max() >= self.n_nodes)):
             raise BoundsError(f"pair id out of range [0, {self.n_nodes})")
-        hidden = np.maximum(self.a[src] + self.b[dsts] + self.b1, 0.0)
+        hidden = np.take(self.b, dsts, axis=0)
+        hidden += self.a[src]
+        hidden += self.b1
+        np.maximum(hidden, 0.0, out=hidden)
         return hidden @ self.w2 + self.b2
 
 

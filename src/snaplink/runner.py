@@ -115,7 +115,7 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
         summary = report.summary_dict()
         summary["wall_seconds"] = time.perf_counter() - t0
         _atomic_write(seed_dir / "report.json",
-                      json.dumps(report.summary_dict(), sort_keys=True, indent=1) + "\n")
+                      json.dumps(summary, sort_keys=True, indent=1) + "\n")
         seed_summaries.append(summary)
 
     mrrs = [s["mean_mrr"] for s in seed_summaries]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -444,7 +445,12 @@ def cache_key(source_fingerprint: str, frequency: str | int | float,
 
 
 def save_snapshot_cache(path, g: DynamicGraph) -> None:
-    """Persist a DynamicGraph as a single .npz with a JSON meta entry."""
+    """Persist a DynamicGraph as a single .npz with a JSON meta entry.
+
+    The archive is written under a per-process temporary name and moved into
+    place with `os.replace`, so a reader that sees `path` sees a whole file.
+    As with `np.savez_compressed`, ".npz" is appended to a path without it.
+    """
     meta = {
         "format": CACHE_FORMAT,
         "period_seconds": g.period_seconds,
@@ -464,7 +470,17 @@ def save_snapshot_cache(path, g: DynamicGraph) -> None:
     arrays["dst"] = np.concatenate([s.edge_dst for s in g.snapshots])
     arrays["edge_features"] = np.concatenate([s.edge_features for s in g.snapshots])
     arrays["node_features"] = np.stack([s.node_features for s in g.snapshots])
-    np.savez_compressed(path, **arrays)
+    path = Path(path)
+    if not path.name.endswith(".npz"):
+        path = path.with_name(path.name + ".npz")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_snapshot_cache(path) -> DynamicGraph:

@@ -353,6 +353,58 @@ def test_aggregate_gradients_vs_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# sigmoid
+# ---------------------------------------------------------------------------
+
+
+def masked_sigmoid_reference(v):
+    """The branch-per-sign form sigmoid and the bce backward used before."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def sigmoid_probe_values(dtype=np.float64):
+    rng = rng_for(31)
+    edge = [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0]
+    return np.concatenate([rng.normal(scale=6.0, size=2000), edge]).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_bitwise_matches_masked_reference(dtype):
+    v = sigmoid_probe_values(dtype).reshape(-1, 2)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        out = dc.sigmoid(dc.constant(v)).value
+    ref = masked_sigmoid_reference(v)
+    assert out.dtype == ref.dtype
+    assert np.array_equal(out, ref)
+
+
+def test_sigmoid_propagates_nan():
+    out = dc.sigmoid(dc.constant(np.array([np.nan, 0.0, -np.nan]))).value
+    assert np.isnan(out[0]) and np.isnan(out[2])
+    assert out[1] == 0.5
+
+
+def test_bce_backward_bitwise_matches_masked_reference():
+    s = sigmoid_probe_values()
+    y = (rng_for(32).uniform(size=s.size) < 0.5).astype(np.float64)
+    scores = dc.Param("s", s.copy())
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        dc.backward(dc.bce_with_logits(scores, y))
+    assert np.array_equal(scores.grad, (masked_sigmoid_reference(s) - y) / y.size)
+
+
+def test_bce_backward_propagates_nan():
+    scores = dc.Param("s", np.array([np.nan, 1.0]))
+    dc.backward(dc.bce_with_logits(scores, np.array([1.0, 0.0])))
+    assert np.isnan(scores.grad[0]) and np.isfinite(scores.grad[1])
+
+
+# ---------------------------------------------------------------------------
 # bce_with_logits
 # ---------------------------------------------------------------------------
 

@@ -1,12 +1,136 @@
-"""Contract tests for the fixed-split protocol."""
+"""Contract tests for the MRR metric and the fixed-split protocol."""
 
 import numpy as np
 import pytest
 
+from conftest import toy_model
 from snaplink import evaluate as ev
+from snaplink import model as md
 from snaplink import train as tr
 from snaplink.errors import NumericError
 from snaplink.model import ModelConfig
+from snaplink.snapshots import LabelSet
+
+
+# ---------------------------------------------------------------------------
+# mrr
+# ---------------------------------------------------------------------------
+
+
+def reference_mrr(top_repr, labels, model):
+    """The per-positive loop over a four-temporary head that mrr replaced."""
+    d = model.config.hidden_dim
+    w1 = model.params["head.w1"].value
+    a, b = top_repr @ w1[:, :d].T, top_repr @ w1[:, d:].T
+    b1 = model.params["head.b1"].value
+    w2 = model.params["head.w2"].value.ravel()
+    b2 = float(model.params["head.b2"].value[0])
+
+    def head(src, dsts):
+        return np.maximum(a[src] + b[dsts] + b1, 0.0) @ w2 + b2
+
+    positives = labels.positives
+    srcs, starts = np.unique(positives[:, 0], return_index=True)
+    total, count = 0.0, 0
+    for i, src in enumerate(srcs):
+        hi = starts[i + 1] if i + 1 < len(srcs) else len(positives)
+        pos_scores = head(int(src), positives[starts[i]:hi, 1])
+        negs = labels.eval_negatives[int(src)]
+        if negs.size == 0:
+            total += float(len(pos_scores))
+            count += len(pos_scores)
+            continue
+        neg_scores = head(int(src), negs)
+        for ps in pos_scores:
+            rank = 1 + int((neg_scores > ps).sum()) + int((neg_scores == ps).sum())
+            total += 1.0 / rank
+            count += 1
+    return total / count
+
+
+def random_labels(rng, n_nodes, n_pos, k, empty_sources=0):
+    pairs = np.unique(rng.integers(0, n_nodes, size=(n_pos, 2)), axis=0)
+    negs = {int(s): rng.choice(n_nodes, size=min(k, n_nodes), replace=False)
+            for s in np.unique(pairs[:, 0])}
+    for s in list(negs)[:empty_sources]:
+        negs[s] = np.empty(0, np.int64)
+    return LabelSet(step=0, positives=pairs, train_pos=pairs[:0], val_pos=pairs[:0],
+                    eval_negatives=negs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_mrr_equals_reference_loop(seed):
+    rng = np.random.default_rng(seed)
+    model = toy_model(update="moving_average", hidden=8, seed=seed)
+    reps = rng.normal(size=(60, 8))
+    labels = random_labels(rng, 60, 150, k=25, empty_sources=seed)
+    assert np.unique(labels.positives[:, 0], return_counts=True)[1].max() > 1
+    assert ev.mrr(reps, labels, model) == reference_mrr(reps, labels, model)
+
+
+def test_mrr_equals_reference_loop_with_many_ties():
+    rng = np.random.default_rng(5)
+    model = toy_model(update="moving_average", hidden=4, seed=5)
+    for name in ("head.w1", "head.b1", "head.w2"):
+        p = model.params[name]
+        p.value = rng.integers(-2, 3, size=p.value.shape) * 0.25
+    reps = rng.integers(0, 2, size=(30, 4)).astype(np.float64)
+    labels = random_labels(rng, 30, 80, k=20)
+    assert ev.mrr(reps, labels, model) == reference_mrr(reps, labels, model)
+
+
+def test_mrr_constant_head_ties_count_against_positive():
+    model = toy_model(update="moving_average", hidden=4, seed=6)
+    model.params["head.w2"].value = np.zeros_like(model.params["head.w2"].value)
+    rng = np.random.default_rng(6)
+    labels = random_labels(rng, 50, 40, k=9)
+    assert ev.mrr(rng.normal(size=(50, 4)), labels, model) == pytest.approx(1.0 / 10, abs=1e-15)
+
+
+def test_mrr_source_without_negatives_ranks_first():
+    model = toy_model(update="moving_average", hidden=4, seed=7)
+    model.params["head.w2"].value = np.zeros_like(model.params["head.w2"].value)
+    positives = np.array([[0, 1], [0, 2], [3, 1]])
+    labels = LabelSet(step=0, positives=positives, train_pos=positives[:0],
+                      val_pos=positives[:0],
+                      eval_negatives={0: np.empty(0, np.int64), 3: np.array([0, 2, 4])})
+    # source 0: two positives at rank 1; source 3: one positive tied with 3 negatives
+    reps = np.random.default_rng(7).normal(size=(5, 4))
+    assert ev.mrr(reps, labels, model) == (1.0 + 1.0 + 1.0 / 4) / 3
+
+
+def test_mrr_scores_each_source_once_for_positives_and_once_for_negatives(monkeypatch):
+    rng = np.random.default_rng(8)
+    model = toy_model(update="moving_average", hidden=4, seed=8)
+    labels = random_labels(rng, 40, 100, k=10, empty_sources=2)
+    calls = []
+    real = md.PairScorer.scores_against
+
+    def counting(self, src, dsts):
+        calls.append(src)
+        return real(self, src, dsts)
+
+    monkeypatch.setattr(md.PairScorer, "scores_against", counting)
+    ev.mrr(rng.normal(size=(40, 4)), labels, model)
+    n_src = len(labels.eval_negatives)
+    assert len(calls) == 2 * n_src - 2
+
+
+@pytest.mark.parametrize("bad_node", ["positive", "negative"])
+def test_mrr_non_finite_score_raises(bad_node):
+    model = toy_model(update="moving_average", hidden=4, seed=9)
+    reps = np.random.default_rng(9).normal(size=(6, 4))
+    reps[2 if bad_node == "positive" else 4] = np.nan
+    positives = np.array([[0, 1], [0, 2] if bad_node == "positive" else [0, 3]])
+    labels = LabelSet(step=0, positives=positives, train_pos=positives[:0],
+                      val_pos=positives[:0], eval_negatives={0: np.array([4, 5])})
+    with pytest.raises(NumericError, match=f"non-finite {bad_node} score"):
+        ev.mrr(reps, labels, model)
+
+
+# ---------------------------------------------------------------------------
+# fixed-split protocol
+# ---------------------------------------------------------------------------
 
 
 def fixed_config(test_fraction=0.2, seed=0):

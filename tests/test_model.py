@@ -231,6 +231,37 @@ def test_pair_scorer_matches_naive_concat():
     np.testing.assert_allclose(fast, naive, rtol=1e-12, atol=1e-12)
 
 
+def test_scores_against_rejects_out_of_range_destinations():
+    model = toy_model(seed=10)
+    scorer = md.PairScorer(np.random.default_rng(10).normal(size=(5, 4)), model)
+    for dsts in ([0, -1], [5], [2, 7, 1]):
+        with pytest.raises(BoundsError):
+            scorer.scores_against(1, np.array(dsts))
+    with pytest.raises(BoundsError):
+        scorer.scores_against(5, np.array([0]))
+
+
+def test_scores_against_leaves_projections_unchanged():
+    model = toy_model(seed=11)
+    scorer = md.PairScorer(np.random.default_rng(11).normal(size=(6, 4)), model)
+    a, b = scorer.a.copy(), scorer.b.copy()
+    for dsts in (np.array([3]), np.array([0, 5, 5, 2]), np.arange(6)):
+        scorer.scores_against(2, dsts)
+    np.testing.assert_array_equal(scorer.a, a)
+    np.testing.assert_array_equal(scorer.b, b)
+
+
+def test_scores_against_bitwise_equals_scores():
+    model = toy_model(hidden=8, seed=12)
+    rng = np.random.default_rng(12)
+    scorer = md.PairScorer(rng.normal(size=(40, 8)), model)
+    for src in (0, 17, 39):
+        for k in (0, 1, 7, 100):
+            dsts = rng.integers(0, 40, size=k)
+            assert np.array_equal(scorer.scores_against(src, dsts),
+                                  scorer.scores(np.full(k, src), dsts))
+
+
 def test_scores_var_matches_predict_scores():
     model = toy_model(seed=9)
     rng = np.random.default_rng(9)

@@ -398,6 +398,37 @@ def test_snapshot_cache_roundtrip(tmp_path):
         assert a.window == b.window
 
 
+def small_cache_graph():
+    rng = np.random.default_rng(9)
+    edges = sn.edges_from_arrays(rng.integers(0, 10, 50), rng.integers(0, 10, 50),
+                                 rng.uniform(0, 1e4, 50))
+    return sn.partition_snapshots(edges, 3000)
+
+
+def test_snapshot_cache_failed_write_leaves_nothing(tmp_path, monkeypatch):
+    def failing_savez(file, **arrays):
+        file.write(b"partial archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sn.np, "savez_compressed", failing_savez)
+    path = tmp_path / "cache.npz"
+    with pytest.raises(OSError, match="disk full"):
+        sn.save_snapshot_cache(path, small_cache_graph())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_snapshot_cache_write_replaces_whole_file(tmp_path):
+    g = small_cache_graph()
+    path = tmp_path / "cache.npz"
+    path.write_bytes(b"stale")
+    sn.save_snapshot_cache(path, g)
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.npz"]
+    assert len(sn.load_snapshot_cache(path)) == len(g)
+    # like np.savez_compressed, a name without the suffix gains ".npz"
+    sn.save_snapshot_cache(tmp_path / "bare", g)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.npz", "cache.npz"]
+
+
 def test_cache_key_depends_on_inputs():
     k1 = sn.cache_key("abc", "weekly")
     k2 = sn.cache_key("abc", "daily")
