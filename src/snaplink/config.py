@@ -32,7 +32,6 @@ class ExperimentConfig:
     # protocol
     protocol: str = "live_update"
     alpha: float = 1.0
-    meta_enabled: bool = True
     k_neg: int = 1000
     val_fraction: float = 0.1
     test_fraction: float = 0.1
@@ -103,7 +102,7 @@ class ExperimentConfig:
     def to_run_config(self, seed: int) -> RunConfig:
         return RunConfig(
             model=self.to_model_config(), train=self.to_train_config(),
-            alpha=self.alpha, meta_enabled=self.meta_enabled, k_neg=self.k_neg,
+            alpha=self.alpha, k_neg=self.k_neg,
             val_fraction=self.val_fraction, test_fraction=self.test_fraction,
             seed=seed,
         )

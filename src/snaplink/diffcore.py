@@ -142,17 +142,6 @@ def mul(a: Var, b: Var) -> Var:
     )
 
 
-def scale(a: Var, s: float) -> Var:
-    return Var(a.value * s, (a,), lambda g: (g * s,))
-
-
-def matmul(a: Var, b: Var) -> Var:
-    if a.value.shape[-1] != b.value.shape[0]:
-        raise DimensionError(f"matmul inner dims differ: {a.value.shape} vs {b.value.shape}")
-    out = a.value @ b.value
-    return Var(out, (a, b), lambda g: (g @ b.value.T, a.value.T @ g))
-
-
 def relu(x: Var) -> Var:
     mask = x.value > 0
     # np.maximum propagates NaN, so a non-finite input stays visible downstream

@@ -1,14 +1,18 @@
 """Ranking metrics and the two evaluation protocols.
 
-Live-update walks the snapshot sequence once: at each step the current
-model (trained only on strictly earlier labels) is scored on the step's
-future-edge labels, then fine-tuned on them, then blended into the meta
-model. Every step therefore contributes one evaluation record and the
-reported figure is the mean over evaluated steps.
+Both protocols run one rolling loop over the label steps s = 0..T-2. Each
+step builds the labels for snapshot s+1 and, when the step is scored,
+ranks them from (G_s, H_{s-1}) with the deployed model. A training step
+then fine-tunes a copy of the meta model on those labels, deploys it and
+blends it into the meta model; any other step keeps the parameters and
+rolls the node state forward with one eval forward, reusing the scoring
+forward when there was one.
 
-Fixed-split trains the same way on all steps before a terminal test block,
-then freezes parameters and rolls only the node state forward while scoring
-the test steps.
+Live-update trains and scores every step, so each step's score comes from
+a model trained only on strictly earlier labels; the reported figure is the
+mean over evaluated steps. Fixed-split trains, unscored, on the steps
+before a terminal test block, then scores the test steps with frozen
+parameters while the node state keeps rolling.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import EmptyInputError, NumericError
+from .errors import ConfigError, EmptyInputError, NumericError
 from .model import (HierarchicalNodeState, ModelConfig, ModelParams,
                     MovingAverageCounter, PairScorer, forward, init_model)
 from .seeding import derive_rng
@@ -145,22 +149,20 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     alpha: float = 1.0
-    meta_enabled: bool = True
     k_neg: int = 1000
     val_fraction: float = 0.1
     test_fraction: float = 0.1
     seed: int = 0
 
 
-def working_set_elements(deploy: ModelParams, meta: MetaParams | None,
+def working_set_elements(deploy: ModelParams, meta: MetaParams,
                          snapshot, state: HierarchicalNodeState,
                          counter: MovingAverageCounter) -> int:
     """Element count of the step's live large objects: the deployed and meta
     parameters, the current snapshot, the carried state, counters, and the
     optimizer moment budget (two moments per trainable element)."""
     total = deploy.n_elements()
-    if meta is not None:
-        total += meta.model.n_elements()
+    total += meta.model.n_elements()
     total += snapshot.n_elements()
     total += state.n_elements()
     total += counter.n_elements()
@@ -173,60 +175,55 @@ def working_set_elements(deploy: ModelParams, meta: MetaParams | None,
 # ---------------------------------------------------------------------------
 
 
-def _roll_state(snapshot, state, model, counter) -> HierarchicalNodeState:
-    return forward(snapshot, state, model, counter, mode="eval").state
+def _run_steps(g: DynamicGraph, cfg: RunConfig, protocol: str, n_train: int,
+               step_callback, artifacts_out: dict | None) -> EvalReport:
+    """The rolling step loop of both protocols, over label steps 0..T-2.
 
-
-def live_update_run(g: DynamicGraph, cfg: RunConfig, step_callback=None,
-                    artifacts_out: dict | None = None) -> EvalReport:
-    """Rolling evaluate-then-train over every step (T-1 records).
-
-    At step t the deployed model has seen labels of steps < t only; it is
-    scored on step t's labels from (G_t, H_{t-1}), then fine-tuned on those
-    labels starting from the meta model (or the previous trained model when
-    meta is disabled), and the meta model is blended afterwards.
+    Steps s < n_train fine-tune; later steps keep the parameters frozen,
+    which is checked at the end. Live-update scores every step, fixed-split
+    only the frozen ones; unscored records go to `train_records`.
     """
-    T = len(g)
-    if T < 3:
-        raise ValueError(f"live-update needs at least 3 snapshots, got {T}")
     cfg.train.validate()
     cfg.model.validate()
 
     deploy = init_model(cfg.model, derive_rng(cfg.seed, "init"))
-    meta = MetaParams(deploy.clone(), cfg.alpha) if cfg.meta_enabled else None
+    meta = MetaParams(deploy.clone(), cfg.alpha)
     state = HierarchicalNodeState.zeros(g.node_count, cfg.model)
     counter = MovingAverageCounter.fresh(g.node_count, cfg.model.per_node_keep_ratio)
 
-    report = EvalReport(protocol="live_update", seed=cfg.seed)
-    for s in range(T - 1):
+    report = EvalReport(protocol=protocol, seed=cfg.seed)
+    frozen_checksum = None
+    for s in range(len(g) - 1):
+        if s == n_train:
+            frozen_checksum = params_checksum(deploy)
         t0 = time.perf_counter()
         snapshot = g[s]
         labels = build_labels(g, s, cfg.val_fraction, cfg.k_neg,
                               derive_rng(cfg.seed, "labels", s))
+        scored = protocol == "live_update" or s >= n_train
 
-        mrr_s = None
-        if not labels.skip:
+        mrr_s = eres = None
+        if scored and not labels.skip:
             eres = forward(snapshot, state, deploy, counter, mode="eval")
             mrr_s = mrr(eres.top_repr, labels, deploy)
 
-        if labels.skip or labels.train_pos.shape[0] == 0:
-            state = _roll_state(snapshot, state, deploy, counter)
-            epochs = 0
-            best_val = None
-            train_loss = None
-        else:
-            warm = meta.model.clone() if meta is not None else deploy.clone()
+        epochs, best_val, train_loss = 0, None, None
+        if s < n_train and labels.train_pos.shape[0] > 0:
+            warm = meta.model.clone()
             if cfg.model.bn_reset_per_snapshot:
                 warm.reset_bn_stats()
             ft = fine_tune(warm, snapshot, state, labels, counter, cfg.train,
                            derive_rng(cfg.seed, "train", s))
-            deploy = ft.model
-            state = ft.state
-            if meta is not None:
-                meta_update(meta, deploy)
-            epochs = ft.epochs_run
-            best_val = ft.best_val_mrr
-            train_loss = ft.final_train_loss
+            deploy, state = ft.model, ft.state
+            meta_update(meta, deploy)
+            epochs, best_val, train_loss = (ft.epochs_run, ft.best_val_mrr,
+                                            ft.final_train_loss)
+        else:
+            # an eval forward only reads batch-norm running stats, so the
+            # scoring forward's state is the rolled state
+            if eres is None:
+                eres = forward(snapshot, state, deploy, counter, mode="eval")
+            state = eres.state
 
         counter.advance(snapshot)
         record = StepRecord(
@@ -237,12 +234,30 @@ def live_update_run(g: DynamicGraph, cfg: RunConfig, step_callback=None,
                                                       state, counter),
             wall_seconds=time.perf_counter() - t0,
         )
-        report.per_step.append(record)
+        (report.per_step if scored else report.train_records).append(record)
         if step_callback is not None:
             step_callback(record)
+    if frozen_checksum is not None and params_checksum(deploy) != frozen_checksum:
+        raise NumericError("parameters moved in the frozen test block")
     if artifacts_out is not None:
         artifacts_out.update(model=deploy, state=state, counter=counter)
     return report
+
+
+def live_update_run(g: DynamicGraph, cfg: RunConfig, step_callback=None,
+                    artifacts_out: dict | None = None) -> EvalReport:
+    """Rolling evaluate-then-train over every step (T-1 records).
+
+    At step t the deployed model has seen labels of steps < t only; it is
+    scored on step t's labels from (G_t, H_{t-1}), then fine-tuned on those
+    labels starting from the meta model, and the meta model is blended
+    afterwards.
+    """
+    T = len(g)
+    if T < 3:
+        raise ConfigError("frequency",
+                          f"live-update needs at least 3 snapshots, got {T}")
+    return _run_steps(g, cfg, "live_update", T - 1, step_callback, artifacts_out)
 
 
 def params_checksum(model: ModelParams) -> str:
@@ -271,81 +286,8 @@ def fixed_split_run(g: DynamicGraph, cfg: RunConfig, step_callback=None,
     T = len(g)
     n_test = max(1, int(round(T * cfg.test_fraction)))
     if n_test > T - 2:
-        raise ValueError(
+        raise ConfigError(
+            "test_fraction",
             f"test block of {n_test} snapshots leaves no training steps (T={T})")
-    cfg.train.validate()
-    cfg.model.validate()
-
-    first_test_step = T - n_test - 1  # label step whose positives open the block
-
-    deploy = init_model(cfg.model, derive_rng(cfg.seed, "init"))
-    meta = MetaParams(deploy.clone(), cfg.alpha) if cfg.meta_enabled else None
-    state = HierarchicalNodeState.zeros(g.node_count, cfg.model)
-    counter = MovingAverageCounter.fresh(g.node_count, cfg.model.per_node_keep_ratio)
-
-    report = EvalReport(protocol="fixed_split", seed=cfg.seed)
-
-    # training phase
-    for s in range(first_test_step):
-        t0 = time.perf_counter()
-        snapshot = g[s]
-        labels = build_labels(g, s, cfg.val_fraction, cfg.k_neg,
-                              derive_rng(cfg.seed, "labels", s))
-        if labels.skip or labels.train_pos.shape[0] == 0:
-            state = _roll_state(snapshot, state, deploy, counter)
-            epochs, best_val, train_loss = 0, None, None
-        else:
-            warm = meta.model.clone() if meta is not None else deploy.clone()
-            if cfg.model.bn_reset_per_snapshot:
-                warm.reset_bn_stats()
-            ft = fine_tune(warm, snapshot, state, labels, counter, cfg.train,
-                           derive_rng(cfg.seed, "train", s))
-            deploy = ft.model
-            state = ft.state
-            if meta is not None:
-                meta_update(meta, deploy)
-            epochs, best_val, train_loss = ft.epochs_run, ft.best_val_mrr, \
-                ft.final_train_loss
-        counter.advance(snapshot)
-        record = StepRecord(
-            t=s, mrr=None, n_positives=labels.n_positives, epochs_run=epochs,
-            best_val_mrr=best_val, final_train_loss=train_loss,
-            skipped=labels.skip,
-            working_set_elements=working_set_elements(deploy, meta, snapshot,
-                                                      state, counter),
-            wall_seconds=time.perf_counter() - t0,
-        )
-        report.train_records.append(record)
-        if step_callback is not None:
-            step_callback(record)
-
-    # frozen test phase: parameters fixed, state and counters keep rolling
-    frozen_checksum = params_checksum(deploy)
-    for s in range(first_test_step, T - 1):
-        t0 = time.perf_counter()
-        snapshot = g[s]
-        labels = build_labels(g, s, cfg.val_fraction, cfg.k_neg,
-                              derive_rng(cfg.seed, "labels", s))
-        mrr_s = None
-        if not labels.skip:
-            eres = forward(snapshot, state, deploy, counter, mode="eval")
-            mrr_s = mrr(eres.top_repr, labels, deploy)
-            state = eres.state
-        else:
-            state = _roll_state(snapshot, state, deploy, counter)
-        counter.advance(snapshot)
-        record = StepRecord(
-            t=s, mrr=mrr_s, n_positives=labels.n_positives, epochs_run=0,
-            best_val_mrr=None, final_train_loss=None, skipped=labels.skip,
-            working_set_elements=working_set_elements(deploy, meta, snapshot,
-                                                      state, counter),
-            wall_seconds=time.perf_counter() - t0,
-        )
-        report.per_step.append(record)
-        if step_callback is not None:
-            step_callback(record)
-    if params_checksum(deploy) != frozen_checksum:
-        raise NumericError("parameters moved in the frozen test block")
-    if artifacts_out is not None:
-        artifacts_out.update(model=deploy, state=state, counter=counter)
-    return report
+    return _run_steps(g, cfg, "fixed_split", T - n_test - 1, step_callback,
+                      artifacts_out)

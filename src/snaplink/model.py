@@ -85,14 +85,6 @@ class HierarchicalNodeState:
     def n_elements(self) -> int:
         return sum(m.size for m in self.layers)
 
-    def validate(self) -> None:
-        shapes = {m.shape for m in self.layers}
-        if len(shapes) != 1:
-            raise DimensionError(f"state layer shapes differ: {sorted(shapes)}")
-        for m in self.layers:
-            if not np.isfinite(m).all():
-                raise ValueError("non-finite entries in node state")
-
 
 @dataclass
 class MovingAverageCounter:
@@ -408,9 +400,6 @@ class ForwardResult:
     state: HierarchicalNodeState
     top_repr: np.ndarray
     scores: dc.Var | None = None
-
-    def scores_array(self) -> np.ndarray:
-        return self.scores.value.ravel()
 
 
 def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,

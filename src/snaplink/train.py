@@ -44,11 +44,6 @@ class TrainConfig:
                               f"must be >= 1, got {self.train_neg_per_pos}")
 
 
-def bce_loss(scores: dc.Var, labels: np.ndarray) -> dc.Var:
-    """Mean binary cross-entropy on raw logits (numerically stable)."""
-    return dc.bce_with_logits(scores, labels)
-
-
 class Adam:
     """Adam over a ParamSet. Moment state is fresh per fine-tune call."""
 
@@ -78,9 +73,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.value = p.value - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def n_elements(self) -> int:
-        return sum(a.size for a in self.m.values()) + sum(a.size for a in self.v.values())
 
 
 @dataclass
@@ -133,7 +125,7 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
             y[:n_pos] = 1.0
             model.params.zero_grad()
             result = forward(snapshot, h_prev, model, counter, pairs, mode="train")
-            loss = bce_loss(result.scores, y)
+            loss = dc.bce_with_logits(result.scores, y)
             if not np.isfinite(loss.value):
                 raise TrainingDiverged(epoch, cfg.learning_rate)
             dc.backward(loss)

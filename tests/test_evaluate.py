@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import toy_model
+from test_golden import run_config, small_graph
 from snaplink import evaluate as ev
 from snaplink import model as md
 from snaplink import train as tr
-from snaplink.errors import NumericError
+from snaplink.errors import ConfigError, NumericError
 from snaplink.model import ModelConfig
 from snaplink.snapshots import LabelSet
 
@@ -154,7 +155,7 @@ def test_fixed_split_step_counts(synth_graph):
 
 
 def test_fixed_split_rejects_test_block_without_training(synth_graph):
-    with pytest.raises(ValueError, match="no training steps"):
+    with pytest.raises(ConfigError, match="no training steps"):
         ev.fixed_split_run(synth_graph, fixed_config(test_fraction=0.9))
 
 
@@ -196,3 +197,24 @@ def test_fixed_split_same_seed_same_report(synth_graph):
     assert [r.summary_fields() for r in a.per_step + a.train_records] == \
         [r.summary_fields() for r in b.per_step + b.train_records]
     assert np.isfinite(a.mean_mrr)
+
+
+# ---------------------------------------------------------------------------
+# shared step loop
+# ---------------------------------------------------------------------------
+
+
+def test_live_update_runs_one_loop_forward_per_step(monkeypatch):
+    g = small_graph()  # steps 1 and 3 have positives but no training positives
+    forwards = []
+    real_forward = ev.forward
+
+    def counting(*args, **kwargs):
+        forwards.append(kwargs.get("mode"))
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "forward", counting)
+    report = ev.live_update_run(g, run_config("gru", val_fraction=0.9))
+    assert [r.epochs_run == 0 for r in report.per_step] == \
+        [False, True, False, True, True, False]
+    assert forwards == ["eval"] * (len(g) - 1)

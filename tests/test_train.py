@@ -38,13 +38,6 @@ def run_fine_tune(model, labels=None, cfg=None, seed=0):
                         derive_rng(seed, "train", 0)), snap, state, counter
 
 
-def test_bce_loss_named_cases():
-    loss = tr.bce_loss(dc.constant(np.array([0.0])), np.array([1.0]))
-    assert float(loss.value) == pytest.approx(np.log(2.0), abs=1e-15)
-    loss = tr.bce_loss(dc.constant(np.array([50.0])), np.array([1.0]))
-    assert float(loss.value) == pytest.approx(0.0, abs=1e-15)
-
-
 def test_zero_learning_rate_keeps_params_and_stops_early():
     model = toy_model(update="gru", hidden=4, batch_norm=False)
     before = model.params.state_dict()
@@ -214,24 +207,11 @@ def test_meta_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 
-def small_run_config(update="gru", alpha=1.0, meta_enabled=True, seed=0):
+def small_run_config(update="gru", alpha=1.0, seed=0):
     return RunConfig(
         model=ModelConfig(hidden_dim=8, n_pre=1, n_mp=2, n_post=1, update=update),
         train=tr.TrainConfig(learning_rate=0.01, max_epochs=15, patience=3),
-        alpha=alpha, meta_enabled=meta_enabled, k_neg=20, seed=seed)
-
-
-def test_alpha_one_equals_plain_warm_start(synth_graph):
-    with_meta = live_update_run(synth_graph, small_run_config(alpha=1.0,
-                                                              meta_enabled=True))
-    without = live_update_run(synth_graph, small_run_config(alpha=1.0,
-                                                            meta_enabled=False))
-    assert len(with_meta.per_step) == len(without.per_step)
-    for a, b in zip(with_meta.per_step, without.per_step):
-        assert a.mrr == b.mrr
-        assert a.epochs_run == b.epochs_run
-        assert a.best_val_mrr == b.best_val_mrr
-        assert a.final_train_loss == b.final_train_loss
+        alpha=alpha, k_neg=20, seed=seed)
 
 
 def test_working_set_independent_of_horizon(synth_graph):
