@@ -9,12 +9,12 @@ configuration regardless of key order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
 from .evaluate import RunConfig
-from .model import ModelConfig, UPDATE_KINDS
+from .model import ModelConfig
 from .train import TrainConfig
 
 PROTOCOLS = ("live_update", "fixed_split")

@@ -14,7 +14,7 @@ math defaults to 64-bit so finite-difference checks are meaningful.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -175,6 +175,28 @@ def working_set_elements(deploy: ModelParams, meta: MetaParams,
 # ---------------------------------------------------------------------------
 
 
+def n_train_steps(protocol: str, n_snapshots: int, test_fraction: float) -> int:
+    """How many leading label steps fine-tune under `protocol` ("live_update"
+    or "fixed_split") on a graph of n_snapshots windows.
+
+    Live-update trains every label step (T-1). Fixed-split trains the steps
+    before the terminal test block of round(T * test_fraction) snapshots (at
+    least one). Raises ConfigError when the split leaves no step to train.
+    """
+    T = n_snapshots
+    if protocol == "live_update":
+        if T < 3:
+            raise ConfigError("frequency",
+                              f"live-update needs at least 3 snapshots, got {T}")
+        return T - 1
+    n_test = max(1, int(round(T * test_fraction)))
+    if n_test > T - 2:
+        raise ConfigError(
+            "test_fraction",
+            f"test block of {n_test} snapshots leaves no training steps (T={T})")
+    return T - n_test - 1
+
+
 def _run_steps(g: DynamicGraph, cfg: RunConfig, protocol: str, n_train: int,
                step_callback, artifacts_out: dict | None) -> EvalReport:
     """The rolling step loop of both protocols, over label steps 0..T-2.
@@ -253,11 +275,8 @@ def live_update_run(g: DynamicGraph, cfg: RunConfig, step_callback=None,
     labels starting from the meta model, and the meta model is blended
     afterwards.
     """
-    T = len(g)
-    if T < 3:
-        raise ConfigError("frequency",
-                          f"live-update needs at least 3 snapshots, got {T}")
-    return _run_steps(g, cfg, "live_update", T - 1, step_callback, artifacts_out)
+    n_train = n_train_steps("live_update", len(g), cfg.test_fraction)
+    return _run_steps(g, cfg, "live_update", n_train, step_callback, artifacts_out)
 
 
 def params_checksum(model: ModelParams) -> str:
@@ -283,11 +302,5 @@ def fixed_split_run(g: DynamicGraph, cfg: RunConfig, step_callback=None,
     The test block is the last round(T * test_fraction) snapshots (at least
     one); its label steps are evaluated with frozen parameters.
     """
-    T = len(g)
-    n_test = max(1, int(round(T * cfg.test_fraction)))
-    if n_test > T - 2:
-        raise ConfigError(
-            "test_fraction",
-            f"test block of {n_test} snapshots leaves no training steps (T={T})")
-    return _run_steps(g, cfg, "fixed_split", T - n_test - 1, step_callback,
-                      artifacts_out)
+    n_train = n_train_steps("fixed_split", len(g), cfg.test_fraction)
+    return _run_steps(g, cfg, "fixed_split", n_train, step_callback, artifacts_out)

@@ -83,12 +83,13 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
     run_dir = root / name
     if run_is_complete(run_dir, fingerprint) and not cfg.force:
         return run_dir
+    if graph is None:
+        graph = load_dataset(cfg, cache_dir=root / ".cache")
+    # a split the graph cannot hold is rejected before the run directory exists
+    ev.n_train_steps(cfg.protocol, len(graph), cfg.test_fraction)
     run_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(run_dir / "config.resolved.txt", cfg.to_text())
     _atomic_write(run_dir / "fingerprint.txt", fingerprint + "\n")
-
-    if graph is None:
-        graph = load_dataset(cfg, cache_dir=root / ".cache")
 
     protocol = ev.live_update_run if cfg.protocol == "live_update" else ev.fixed_split_run
 

@@ -86,8 +86,10 @@ class GraphSnapshot:
     """One static graph over the global node universe.
 
     edge_features columns are (weight, position of the timestamp inside the
-    window scaled to [0, 1)). node_features are recomputed per snapshot as
-    (1, log1p(cumulative incident degree through this snapshot)).
+    window scaled to [0, 1)). node_features are derived from the edges, not
+    stored: (1, log1p(cumulative incident degree through this snapshot)),
+    rebuilt by `partition_snapshots` and by `load_snapshot_cache` alike.
+    Each snapshot owns its node_features array.
     """
 
     index: int
@@ -285,6 +287,16 @@ def period_seconds(frequency: str | int | float) -> float:
     return value
 
 
+def _advance_node_features(cum_degree: np.ndarray, src: np.ndarray,
+                           dst: np.ndarray) -> np.ndarray:
+    """Add one window's edges to the running incident degree (in place) and
+    return the window's node features, a new (node_count, 2) array of
+    (1, log1p(cumulative incident degree through this window))."""
+    cum_degree += np.bincount(np.concatenate([src, dst]), minlength=cum_degree.size)
+    return np.column_stack([np.ones(cum_degree.size, dtype=np.float64),
+                            np.log1p(cum_degree)])
+
+
 def partition_snapshots(edges: TemporalEdgeList,
                         frequency: str | int | float) -> DynamicGraph:
     """Assign each edge to the window floor((t - start) / period).
@@ -317,21 +329,13 @@ def partition_snapshots(edges: TemporalEdgeList,
                         0.0, np.nextafter(1.0, 0.0))
         feats = np.column_stack([edges.weight[sel], tnorm]) if len(sel) else \
             np.zeros((0, 2), dtype=np.float64)
-        incident = np.bincount(
-            np.concatenate([edges.src[sel], edges.dst[sel]]),
-            minlength=edges.node_count,
-        )
-        cum_degree += incident
-        node_feats = np.column_stack([
-            np.ones(edges.node_count, dtype=np.float64),
-            np.log1p(cum_degree),
-        ])
+        src, dst = edges.src[sel], edges.dst[sel]
         snap = GraphSnapshot(
             index=t,
-            edge_src=edges.src[sel].copy(),
-            edge_dst=edges.dst[sel].copy(),
+            edge_src=src,
+            edge_dst=dst,
             edge_features=feats,
-            node_features=node_feats,
+            node_features=_advance_node_features(cum_degree, src, dst),
             window=(w_start, w_start + period),
         )
         snap.validate()
@@ -434,22 +438,27 @@ def sample_training_negatives(labels: LabelSet, n_nodes: int,
 # Snapshot cache
 # ---------------------------------------------------------------------------
 
-CACHE_FORMAT = "snaplink-snapshots-v1"
+CACHE_FORMAT = "snaplink-snapshots-v2"
 
 
 def cache_key(source_fingerprint: str, frequency: str | int | float,
               schema: EdgeSchema | None = None) -> str:
+    """Cache file stem for one (source, period, schema); the archive format
+    is part of the key, so an archive of another format is never opened."""
     period = period_seconds(frequency)
-    raw = f"{source_fingerprint}|{period:g}|{schema.tag() if schema else ''}"
+    raw = (f"{CACHE_FORMAT}|{source_fingerprint}|{period:g}"
+           f"|{schema.tag() if schema else ''}")
     return hashlib.sha256(raw.encode()).hexdigest()[:20]
 
 
 def save_snapshot_cache(path, g: DynamicGraph) -> None:
-    """Persist a DynamicGraph as a single .npz with a JSON meta entry.
+    """Persist a DynamicGraph as one uncompressed .npz: the edges of all
+    windows concatenated with per-window offsets, and a JSON meta entry.
 
-    The archive is written under a per-process temporary name and moved into
-    place with `os.replace`, so a reader that sees `path` sees a whole file.
-    As with `np.savez_compressed`, ".npz" is appended to a path without it.
+    Node features are not stored; `load_snapshot_cache` derives them from
+    the edges. The archive is written under a per-process temporary name and
+    moved into place with `os.replace`, so a reader that sees `path` sees a
+    whole file. As with `np.savez`, ".npz" is appended to a path without it.
     """
     meta = {
         "format": CACHE_FORMAT,
@@ -469,14 +478,13 @@ def save_snapshot_cache(path, g: DynamicGraph) -> None:
         np.zeros(0, np.int64)
     arrays["dst"] = np.concatenate([s.edge_dst for s in g.snapshots])
     arrays["edge_features"] = np.concatenate([s.edge_features for s in g.snapshots])
-    arrays["node_features"] = np.stack([s.node_features for s in g.snapshots])
     path = Path(path)
     if not path.name.endswith(".npz"):
         path = path.with_name(path.name + ".npz")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
+            np.savez(fh, **arrays)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -484,6 +492,8 @@ def save_snapshot_cache(path, g: DynamicGraph) -> None:
 
 
 def load_snapshot_cache(path) -> DynamicGraph:
+    """Read an archive written by `save_snapshot_cache`, rebuilding each
+    window's node features from the running degree as the edges are sliced."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode())
         if meta.get("format") != CACHE_FORMAT:
@@ -492,18 +502,19 @@ def load_snapshot_cache(path) -> DynamicGraph:
         src = data["src"]
         dst = data["dst"]
         ef = data["edge_features"]
-        nf = data["node_features"]
-        snapshots = []
-        for t in range(meta["n_snapshots"]):
-            lo, hi = offsets[t], offsets[t + 1]
-            snapshots.append(GraphSnapshot(
-                index=t,
-                edge_src=src[lo:hi].copy(),
-                edge_dst=dst[lo:hi].copy(),
-                edge_features=ef[lo:hi].copy(),
-                node_features=nf[t].copy(),
-                window=tuple(meta["windows"][t]),
-            ))
+    cum_degree = np.zeros(meta["node_count"], dtype=np.float64)
+    snapshots = []
+    for t in range(meta["n_snapshots"]):
+        lo, hi = offsets[t], offsets[t + 1]
+        s_src, s_dst = src[lo:hi].copy(), dst[lo:hi].copy()
+        snapshots.append(GraphSnapshot(
+            index=t,
+            edge_src=s_src,
+            edge_dst=s_dst,
+            edge_features=ef[lo:hi].copy(),
+            node_features=_advance_node_features(cum_degree, s_src, s_dst),
+            window=tuple(meta["windows"][t]),
+        ))
     return DynamicGraph(snapshots, meta["period_seconds"], meta["node_count"],
                         frequency=meta["frequency"],
                         source_fingerprint=meta["source_fingerprint"])

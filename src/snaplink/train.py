@@ -15,8 +15,8 @@ import numpy as np
 
 from . import diffcore as dc
 from .errors import ConfigError, TrainingDiverged
-from .model import (ForwardResult, HierarchicalNodeState, ModelParams,
-                    MovingAverageCounter, forward)
+from .model import (HierarchicalNodeState, ModelParams, MovingAverageCounter,
+                    forward)
 from .snapshots import GraphSnapshot, LabelSet, sample_training_negatives
 
 

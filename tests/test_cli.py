@@ -22,9 +22,12 @@ def twelve_window_file(tmp_path, monkeypatch):
 ])
 def test_protocol_split_error_exits_2_with_one_line(twelve_window_file, tmp_path,
                                                     capsys, verb, flags, field):
+    runs = tmp_path / "runs"
     argv = [verb, "--dataset", str(twelve_window_file),
-            "--run-root", str(tmp_path / "runs"), "--seeds", "0", *flags]
+            "--run-root", str(runs), "--seeds", "0", *flags]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"{verb}: {field}: ")
+    # the rejected run leaves only the snapshot cache, no run directory
+    assert sorted(p.name for p in runs.iterdir()) == [".cache"]

@@ -380,22 +380,43 @@ def test_val_view_shares_negatives():
 def test_snapshot_cache_roundtrip(tmp_path):
     rng = np.random.default_rng(8)
     n = 300
-    edges = sn.edges_from_arrays(
-        rng.integers(0, 15, n), rng.integers(0, 15, n),
-        rng.uniform(0, 1e5, n), weight=rng.uniform(0.5, 2.0, n))
+    src = rng.integers(0, 15, n)
+    dst = rng.integers(0, 15, n)
+    ts = rng.uniform(0, 1e5, n)
+    ts[0] = 0.0  # windows start at 0
+    ts[(ts >= 18000) & (ts < 27000)] += 9000  # window 2 is empty
+    # node 15 first appears in the last window, node 16 never
+    src = np.append(src, 15)
+    dst = np.append(dst, 3)
+    ts = np.append(ts, 1e5)
+    edges = sn.edges_from_arrays(src, dst, ts, weight=rng.uniform(0.5, 2.0, n + 1),
+                                 node_count=17)
     g = sn.partition_snapshots(edges, 9000)
+    assert g[2].n_edges == 0 and g[2].node_features.shape == (17, 2)
     path = tmp_path / "cache.npz"
     sn.save_snapshot_cache(path, g)
+    with np.load(path) as data:
+        assert "node_features" not in data.files
     g2 = sn.load_snapshot_cache(path)
     assert len(g2) == len(g)
     assert g2.node_count == g.node_count
     assert g2.period_seconds == g.period_seconds
+    assert g2.frequency == g.frequency
+    assert g2.source_fingerprint == g.source_fingerprint
     for a, b in zip(g.snapshots, g2.snapshots):
-        np.testing.assert_array_equal(a.edge_src, b.edge_src)
-        np.testing.assert_array_equal(a.edge_dst, b.edge_dst)
-        np.testing.assert_array_equal(a.edge_features, b.edge_features)
-        np.testing.assert_array_equal(a.node_features, b.node_features)
+        assert a.index == b.index
         assert a.window == b.window
+        for attr in ("edge_src", "edge_dst", "edge_features", "node_features"):
+            x, y = getattr(a, attr), getattr(b, attr)
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes(), (a.index, attr)
+    late = [t for t in range(len(g)) if g[t].node_features[15, 1] > 0]
+    assert late == [len(g) - 1]
+    assert (g2[-1].node_features[16] == [1.0, 0.0]).all()
+    # each snapshot owns its node features: writing one changes no other
+    g2[1].node_features[0, 1] += 1.0
+    assert g2[0].node_features[0, 1] == g[0].node_features[0, 1]
+    assert g2[2].node_features[0, 1] == g[2].node_features[0, 1]
 
 
 def small_cache_graph():
@@ -410,7 +431,7 @@ def test_snapshot_cache_failed_write_leaves_nothing(tmp_path, monkeypatch):
         file.write(b"partial archive")
         raise OSError("disk full")
 
-    monkeypatch.setattr(sn.np, "savez_compressed", failing_savez)
+    monkeypatch.setattr(sn.np, "savez", failing_savez)
     path = tmp_path / "cache.npz"
     with pytest.raises(OSError, match="disk full"):
         sn.save_snapshot_cache(path, small_cache_graph())
@@ -424,7 +445,7 @@ def test_snapshot_cache_write_replaces_whole_file(tmp_path):
     sn.save_snapshot_cache(path, g)
     assert [p.name for p in tmp_path.iterdir()] == ["cache.npz"]
     assert len(sn.load_snapshot_cache(path)) == len(g)
-    # like np.savez_compressed, a name without the suffix gains ".npz"
+    # like np.savez, a name without the suffix gains ".npz"
     sn.save_snapshot_cache(tmp_path / "bare", g)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.npz", "cache.npz"]
 
