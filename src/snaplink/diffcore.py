@@ -151,8 +151,7 @@ def relu(x: Var) -> Var:
 def _stable_sigmoid(v: np.ndarray) -> np.ndarray:
     """1/(1+e^-v) for v >= 0 and e^v/(1+e^v) below, without overflow."""
     e = np.exp(-np.abs(v))
-    d = 1.0 + e
-    return np.where(v >= 0, 1.0 / d, e / d)
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x: Var) -> Var:
@@ -179,6 +178,24 @@ def concat_cols(parts: list[Var]) -> Var:
     return Var(out, tuple(parts), vjp)
 
 
+def _scatter_sum(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """Row i of the (n_rows, d) result sums the rows of the (len(index), d)
+    `values` whose index is i.
+
+    Bitwise equal to `np.add.at(zeros, index, values)` in float64:
+    `np.bincount` adds the weights in input order starting from 0.0, as
+    `np.add.at` does, but without its per-element dispatch. Two trade-offs:
+    float32 input is summed in float64 and rounded once, so it equals
+    `np.add.at` on a float64 copy cast to float32, not float32 `np.add.at`;
+    and the flat index is a transient of len(index) * d int64 values.
+    `index` must lie in [0, n_rows).
+    """
+    d = values.shape[1]
+    flat = (np.asarray(index, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
+    out = np.bincount(flat, weights=values.ravel(), minlength=n_rows * d)
+    return out.reshape(n_rows, d).astype(values.dtype, copy=False)
+
+
 def gather_rows(x: Var, index: np.ndarray) -> Var:
     index = np.asarray(index)
     if index.size and (index.min() < 0 or index.max() >= x.value.shape[0]):
@@ -186,9 +203,7 @@ def gather_rows(x: Var, index: np.ndarray) -> Var:
     out = x.value[index]
 
     def vjp(g):
-        gx = np.zeros_like(x.value)
-        np.add.at(gx, index, g)
-        return (gx,)
+        return (_scatter_sum(index, g, x.value.shape[0]),)
 
     return Var(out, (x,), vjp)
 
@@ -338,8 +353,7 @@ def aggregate(messages: Var, dst_index: np.ndarray, n_nodes: int, mode: str) -> 
         raise BoundsError(f"dst index out of range [0, {n_nodes})")
 
     if mode in ("sum", "mean"):
-        out = np.zeros((n_nodes, dim), dtype=messages.value.dtype)
-        np.add.at(out, dst_index, messages.value)
+        out = _scatter_sum(dst_index, messages.value, n_nodes)
         counts = np.bincount(dst_index, minlength=n_nodes).astype(messages.value.dtype)
         if mode == "mean":
             denom = np.maximum(counts, 1.0)[:, None]

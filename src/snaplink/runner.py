@@ -148,9 +148,8 @@ def _expand_grid(axes: dict[str, list[str]]) -> list[dict[str, str]]:
 
 def _run_cell(args):
     cfg, overrides, cell_name = args
-    cell_cfg = cfg.with_overrides(overrides)
-    cell_cfg = cell_cfg.with_overrides({"run_name": cell_name})
     try:
+        cell_cfg = cfg.with_overrides({**overrides, "run_name": cell_name})
         run_dir = run_experiment(cell_cfg)
         report = json.loads((run_dir / "report.json").read_text())
         return {"cell": cell_name, "overrides": overrides, "status": "ok",
@@ -166,8 +165,10 @@ def grid_search(base: ExperimentConfig, axes: dict[str, list[str]],
                 grid_name: str = "grid") -> dict:
     """Run every cell of the axis product, select by best mean validation MRR.
 
-    Failed cells are recorded and skipped. Returns the index dict with the
-    selected cell's config overrides and its test-side MRR; also written to
+    Failed cells are recorded and skipped, and so are cells whose mean
+    validation MRR is not finite (no training step produced one); `best` is
+    None when no cell remains. Returns the index dict with the selected
+    cell's config overrides and its test-side MRR; also written to
     <run_root>/<grid_name>/index.json.
     """
     base.validate()
@@ -188,7 +189,9 @@ def grid_search(base: ExperimentConfig, axes: dict[str, list[str]],
         results = [_run_cell(t) for t in tasks]
 
     ok = [r for r in results if r["status"] == "ok"]
-    best = max(ok, key=lambda r: r["mean_val_mrr"]) if ok else None
+    # NaN compares False both ways, so max() would keep a NaN cell listed first
+    scored = [r for r in ok if np.isfinite(r["mean_val_mrr"])]
+    best = max(scored, key=lambda r: r["mean_val_mrr"]) if scored else None
     index = {
         "grid_name": grid_name,
         "axes": axes,

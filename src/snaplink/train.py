@@ -95,9 +95,12 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
     then measure validation MRR with an eval-mode forward. Raises
     TrainingDiverged when the loss or any gradient is non-finite, before
     the step writes it into the parameters. Stops after
-    `patience` consecutive epochs without a new best or at max_epochs, keeps
-    the best-validation parameters, and recomputes the outgoing state once
-    with them so the returned state matches the returned model.
+    `patience` consecutive epochs without a new best or at max_epochs and
+    keeps the best-validation parameters. The returned state is the one the
+    best epoch's eval forward computed with exactly those parameters (an
+    eval forward mutates nothing); only when no validation forward ran
+    (validation labels skipped, or no training positives) is it computed
+    once more, so the returned state always matches the returned model.
     """
     from . import evaluate  # function-level: evaluate imports this module
 
@@ -111,6 +114,7 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
 
     best_val = -np.inf
     best_arrays = model.state_arrays()
+    best_state = None
     epochs_run = 0
     stale = 0
     final_train_loss = float("nan")
@@ -144,6 +148,7 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
             if val > best_val:
                 best_val = val
                 best_arrays = model.state_arrays()
+                best_state = None if val_labels.skip else vres.state
                 stale = 0
             else:
                 stale += 1
@@ -151,10 +156,11 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
                 break
 
     model.load_state_arrays(best_arrays)
-    final = forward(snapshot, h_prev, model, counter, mode="eval")
+    if best_state is None:
+        best_state = forward(snapshot, h_prev, model, counter, mode="eval").state
     if best_val == -np.inf:
         best_val = float("nan")
-    return FineTuneResult(model, final.state, float(best_val), epochs_run,
+    return FineTuneResult(model, best_state, float(best_val), epochs_run,
                           final_train_loss)
 
 

@@ -353,6 +353,93 @@ def test_aggregate_gradients_vs_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# scatter: aggregate sum/mean forward and gather_rows backward
+# ---------------------------------------------------------------------------
+
+
+def add_at_reference(index, values, n_rows):
+    """The `np.add.at` scatter both ops used before."""
+    out = np.zeros((n_rows,) + values.shape[1:], dtype=values.dtype)
+    np.add.at(out, index, values)
+    return out
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def scatter_case(name):
+    """(index, values, n_rows) for one float64 input regime."""
+    rng = rng_for(41)
+    if name == "random":
+        return rng.integers(0, 50, size=400), rng.normal(size=(400, 6)), 50
+    if name == "duplicates":
+        index = rng.choice([0, 3, 3, 3, 7], size=500)
+        return index, rng.normal(scale=1e8, size=(500, 5)) ** 3, 9
+    if name == "empty":
+        return np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 6
+    # -0.0 entries: a row fed only -0.0 sums to +0.0, as with np.add.at
+    values = rng.normal(size=(60, 3))
+    values[rng.uniform(size=values.shape) < 0.5] = -0.0
+    index = rng.integers(0, 10, size=60)
+    values[index == 4] = -0.0
+    return index, values, 12
+
+
+SCATTER_CASES = ("random", "duplicates", "empty", "negative_zero")
+
+
+@pytest.mark.parametrize("case", SCATTER_CASES)
+def test_aggregate_sum_and_mean_bitwise_match_add_at(case):
+    index, values, n = scatter_case(case)
+    ref = add_at_reference(index, values, n)
+    assert_bitwise(dc.aggregate(dc.constant(values), index, n, "sum").value, ref)
+    denom = np.maximum(np.bincount(index, minlength=n).astype(np.float64), 1.0)[:, None]
+    assert_bitwise(dc.aggregate(dc.constant(values), index, n, "mean").value, ref / denom)
+
+
+@pytest.mark.parametrize("case", SCATTER_CASES)
+def test_gather_rows_backward_bitwise_matches_add_at(case):
+    index, g, n = scatter_case(case)
+    x = dc.Param("x", rng_for(42).normal(size=(n, g.shape[1])))
+    (gx,) = dc.gather_rows(x, index)._vjp(g)
+    assert_bitwise(gx, add_at_reference(index, g, n))
+
+
+def test_gather_rows_backward_noncontiguous_gradient():
+    rng = rng_for(43)
+    index = rng.integers(0, 7, size=50)
+    h = dc.gather_rows(dc.Param("x", rng.normal(size=(7, 3))), index)
+    c = dc.concat_cols([h, dc.constant(rng.normal(size=(50, 4)))])
+    g_h, _ = c._vjp(rng.normal(size=(50, 7)))
+    assert not g_h.flags.c_contiguous
+    (gx,) = h._vjp(g_h)
+    assert_bitwise(gx, add_at_reference(index, g_h, 7))
+    assert_bitwise(dc.aggregate(dc.constant(g_h), index, 7, "sum").value,
+                   add_at_reference(index, g_h, 7))
+
+
+def test_scatter_float32_sums_in_float64_and_rounds_once():
+    index, values, n = scatter_case("duplicates")
+    v32 = values.astype(np.float32)
+    ref = add_at_reference(index, v32.astype(np.float64), n).astype(np.float32)
+    assert_bitwise(dc.aggregate(dc.constant(v32), index, n, "sum").value, ref)
+    (gx,) = dc.gather_rows(dc.Param("x", np.zeros((n, 5), np.float32)), index)._vjp(v32)
+    assert_bitwise(gx, ref)
+
+
+def test_scatter_propagates_inf_and_nan():
+    values = np.array([[1.0, np.inf], [np.nan, -np.inf], [2.0, 3.0], [-np.inf, 1.0]])
+    index = np.array([0, 0, 1, 1])
+    expected = np.array([[np.nan, np.nan], [-np.inf, 4.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(dc.aggregate(dc.constant(values), index, 3, "sum").value,
+                                  expected)
+    (gx,) = dc.gather_rows(dc.Param("x", np.zeros((3, 2))), index)._vjp(values)
+    np.testing.assert_array_equal(gx, expected)
+
+
+# ---------------------------------------------------------------------------
 # sigmoid
 # ---------------------------------------------------------------------------
 

@@ -7,10 +7,12 @@ from dataclasses import replace
 import numpy as np
 
 from snaplink import evaluate as ev
-from snaplink import synthetic
+from snaplink import runner, synthetic
 from snaplink.config import ExperimentConfig
-from snaplink.runner import load_dataset, run_experiment
-from snaplink.snapshots import EdgeSchema, file_fingerprint, period_seconds
+from snaplink.errors import ConfigError
+from snaplink.runner import grid_search, load_dataset, run_experiment
+from snaplink.snapshots import (EdgeSchema, edges_from_arrays, file_fingerprint,
+                                period_seconds)
 
 
 def test_seed_report_keeps_wall_seconds(synth_graph, tmp_path, monkeypatch):
@@ -74,3 +76,65 @@ def test_load_dataset_never_opens_an_archive_of_the_old_format(tmp_path):
         for attr in ("edge_src", "edge_dst", "edge_features", "node_features"):
             assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
             assert getattr(a, attr).tobytes() == getattr(c, attr).tobytes()
+
+
+def _edge_file_with_empty_window(path):
+    """Six windows of width 1000; window 1 holds no edge."""
+    e = synthetic.generate_edges(n_nodes=30, n_steps=6, edges_per_step=40,
+                                 period=1000.0, seed=5)
+    keep = (e.timestamp < 1000.0) | (e.timestamp >= 2000.0)
+    synthetic.write_edge_file(path, edges_from_arrays(
+        e.src[keep], e.dst[keep], e.timestamp[keep], e.weight[keep], e.node_count))
+    return path
+
+
+def test_grid_reports_failed_cell_and_never_selects_a_nan_cell(tmp_path, monkeypatch):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    path = _edge_file_with_empty_window(tmp_path / "edges.csv")
+    base = ExperimentConfig(dataset=str(path), frequency="1000", protocol="fixed_split",
+                            seeds=(1,), k_neg=20, hidden_dim=8, update="moving_average",
+                            max_epochs=1, patience=1, run_root=str(tmp_path / "runs"))
+    # 0.6: the only training step (labels from the empty window) is skipped,
+    # so the cell has no validation MRR; 0.9: no training step, ConfigError;
+    # 0.3: three training steps
+    index = grid_search(base, {"test_fraction": ["0.6", "0.9", "0.3"]})
+
+    status = [(c["cell"], c["status"]) for c in index["cells"]]
+    assert status == [("grid/cell000", "ok"), ("grid/cell001", "error"),
+                      ("grid/cell002", "ok")]
+    assert index["n_failed"] == 1
+    assert index["cells"][1]["error"].startswith("ConfigError")
+    assert np.isnan(index["cells"][0]["mean_val_mrr"])
+    assert np.isfinite(index["cells"][2]["mean_val_mrr"])
+    assert index["best"]["cell"] == "grid/cell002"
+    written = json.loads((tmp_path / "runs" / "grid" / "index.json").read_text())
+    assert written["best"]["cell"] == "grid/cell002"
+    assert [c["status"] for c in written["cells"]] == ["ok", "error", "ok"]
+
+
+def test_grid_selects_by_validation_mrr_not_test_mrr(tmp_path, monkeypatch):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    # (test MRR, validation MRR) per alpha; alpha 0.1 fails in the run and
+    # "abc" when its value is parsed
+    outcomes = {0.2: (0.9, 0.1), 0.5: (0.1, float("nan")), 0.7: (0.2, 0.3)}
+
+    def fake_run(cfg):
+        if cfg.alpha not in outcomes:
+            raise ConfigError("alpha", "rejected")
+        run_dir = tmp_path / cfg.run_name
+        run_dir.mkdir(parents=True)
+        test, val = outcomes[cfg.alpha]
+        (run_dir / "report.json").write_text(json.dumps(
+            {"mean_mrr": test, "std_mrr": 0.0, "mean_val_mrr": val}))
+        return run_dir
+
+    monkeypatch.setattr(runner, "run_experiment", fake_run)
+    base = ExperimentConfig(dataset="unused", run_root=str(tmp_path))
+    index = grid_search(base, {"alpha": ["0.1", "abc", "0.2", "0.5", "0.7"]})
+    assert [c["status"] for c in index["cells"]] == ["error", "error", "ok", "ok", "ok"]
+    assert index["best"]["overrides"] == {"alpha": "0.7"}
+
+    for a in (0.2, 0.7):
+        outcomes[a] = (0.5, float("nan"))
+    index = grid_search(base, {"alpha": ["0.2", "0.5", "0.7"]}, grid_name="g2")
+    assert index["n_failed"] == 0 and index["best"] is None

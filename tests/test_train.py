@@ -90,6 +90,40 @@ def test_fine_tune_state_consistent_with_returned_params():
         np.testing.assert_array_equal(a, b)
 
 
+def count_forwards(monkeypatch):
+    modes = []
+
+    def counting(*args, **kwargs):
+        modes.append(kwargs.get("mode", "eval"))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "forward", counting)
+    return modes
+
+
+def test_fine_tune_reuses_best_epoch_eval_forward(monkeypatch):
+    modes = count_forwards(monkeypatch)
+    cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=6, patience=2)
+    result, *_ = run_fine_tune(toy_model(update="gru", hidden=4, seed=5), cfg=cfg)
+    assert result.epochs_run >= 2
+    assert modes == ["train", "eval"] * result.epochs_run
+
+
+def test_fine_tune_without_validation_labels_runs_one_final_eval_forward(monkeypatch):
+    modes = count_forwards(monkeypatch)
+    pos = np.array([[0, 1]], dtype=np.int64)
+    labels = LabelSet(step=0, positives=pos, train_pos=pos,
+                      val_pos=np.empty((0, 2), dtype=np.int64),
+                      eval_negatives={0: np.array([3], dtype=np.int64)})
+    cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=4, patience=2)
+    result, snap, state, counter = run_fine_tune(toy_model(seed=6), labels=labels,
+                                                 cfg=cfg)
+    assert modes == ["train"] * result.epochs_run + ["eval"]
+    again = forward(snap, state, result.model, counter, mode="eval")
+    for a, b in zip(result.state.layers, again.state.layers):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_fine_tune_divergence_raises_with_diagnostics():
     model = toy_model(update="gru", hidden=4, batch_norm=False)
     # first affine overflows to inf, later sums produce NaN scores
