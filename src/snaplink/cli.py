@@ -67,10 +67,9 @@ def cmd_ingest(args) -> int:
         return 2
     cache_dir = Path(args.cache_dir) if args.cache_dir else Path(cfg.run_root) / ".cache"
     g = load_dataset(cfg, cache_dir=cache_dir)
-    n_edges = sum(s.n_edges for s in g.snapshots)
     print(f"dataset: {cfg.dataset}")
     print(f"nodes: {g.node_count}")
-    print(f"edges: {n_edges}")
+    print(f"edges: {len(g.src)}")
     print(f"snapshots: {len(g)} ({cfg.frequency})")
     print(f"cache: {cache_dir}")
     return 0

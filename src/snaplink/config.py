@@ -80,17 +80,14 @@ class ExperimentConfig:
         self.to_model_config().validate()
         self.to_train_config().validate()
 
-    def to_model_config(self, node_feat_dim: int = 2,
-                        edge_feat_dim: int = 2) -> ModelConfig:
+    def to_model_config(self) -> ModelConfig:
         return ModelConfig(
             hidden_dim=self.hidden_dim, n_pre=self.n_pre, n_mp=self.n_mp,
             n_post=self.n_post, update=self.update, aggregation=self.aggregation,
             bidirectional=self.bidirectional, skip_connection=self.skip_connection,
             batch_norm=self.batch_norm,
             bn_reset_per_snapshot=self.bn_reset_per_snapshot,
-            per_node_keep_ratio=self.per_node_keep_ratio,
-            node_feat_dim=node_feat_dim, edge_feat_dim=edge_feat_dim,
-            dtype=self.dtype,
+            per_node_keep_ratio=self.per_node_keep_ratio, dtype=self.dtype,
         )
 
     def to_train_config(self) -> TrainConfig:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .errors import BoundsError, ConfigError, DimensionError
-from .snapshots import GraphSnapshot
+from .snapshots import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, GraphSnapshot
 
 UPDATE_KINDS = ("moving_average", "mlp", "gru")
 
@@ -36,12 +36,8 @@ class ModelConfig:
     bidirectional: bool = True
     skip_connection: bool = True
     batch_norm: bool = True
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
     bn_reset_per_snapshot: bool = False
     per_node_keep_ratio: bool = False
-    node_feat_dim: int = 2
-    edge_feat_dim: int = 2
     dtype: str = "float64"
 
     def validate(self) -> None:
@@ -211,20 +207,20 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     ps = dc.ParamSet()
     bn: dict[str, dc.BatchNormStats] = {}
 
-    in_dim = cfg.node_feat_dim
+    in_dim = NODE_FEATURE_DIM
     for i in range(cfg.n_pre):
         ps.new(f"pre.{i}.w", _xavier(rng, (d, in_dim), dt))
         ps.new(f"pre.{i}.b", np.zeros(d, dtype=dt))
         in_dim = d
 
-    msg_in = 2 * d + cfg.edge_feat_dim
+    msg_in = 2 * d + EDGE_FEATURE_DIM
     for l in range(cfg.n_mp):
         ps.new(f"mp.{l}.w", _xavier(rng, (d, msg_in), dt))
         ps.new(f"mp.{l}.b", np.zeros(d, dtype=dt))
         if cfg.batch_norm:
             ps.new(f"mp.{l}.gamma", np.ones(d, dtype=dt))
             ps.new(f"mp.{l}.beta", np.zeros(d, dtype=dt))
-            bn[f"mp.{l}"] = dc.BatchNormStats.zeros(d, cfg.bn_momentum, cfg.bn_eps, dt)
+            bn[f"mp.{l}"] = dc.BatchNormStats.zeros(d, dtype=dt)
         if cfg.update == "gru":
             for gate in ("z", "r", "n"):
                 ps.new(f"upd.{l}.w{gate}", _xavier(rng, (d, 2 * d), dt))

@@ -22,7 +22,7 @@ from . import evaluate as ev
 from .config import ExperimentConfig
 from .errors import SnaplinkError
 from .model import save_checkpoint
-from .snapshots import (EdgeSchema, cache_key, load_edge_list,
+from .snapshots import (EdgeSchema, cache_key, file_fingerprint, load_edge_list,
                         load_snapshot_cache, partition_snapshots,
                         save_snapshot_cache)
 
@@ -39,8 +39,6 @@ def load_dataset(cfg: ExperimentConfig, cache_dir: Path | None = None):
     schema = EdgeSchema.parse(cfg.schema)
     path = Path(cfg.dataset)
     if cache_dir is not None:
-        from .snapshots import file_fingerprint
-
         key = cache_key(file_fingerprint(path), cfg.frequency, schema)
         cache_path = cache_dir / f"{key}.npz"
         if cache_path.exists():
@@ -104,6 +102,7 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
             def emit(record: ev.StepRecord) -> None:
                 row = {"record": "step", **STEP_SCHEMA, **asdict(record)}
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
+                fh.flush()  # a running or killed seed keeps its finished steps
 
             report = protocol(graph, cfg.to_run_config(seed), step_callback=emit,
                               artifacts_out=artifacts)

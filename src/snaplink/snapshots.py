@@ -1,9 +1,14 @@
-"""Edge-stream ingestion, snapshot partitioning, and link-prediction labels.
+"""Edge-stream ingestion, the time-CSR snapshot graph, and link-prediction labels.
 
 Timestamped edge lists come in as delimiter-separated text (one edge per
 line, configurable column order). Node ids are compacted to a dense range
 on ingestion and fixed for the whole run; later snapshots in which a node
 has no incident edges simply contribute no messages for it.
+
+A `DynamicGraph` holds every edge once, in window order, with per-window
+offsets (a time-CSR layout). Partitioning, the snapshot cache and the
+snapshots themselves all share that layout, and `DynamicGraph` alone checks
+it and slices it into windows.
 
 All functions are pure over their inputs and take explicit generators, so
 identical (file, schema, frequency, seed) reproduce identical outputs.
@@ -14,6 +19,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +33,11 @@ WEEK_SECONDS = 7 * DAY_SECONDS
 
 EDGE_COLUMNS = ("src", "dst", "weight", "timestamp")
 
+# node features: (1, log1p(cumulative incident degree))
+NODE_FEATURE_DIM = 2
+# edge features: (weight, position of the timestamp inside its window)
+EDGE_FEATURE_DIM = 2
+
 
 @dataclass(frozen=True)
 class EdgeSchema:
@@ -34,11 +45,11 @@ class EdgeSchema:
 
     `columns` lists the meaning of each field in order; `weight` may be
     omitted (defaults to 1.0). delimiter=None splits on any whitespace.
+    Lines starting with '#' are comments.
     """
 
     delimiter: str | None = ","
     columns: tuple[str, ...] = EDGE_COLUMNS
-    comment: str = "#"
 
     def __post_init__(self):
         unknown = set(self.columns) - set(EDGE_COLUMNS)
@@ -87,16 +98,16 @@ class GraphSnapshot:
 
     edge_features columns are (weight, position of the timestamp inside the
     window scaled to [0, 1)). node_features are derived from the edges, not
-    stored: (1, log1p(cumulative incident degree through this snapshot)),
-    rebuilt by `partition_snapshots` and by `load_snapshot_cache` alike.
-    Each snapshot owns its node_features array.
+    stored: (1, log1p(cumulative incident degree through this snapshot)).
+    In a `DynamicGraph` the edge arrays are read-only views of the graph's
+    arrays and each snapshot owns its node_features array.
     """
 
     index: int
     edge_src: np.ndarray
     edge_dst: np.ndarray
-    edge_features: np.ndarray  # (n_edges, 2)
-    node_features: np.ndarray  # (node_count, 2)
+    edge_features: np.ndarray  # (n_edges, EDGE_FEATURE_DIM)
+    node_features: np.ndarray  # (node_count, NODE_FEATURE_DIM)
     window: tuple[float, float]
 
     @property
@@ -111,32 +122,65 @@ class GraphSnapshot:
         return (self.edge_src.size + self.edge_dst.size
                 + self.edge_features.size + self.node_features.size)
 
-    def validate(self) -> None:
-        n = self.n_nodes
-        if self.n_edges:
-            if self.edge_src.min() < 0 or self.edge_src.max() >= n:
-                raise ValueError(f"snapshot {self.index}: edge src out of range")
-            if self.edge_dst.min() < 0 or self.edge_dst.max() >= n:
-                raise ValueError(f"snapshot {self.index}: edge dst out of range")
-        if self.edge_features.shape[0] != self.n_edges:
-            raise ValueError(f"snapshot {self.index}: edge feature rows != edge count")
-        if not np.isfinite(self.edge_features).all() or not np.isfinite(self.node_features).all():
-            raise ValueError(f"snapshot {self.index}: non-finite features")
-        if self.n_edges:
-            tnorm = self.edge_features[:, 1]
-            if tnorm.min() < 0.0 or tnorm.max() >= 1.0:
-                raise ValueError(f"snapshot {self.index}: edge timestamp outside window")
-
 
 @dataclass
 class DynamicGraph:
-    """An ordered sequence of contiguous snapshots over one node universe."""
+    """Contiguous windows over one node universe, as one time-CSR graph.
 
-    snapshots: list[GraphSnapshot]
+    Window t holds the edges offsets[t]:offsets[t + 1] of src, dst and
+    edge_features, and spans [start + t * period, start + (t + 1) * period).
+    Construction checks the arrays (ValueError on a bad layout, an endpoint
+    outside [0, node_count), a non-finite feature or a window position
+    outside [0, 1)), makes them read-only and builds `snapshots`, whose
+    edges are views and which each own their node features.
+    """
+
+    offsets: np.ndarray        # (T + 1,) int64
+    src: np.ndarray            # (E,) int64, dense ids in [0, node_count)
+    dst: np.ndarray            # (E,) int64
+    edge_features: np.ndarray  # (E, EDGE_FEATURE_DIM) float64
+    start: float
     period_seconds: float
     node_count: int
     frequency: str = ""
     source_fingerprint: str = ""
+    snapshots: list[GraphSnapshot] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        offsets, n, n_edges = self.offsets, self.node_count, len(self.src)
+        if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
+                or offsets[-1] != n_edges or (np.diff(offsets) < 0).any()):
+            raise ValueError(f"offsets must rise from 0 to the edge count {n_edges}")
+        if len(self.dst) != n_edges or self.edge_features.shape != (n_edges, EDGE_FEATURE_DIM):
+            raise ValueError(f"edge arrays disagree with {n_edges} edges")
+        if n_edges:
+            if min(self.src.min(), self.dst.min()) < 0 or \
+                    max(self.src.max(), self.dst.max()) >= n:
+                raise ValueError(f"edge endpoint outside [0, {n})")
+            if not np.isfinite(self.edge_features).all():
+                raise ValueError("non-finite edge features")
+            tnorm = self.edge_features[:, 1]
+            if tnorm.min() < 0.0 or tnorm.max() >= 1.0:
+                raise ValueError("edge timestamp outside its window")
+        for a in (offsets, self.src, self.dst, self.edge_features):
+            a.flags.writeable = False
+
+        cum_degree = np.zeros(n, dtype=np.float64)
+        self.snapshots = []
+        for t in range(offsets.size - 1):
+            lo, hi = offsets[t], offsets[t + 1]
+            src, dst = self.src[lo:hi], self.dst[lo:hi]
+            cum_degree += np.bincount(np.concatenate([src, dst]), minlength=n)
+            w_start = self.start + t * self.period_seconds
+            self.snapshots.append(GraphSnapshot(
+                index=t,
+                edge_src=src,
+                edge_dst=dst,
+                edge_features=self.edge_features[lo:hi],
+                node_features=np.column_stack([np.ones(n, dtype=np.float64),
+                                               np.log1p(cum_degree)]),
+                window=(w_start, w_start + self.period_seconds),
+            ))
 
     def __len__(self) -> int:
         return len(self.snapshots)
@@ -203,7 +247,7 @@ def load_edge_list(path, schema: EdgeSchema = EdgeSchema()) -> TemporalEdgeList:
     with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line or (schema.comment and line.startswith(schema.comment)):
+            if not line or line.startswith("#"):
                 continue
             parts = line.split(schema.delimiter)
             if len(parts) != n_cols:
@@ -215,8 +259,10 @@ def load_edge_list(path, schema: EdgeSchema = EdgeSchema()) -> TemporalEdgeList:
                 w = float(parts[col_index["weight"]]) if has_weight else 1.0
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
-            if not np.isfinite(ts) or ts < 0:
+            if not math.isfinite(ts) or ts < 0:
                 raise ParseError(f"bad timestamp {ts!r}", lineno)
+            if not math.isfinite(w):
+                raise ParseError(f"bad weight {w!r}", lineno)
             s_key = parts[col_index["src"]].strip()
             d_key = parts[col_index["dst"]].strip()
             src_l.append(ids.setdefault(s_key, len(ids)))
@@ -287,16 +333,6 @@ def period_seconds(frequency: str | int | float) -> float:
     return value
 
 
-def _advance_node_features(cum_degree: np.ndarray, src: np.ndarray,
-                           dst: np.ndarray) -> np.ndarray:
-    """Add one window's edges to the running incident degree (in place) and
-    return the window's node features, a new (node_count, 2) array of
-    (1, log1p(cumulative incident degree through this window))."""
-    cum_degree += np.bincount(np.concatenate([src, dst]), minlength=cum_degree.size)
-    return np.column_stack([np.ones(cum_degree.size, dtype=np.float64),
-                            np.log1p(cum_degree)])
-
-
 def partition_snapshots(edges: TemporalEdgeList,
                         frequency: str | int | float) -> DynamicGraph:
     """Assign each edge to the window floor((t - start) / period).
@@ -311,38 +347,16 @@ def partition_snapshots(edges: TemporalEdgeList,
 
     start = float(edges.timestamp.min())
     bins = np.floor((edges.timestamp - start) / period).astype(np.int64)
-    n_snapshots = int(bins.max()) + 1
-
-    # cumulative incident degree through each snapshot, for node features
-    cum_degree = np.zeros(edges.node_count, dtype=np.float64)
-
-    snapshots: list[GraphSnapshot] = []
     order = np.argsort(bins, kind="stable")  # edges already time-sorted within bins
-    sorted_bins = bins[order]
-    boundaries = np.searchsorted(sorted_bins, np.arange(n_snapshots + 1))
-    for t in range(n_snapshots):
-        lo, hi = boundaries[t], boundaries[t + 1]
-        sel = order[lo:hi]
-        w_start = start + t * period
-        # binning and this division can disagree by one ulp at boundaries
-        tnorm = np.clip((edges.timestamp[sel] - w_start) / period,
-                        0.0, np.nextafter(1.0, 0.0))
-        feats = np.column_stack([edges.weight[sel], tnorm]) if len(sel) else \
-            np.zeros((0, 2), dtype=np.float64)
-        src, dst = edges.src[sel], edges.dst[sel]
-        snap = GraphSnapshot(
-            index=t,
-            edge_src=src,
-            edge_dst=dst,
-            edge_features=feats,
-            node_features=_advance_node_features(cum_degree, src, dst),
-            window=(w_start, w_start + period),
-        )
-        snap.validate()
-        snapshots.append(snap)
-
+    bins = bins[order]
+    offsets = np.searchsorted(bins, np.arange(bins[-1] + 2))
+    # binning and this division can disagree by one ulp at boundaries
+    tnorm = np.clip((edges.timestamp[order] - (start + bins * period)) / period,
+                    0.0, np.nextafter(1.0, 0.0))
     freq_name = frequency if isinstance(frequency, str) else f"{period:g}s"
-    return DynamicGraph(snapshots, period, edges.node_count,
+    return DynamicGraph(offsets, edges.src[order], edges.dst[order],
+                        np.column_stack([edges.weight[order], tnorm]),
+                        start, period, edges.node_count,
                         frequency=str(freq_name),
                         source_fingerprint=edges.source_fingerprint)
 
@@ -452,11 +466,12 @@ def cache_key(source_fingerprint: str, frequency: str | int | float,
 
 
 def save_snapshot_cache(path, g: DynamicGraph) -> None:
-    """Persist a DynamicGraph as one uncompressed .npz: the edges of all
-    windows concatenated with per-window offsets, and a JSON meta entry.
+    """Persist a DynamicGraph as one uncompressed .npz: its time-CSR arrays
+    (`offsets`, `src`, `dst`, `edge_features`) as they are, and a JSON meta
+    entry holding the scalars and the window bounds.
 
-    Node features are not stored; `load_snapshot_cache` derives them from
-    the edges. The archive is written under a per-process temporary name and
+    Node features are not stored; `DynamicGraph` derives them from the
+    edges. The archive is written under a per-process temporary name and
     moved into place with `os.replace`, so a reader that sees `path` sees a
     whole file. As with `np.savez`, ".npz" is appended to a path without it.
     """
@@ -469,15 +484,9 @@ def save_snapshot_cache(path, g: DynamicGraph) -> None:
         "n_snapshots": len(g),
         "windows": [list(s.window) for s in g.snapshots],
     }
-    arrays = {"__meta__": np.frombuffer(json.dumps(meta).encode(), np.uint8)}
-    offsets = np.zeros(len(g) + 1, dtype=np.int64)
-    for t, s in enumerate(g.snapshots):
-        offsets[t + 1] = offsets[t] + s.n_edges
-    arrays["offsets"] = offsets
-    arrays["src"] = np.concatenate([s.edge_src for s in g.snapshots]) if len(g) else \
-        np.zeros(0, np.int64)
-    arrays["dst"] = np.concatenate([s.edge_dst for s in g.snapshots])
-    arrays["edge_features"] = np.concatenate([s.edge_features for s in g.snapshots])
+    arrays = {"__meta__": np.frombuffer(json.dumps(meta).encode(), np.uint8),
+              "offsets": g.offsets, "src": g.src, "dst": g.dst,
+              "edge_features": g.edge_features}
     path = Path(path)
     if not path.name.endswith(".npz"):
         path = path.with_name(path.name + ".npz")
@@ -492,29 +501,15 @@ def save_snapshot_cache(path, g: DynamicGraph) -> None:
 
 
 def load_snapshot_cache(path) -> DynamicGraph:
-    """Read an archive written by `save_snapshot_cache`, rebuilding each
-    window's node features from the running degree as the edges are sliced."""
+    """Read an archive written by `save_snapshot_cache` into a DynamicGraph,
+    which checks the arrays (a damaged archive raises ValueError) and
+    rebuilds the node features. Windows start at the first stored window."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode())
         if meta.get("format") != CACHE_FORMAT:
             raise ValueError(f"unsupported cache format {meta.get('format')!r}")
-        offsets = data["offsets"]
-        src = data["src"]
-        dst = data["dst"]
-        ef = data["edge_features"]
-    cum_degree = np.zeros(meta["node_count"], dtype=np.float64)
-    snapshots = []
-    for t in range(meta["n_snapshots"]):
-        lo, hi = offsets[t], offsets[t + 1]
-        s_src, s_dst = src[lo:hi].copy(), dst[lo:hi].copy()
-        snapshots.append(GraphSnapshot(
-            index=t,
-            edge_src=s_src,
-            edge_dst=s_dst,
-            edge_features=ef[lo:hi].copy(),
-            node_features=_advance_node_features(cum_degree, s_src, s_dst),
-            window=tuple(meta["windows"][t]),
-        ))
-    return DynamicGraph(snapshots, meta["period_seconds"], meta["node_count"],
-                        frequency=meta["frequency"],
+        arrays = {k: data[k] for k in ("offsets", "src", "dst", "edge_features")}
+    return DynamicGraph(**arrays, start=meta["windows"][0][0],
+                        period_seconds=meta["period_seconds"],
+                        node_count=meta["node_count"], frequency=meta["frequency"],
                         source_fingerprint=meta["source_fingerprint"])

@@ -28,9 +28,6 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 3
     train_neg_per_pos: int = 1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def validate(self) -> None:
         if self.learning_rate < 0:
@@ -109,7 +106,7 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
     cfg.validate()
 
     n_nodes = snapshot.n_nodes
-    opt = Adam(model.params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    opt = Adam(model.params, cfg.learning_rate)
     val_labels = labels.val_view()
 
     best_val = -np.inf

@@ -31,3 +31,16 @@ def test_protocol_split_error_exits_2_with_one_line(twelve_window_file, tmp_path
     assert err.startswith(f"{verb}: {field}: ")
     # the rejected run leaves only the snapshot cache, no run directory
     assert sorted(p.name for p in runs.iterdir()) == [".cache"]
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_ingest_non_finite_weight_exits_2_naming_the_line(tmp_path, capsys, monkeypatch,
+                                                          weight):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    path = tmp_path / "edges.csv"
+    path.write_text(f"0,1,1.0,100\n1,2,{weight},200\n2,0,1.0,300\n")
+    argv = ["ingest", "--dataset", str(path), "--run-root", str(tmp_path / "runs")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ingest: line 2: bad weight")

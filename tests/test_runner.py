@@ -138,3 +138,25 @@ def test_grid_selects_by_validation_mrr_not_test_mrr(tmp_path, monkeypatch):
         outcomes[a] = (0.5, float("nan"))
     index = grid_search(base, {"alpha": ["0.2", "0.5", "0.7"]}, grid_name="g2")
     assert index["n_failed"] == 0 and index["best"] is None
+
+
+def test_steps_are_on_disk_after_each_step(synth_graph, tmp_path, monkeypatch):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    cfg = ExperimentConfig(dataset="synthetic", protocol="live_update", seeds=(2,),
+                           k_neg=20, hidden_dim=8, update="moving_average",
+                           max_epochs=1, patience=1, run_root=str(tmp_path),
+                           run_name="flush")
+    steps = tmp_path / "flush" / "seed2" / "steps.ndjson.tmp"
+    lines_seen = []
+    real = ev.live_update_run
+
+    def spying(g, run_cfg, step_callback=None, artifacts_out=None):
+        def callback(record):
+            step_callback(record)
+            lines_seen.append(len(steps.read_text().splitlines()))
+
+        return real(g, run_cfg, step_callback=callback, artifacts_out=artifacts_out)
+
+    monkeypatch.setattr(ev, "live_update_run", spying)
+    run_experiment(cfg, graph=synth_graph)
+    assert lines_seen == list(range(1, len(synth_graph)))

@@ -1,6 +1,7 @@
 """Tests for ingestion, partitioning, and label construction."""
 
 import gzip
+import json
 
 import numpy as np
 import pytest
@@ -75,6 +76,13 @@ def test_load_empty_file_raises(tmp_path):
 def test_load_negative_timestamp_rejected(tmp_path):
     path = write_edges(tmp_path, "0,1,1.0,-5\n")
     with pytest.raises(ParseError, match="line 1"):
+        sn.load_edge_list(path)
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_load_non_finite_weight_names_line_number(tmp_path, weight):
+    path = write_edges(tmp_path, f"0,1,1.0,100\n1,2,{weight},200\n")
+    with pytest.raises(ParseError, match="line 2: bad weight"):
         sn.load_edge_list(path)
 
 
@@ -162,6 +170,100 @@ def test_partition_keeps_multi_edges():
     edges = sn.edges_from_arrays([0, 0, 0], [1, 1, 1], [1.0, 2.0, 3.0])
     g = sn.partition_snapshots(edges, 100)
     assert g[0].n_edges == 3
+
+
+def reference_partition(edges, frequency):
+    """The per-window partition loop the time-CSR graph replaced: per-window
+    copies and node features advanced window by window. Returns the offsets
+    and one (window, src, dst, edge_features, node_features) per window."""
+    period = sn.period_seconds(frequency)
+    start = float(edges.timestamp.min())
+    bins = np.floor((edges.timestamp - start) / period).astype(np.int64)
+    n_snapshots = int(bins.max()) + 1
+    cum_degree = np.zeros(edges.node_count, dtype=np.float64)
+    order = np.argsort(bins, kind="stable")
+    boundaries = np.searchsorted(bins[order], np.arange(n_snapshots + 1))
+    windows = []
+    for t in range(n_snapshots):
+        sel = order[boundaries[t]:boundaries[t + 1]]
+        w_start = start + t * period
+        tnorm = np.clip((edges.timestamp[sel] - w_start) / period,
+                        0.0, np.nextafter(1.0, 0.0))
+        feats = np.column_stack([edges.weight[sel], tnorm]) if len(sel) else \
+            np.zeros((0, 2), dtype=np.float64)
+        src, dst = edges.src[sel], edges.dst[sel]
+        cum_degree += np.bincount(np.concatenate([src, dst]), minlength=cum_degree.size)
+        node_features = np.column_stack([np.ones(cum_degree.size, dtype=np.float64),
+                                         np.log1p(cum_degree)])
+        windows.append(((w_start, w_start + period), src, dst, feats, node_features))
+    return boundaries, windows
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_matches_reference(g, edges, frequency):
+    offsets, windows = reference_partition(edges, frequency)
+    assert same_bits(g.offsets, offsets)
+    assert len(g) == len(windows)
+    for t, (window, *arrays) in enumerate(windows):
+        s = g[t]
+        assert s.index == t and s.window == window
+        for attr, ref in zip(("edge_src", "edge_dst", "edge_features", "node_features"),
+                             arrays):
+            assert same_bits(getattr(s, attr), ref), (t, attr)
+
+
+def boundary_edges():
+    """Timestamps one ulp either side of each window boundary."""
+    period, start = 1000.0, 12345.678
+    ts = [start]
+    for k in range(1, 8):
+        edge = start + k * period
+        ts += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    ids = np.arange(len(ts))
+    return sn.edges_from_arrays(ids % 7, (ids + 1) % 7, ts), period
+
+
+PARTITION_CASES = {
+    "boundary-ulps": boundary_edges,
+    "empty-middle-window": lambda: (sn.edges_from_arrays(
+        [0, 1, 2], [1, 2, 0], [0.0, 5.0, 35.0], node_count=4), 10.0),
+    "single-window": lambda: (sn.edges_from_arrays(
+        [0, 1, 2], [1, 2, 0], [0.0, 1.0, 2.0]), 10.0),
+    # node 5 has its first edge in the last window, node 4 none at all
+    "first-edge-in-last-window": lambda: (sn.edges_from_arrays(
+        [0, 1, 5], [1, 0, 2], [0.0, 15.0, 29.0], node_count=6), 10.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARTITION_CASES))
+def test_partition_matches_per_window_reference(case):
+    edges, frequency = PARTITION_CASES[case]()
+    assert_matches_reference(sn.partition_snapshots(edges, frequency), edges, frequency)
+
+
+def test_partition_matches_per_window_reference_random():
+    rng = np.random.default_rng(12)
+    for frequency in (700.0, 3333.3, "daily"):
+        n = int(rng.integers(1, 1500))
+        edges = sn.edges_from_arrays(
+            rng.integers(0, 40, n), rng.integers(0, 40, n),
+            rng.uniform(0, 2e6, n).round(int(rng.integers(0, 4))),
+            weight=rng.uniform(0.1, 3.0, n), node_count=40)
+        assert_matches_reference(sn.partition_snapshots(edges, frequency),
+                                 edges, frequency)
+
+
+def test_snapshot_edges_are_read_only_views():
+    g = small_cache_graph()
+    s = g[1]
+    assert s.n_edges and np.shares_memory(s.edge_src, g.src)
+    for arr in (s.edge_src, s.edge_dst, s.edge_features, g.src):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    s.node_features[0, 1] += 1.0  # owned, writable
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +550,34 @@ def test_snapshot_cache_write_replaces_whole_file(tmp_path):
     # like np.savez, a name without the suffix gains ".npz"
     sn.save_snapshot_cache(tmp_path / "bare", g)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.npz", "cache.npz"]
+
+
+def damage_nan_feature(arrays):
+    arrays["edge_features"][3, 0] = np.nan
+
+
+def damage_dst_out_of_range(arrays):
+    arrays["dst"][5] = json.loads(bytes(arrays["__meta__"]))["node_count"]
+
+
+def damage_offsets_end(arrays):
+    arrays["src"] = arrays["src"][:-1]
+
+
+@pytest.mark.parametrize("damage,message", [
+    (damage_nan_feature, "non-finite"),
+    (damage_dst_out_of_range, "outside"),
+    (damage_offsets_end, "offsets"),
+])
+def test_load_snapshot_cache_rejects_a_damaged_archive(tmp_path, damage, message):
+    path = tmp_path / "cache.npz"
+    sn.save_snapshot_cache(path, small_cache_graph())
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    damage(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=message):
+        sn.load_snapshot_cache(path)
 
 
 def test_cache_key_depends_on_inputs():

@@ -251,9 +251,11 @@ def small_run_config(update="gru", alpha=1.0, seed=0):
 def test_working_set_independent_of_horizon(synth_graph):
     from snaplink.snapshots import DynamicGraph
 
-    short = DynamicGraph(synth_graph.snapshots[:5], synth_graph.period_seconds,
-                         synth_graph.node_count, synth_graph.frequency,
-                         synth_graph.source_fingerprint)
+    g = synth_graph
+    e = g.offsets[5]
+    short = DynamicGraph(g.offsets[:6], g.src[:e], g.dst[:e], g.edge_features[:e],
+                         g.start, g.period_seconds, g.node_count, g.frequency,
+                         g.source_fingerprint)
     cfg = small_run_config()
     rep_short = live_update_run(short, cfg)
     rep_long = live_update_run(synth_graph, cfg)
