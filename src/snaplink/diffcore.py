@@ -7,8 +7,11 @@ per forward pass and walking it backwards; `grad_check` verifies any
 scalar-valued composition against central finite differences.
 
 This is deliberately not a general autodiff framework: only the operations
-listed above are supported, all values are dense 1-D/2-D float arrays, and
-math defaults to 64-bit so finite-difference checks are meaningful.
+listed above are supported, and all values are dense 1-D/2-D float arrays.
+Every op keeps the dtype of its inputs. Runs default to float32
+(`ExperimentConfig.dtype`); `grad_check` is run on float64 values (the
+`DEFAULT_DTYPE`, and `ModelConfig`'s default) so that finite-difference
+checks are meaningful.
 """
 
 from __future__ import annotations
@@ -185,9 +188,10 @@ def _scatter_sum(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarr
     Bitwise equal to `np.add.at(zeros, index, values)` in float64:
     `np.bincount` adds the weights in input order starting from 0.0, as
     `np.add.at` does, but without its per-element dispatch. Two trade-offs:
-    float32 input is summed in float64 and rounded once, so it equals
-    `np.add.at` on a float64 copy cast to float32, not float32 `np.add.at`;
-    and the flat index is a transient of len(index) * d int64 values.
+    float32 input, which is what a default run passes, is summed in float64
+    and rounded once, so it equals `np.add.at` on a float64 copy cast to
+    float32, not float32 `np.add.at`; and the flat index is a transient of
+    len(index) * d int64 values.
     `index` must lie in [0, n_rows).
     """
     d = values.shape[1]

@@ -38,6 +38,8 @@ class ModelConfig:
     batch_norm: bool = True
     bn_reset_per_snapshot: bool = False
     per_node_keep_ratio: bool = False
+    # float64 so that `grad_check` and code building a ModelConfig directly
+    # keep 64-bit math; runs get float32 from ExperimentConfig.dtype
     dtype: str = "float64"
 
     def validate(self) -> None:

@@ -12,6 +12,7 @@ import itertools
 import json
 import os
 import time
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -28,6 +29,12 @@ from .snapshots import (EdgeSchema, cache_key, file_fingerprint, load_edge_list,
 
 STEP_SCHEMA = {"schema_version": ev.REPORT_SCHEMA_VERSION}
 
+# what `load_snapshot_cache` raises on a damaged archive: a cut or corrupt
+# zip (BadZipFile, EOFError, an unknown compression method), a missing entry
+# (KeyError), or arrays and meta that `DynamicGraph` rejects (ValueError)
+DAMAGED_ARCHIVE_ERRORS = (zipfile.BadZipFile, EOFError, NotImplementedError,
+                          KeyError, ValueError)
+
 
 def resolve_run_root(cfg: ExperimentConfig) -> Path:
     root = os.environ.get("SNAPLINK_RUN_ROOT", "") or cfg.run_root
@@ -35,14 +42,22 @@ def resolve_run_root(cfg: ExperimentConfig) -> Path:
 
 
 def load_dataset(cfg: ExperimentConfig, cache_dir: Path | None = None):
-    """Ingest (or reuse a cached partition of) the configured dataset."""
+    """Ingest (or reuse a cached partition of) the configured dataset.
+
+    A cached archive that cannot be read, or whose arrays `DynamicGraph`
+    rejects, is a cache miss: the dataset is ingested again and the archive
+    overwritten.
+    """
     schema = EdgeSchema.parse(cfg.schema)
     path = Path(cfg.dataset)
     if cache_dir is not None:
         key = cache_key(file_fingerprint(path), cfg.frequency, schema)
         cache_path = cache_dir / f"{key}.npz"
         if cache_path.exists():
-            return load_snapshot_cache(cache_path)
+            try:
+                return load_snapshot_cache(cache_path)
+            except DAMAGED_ARCHIVE_ERRORS:
+                pass
         edges = load_edge_list(path, schema)
         g = partition_snapshots(edges, cfg.frequency)
         cache_dir.mkdir(parents=True, exist_ok=True)

@@ -44,3 +44,14 @@ def test_ingest_non_finite_weight_exits_2_naming_the_line(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("ingest: line 2: bad weight")
+
+
+def test_ingest_rebuilds_a_damaged_cache_archive(twelve_window_file, tmp_path, capsys):
+    argv = ["ingest", "--dataset", str(twelve_window_file), "--frequency", "1000",
+            "--run-root", str(tmp_path / "runs")]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    (archive,) = (tmp_path / "runs" / ".cache").iterdir()
+    archive.write_bytes(archive.read_bytes()[:100])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first

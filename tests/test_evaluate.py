@@ -129,6 +129,26 @@ def test_mrr_non_finite_score_raises(bad_node):
         ev.mrr(reps, labels, model)
 
 
+@pytest.mark.parametrize("bad_node", ["positive", "negative"])
+def test_mrr_float32_head_overflow_raises(bad_node):
+    # a representation row of 1e38 is finite in float32, but with an all-ones
+    # first head layer its slab sums to 4e38, which only float64 can hold
+    model = toy_model(update="moving_average", hidden=4, seed=9, dtype="float32")
+    model.params["head.w1"].value[:] = 1.0
+    reps = np.random.default_rng(9).normal(size=(6, 4)).astype(np.float32)
+    reps[2 if bad_node == "positive" else 4] = 1e38
+    assert np.isfinite(reps).all()
+    positives = np.array([[0, 1], [0, 2] if bad_node == "positive" else [0, 3]])
+    labels = LabelSet(step=0, positives=positives, train_pos=positives[:0],
+                      val_pos=positives[:0], eval_negatives={0: np.array([4, 5])})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=f"non-finite {bad_node} score"):
+            ev.mrr(reps, labels, model)
+    model64 = toy_model(update="moving_average", hidden=4, seed=9)
+    model64.params["head.w1"].value[:] = 1.0
+    assert np.isfinite(ev.mrr(reps.astype(np.float64), labels, model64))
+
+
 # ---------------------------------------------------------------------------
 # fixed-split protocol
 # ---------------------------------------------------------------------------

@@ -3,17 +3,21 @@
 Pins every per-step field except wall time, with floats as `float.hex`
 strings, for `live_update_run` and `fixed_split_run` with each update kind
 on the `synth_graph` fixture, and on a small graph whose labels hit the
-skipped-step and no-training-positives branches. Comparison is exact: a
-change to the protocol loops must reproduce the same bits. Regenerate these
-records only in a change whose stated purpose is to move numerics, and say
-so in CHANGES.md.
+skipped-step and no-training-positives branches. Both dtypes are pinned:
+float64 (`GOLDEN`, the opt-out path) and float32 (`GOLDEN_FLOAT32`, the run
+default). Comparison is exact: a change to the protocol loops must
+reproduce the same bits. Regenerate these records only in a change whose
+stated purpose is to move numerics, and say so in CHANGES.md.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import fresh_counter, fresh_state
 from snaplink import evaluate as ev
-from snaplink.model import ModelConfig
+from snaplink.model import ModelConfig, PairScorer, forward, init_model
 from snaplink.snapshots import edges_from_arrays, partition_snapshots
 from snaplink.train import TrainConfig
 
@@ -21,8 +25,8 @@ PROTOCOLS = {"live_update": ev.live_update_run, "fixed_split": ev.fixed_split_ru
 UPDATES = ("moving_average", "mlp", "gru")
 
 
-def run_config(update, val_fraction=0.1):
-    return ev.RunConfig(model=ModelConfig(hidden_dim=8, update=update),
+def run_config(update, val_fraction=0.1, dtype="float64"):
+    return ev.RunConfig(model=ModelConfig(hidden_dim=8, update=update, dtype=dtype),
                         train=TrainConfig(max_epochs=3, patience=2),
                         alpha=0.5, k_neg=20, val_fraction=val_fraction,
                         test_fraction=0.3, seed=5)
@@ -168,6 +172,121 @@ GOLDEN = {
     ),
 }
 
+# generated once from the float32 default, like GOLDEN: the MRR fields match
+# GOLDEN at this size, the training losses do not
+GOLDEN_FLOAT32 = {
+    ("live_update", "moving_average"): (
+        [],  # train_records
+        [  # per_step
+            (0, "0x1.28a8b60c9233ap-2", 3, "0x1.8dc3368dc3369p-2", "0x1.5774500000000p-1", False, 3693),
+            (1, "0x1.274ac532bea4cp-2", 3, "0x1.39f49f49f49f4p-2", "0x1.6608dc0000000p+0", False, 3697),
+            (2, "0x1.11b8bdc8bba3bp-2", 3, "0x1.b35a2b550953cp-3", "0x1.2f818e0000000p+0", False, 3693),
+            (3, "0x1.0ae74f00e5615p-2", 3, "0x1.07c3c8965c7c4p-2", "0x1.06b3ea0000000p+0", False, 3689),
+            (4, "0x1.1be5cad3edb3dp-2", 3, "0x1.164a64a64a64ap-2", "0x1.b1b73c0000000p-1", False, 3693),
+            (5, "0x1.da1b65888bc43p-3", 3, "0x1.164dd6a486ba4p-2", "0x1.dd58340000000p-1", False, 3693),
+            (6, "0x1.d5458dbec2d83p-3", 3, "0x1.386027b1a3860p-2", "0x1.89142a0000000p-1", False, 3697),
+            (7, "0x1.0cade75fb0427p-2", 3, "0x1.3a459b5e33a46p-2", "0x1.650e160000000p-1", False, 3689),
+            (8, "0x1.043336bcce58ep-2", 3, "0x1.1c1b1706c5c1bp-2", "0x1.6a1f980000000p-1", False, 3693),
+        ],
+    ),
+    ("live_update", "mlp"): (
+        [],  # train_records
+        [  # per_step
+            (0, "0x1.13e0d56dc18e1p-2", 3, "0x1.91236c91236c9p-2", "0x1.58ae020000000p-1", False, 5357),
+            (1, "0x1.0d67c27f7111ap-2", 3, "0x1.8826a08826a09p-3", "0x1.6ae40e0000000p-1", False, 5361),
+            (2, "0x1.0258fd2d081dep-2", 3, "0x1.4cf2fdbb7ea0ap-2", "0x1.6625c60000000p-1", False, 5357),
+            (3, "0x1.08dba0166811dp-2", 3, "0x1.f6f853136a1a4p-3", "0x1.5e6a280000000p-1", False, 5353),
+            (4, "0x1.36a7aa3e06bf8p-2", 3, "0x1.406b15c06b15bp-2", "0x1.549f6a0000000p-1", False, 5357),
+            (5, "0x1.d4af9de78ef88p-3", 3, "0x1.511cede0d511cp-3", "0x1.6453500000000p-1", False, 5357),
+            (6, "0x1.bccd906e10476p-3", 3, "0x1.78306694a22dbp-3", "0x1.60477a0000000p-1", False, 5361),
+            (7, "0x1.1ee97771170afp-2", 3, "0x1.53b53b53b53b5p-2", "0x1.5d50260000000p-1", False, 5353),
+            (8, "0x1.02c7a0644c816p-2", 3, "0x1.8d7c65ff43827p-3", "0x1.56bf040000000p-1", False, 5357),
+        ],
+    ),
+    ("live_update", "gru"): (
+        [],  # train_records
+        [  # per_step
+            (0, "0x1.838bf2beef84bp-3", 3, "0x1.fbefbefbefbefp-2", "0x1.605a420000000p-1", False, 6957),
+            (1, "0x1.13779b333d0adp-2", 3, "0x1.7150150150151p-2", "0x1.5e47d40000000p-1", False, 6961),
+            (2, "0x1.143fa00c57c3bp-2", 3, "0x1.327cc5ea7cc5ep-2", "0x1.610a500000000p-1", False, 6957),
+            (3, "0x1.1413bae57ac00p-2", 3, "0x1.e41e10e247b65p-3", "0x1.629b700000000p-1", False, 6953),
+            (4, "0x1.25bbfdaf3cfcap-2", 3, "0x1.b76a76a76a76bp-3", "0x1.5b66620000000p-1", False, 6957),
+            (5, "0x1.c1a442d273518p-3", 3, "0x1.12b3e34b97718p-2", "0x1.60d6c00000000p-1", False, 6957),
+            (6, "0x1.ef4a8619fa6acp-3", 3, "0x1.257d3940a402fp-2", "0x1.5a58e40000000p-1", False, 6961),
+            (7, "0x1.16279069cd98ap-2", 3, "0x1.710f3a535275cp-2", "0x1.5a50ea0000000p-1", False, 6953),
+            (8, "0x1.fe739e5795f49p-3", 3, "0x1.65a4f302d65a4p-3", "0x1.57bc540000000p-1", False, 6957),
+        ],
+    ),
+    ("fixed_split", "moving_average"): (
+        [  # train_records
+            (0, None, 3, "0x1.8dc3368dc3369p-2", "0x1.5774500000000p-1", False, 3693),
+            (1, None, 3, "0x1.39f49f49f49f4p-2", "0x1.6608dc0000000p+0", False, 3697),
+            (2, None, 3, "0x1.b35a2b550953cp-3", "0x1.2f818e0000000p+0", False, 3693),
+            (3, None, 3, "0x1.07c3c8965c7c4p-2", "0x1.06b3ea0000000p+0", False, 3689),
+            (4, None, 3, "0x1.164a64a64a64ap-2", "0x1.b1b73c0000000p-1", False, 3693),
+            (5, None, 3, "0x1.164dd6a486ba4p-2", "0x1.dd58340000000p-1", False, 3693),
+        ],
+        [  # per_step
+            (6, "0x1.d5458dbec2d83p-3", 0, None, None, False, 3697),
+            (7, "0x1.2b14e0f239bf1p-2", 0, None, None, False, 3689),
+            (8, "0x1.0f1ffbe2e35f7p-2", 0, None, None, False, 3693),
+        ],
+    ),
+    ("fixed_split", "mlp"): (
+        [  # train_records
+            (0, None, 3, "0x1.91236c91236c9p-2", "0x1.58ae020000000p-1", False, 5357),
+            (1, None, 3, "0x1.8826a08826a09p-3", "0x1.6ae40e0000000p-1", False, 5361),
+            (2, None, 3, "0x1.4cf2fdbb7ea0ap-2", "0x1.6625c60000000p-1", False, 5357),
+            (3, None, 3, "0x1.f6f853136a1a4p-3", "0x1.5e6a280000000p-1", False, 5353),
+            (4, None, 3, "0x1.406b15c06b15bp-2", "0x1.549f6a0000000p-1", False, 5357),
+            (5, None, 3, "0x1.511cede0d511cp-3", "0x1.6453500000000p-1", False, 5357),
+        ],
+        [  # per_step
+            (6, "0x1.bccd906e10476p-3", 0, None, None, False, 5361),
+            (7, "0x1.20c89757f18cdp-2", 0, None, None, False, 5353),
+            (8, "0x1.00ea6672acb73p-2", 0, None, None, False, 5357),
+        ],
+    ),
+    ("fixed_split", "gru"): (
+        [  # train_records
+            (0, None, 3, "0x1.fbefbefbefbefp-2", "0x1.605a420000000p-1", False, 6957),
+            (1, None, 3, "0x1.7150150150151p-2", "0x1.5e47d40000000p-1", False, 6961),
+            (2, None, 3, "0x1.327cc5ea7cc5ep-2", "0x1.610a500000000p-1", False, 6957),
+            (3, None, 3, "0x1.e41e10e247b65p-3", "0x1.629b700000000p-1", False, 6953),
+            (4, None, 3, "0x1.b76a76a76a76bp-3", "0x1.5b66620000000p-1", False, 6957),
+            (5, None, 3, "0x1.12b3e34b97718p-2", "0x1.60d6c00000000p-1", False, 6957),
+        ],
+        [  # per_step
+            (6, "0x1.ef4a8619fa6acp-3", 0, None, None, False, 6961),
+            (7, "0x1.2025a4a828c40p-2", 0, None, None, False, 6953),
+            (8, "0x1.ed256465ebaf4p-3", 0, None, None, False, 6957),
+        ],
+    ),
+    ("live_update", "small"): (
+        [],  # train_records
+        [  # per_step
+            (0, "0x1.0629b7f0d462ap-2", 3, "0x1.6789abcdf0123p-3", "0x1.56cd0e0000000p-1", False, 5893),
+            (1, "0x1.1249249249249p-3", 0, None, None, False, 5877),
+            (2, "0x1.a4e17ca36d1f9p-2", 3, "0x1.d56cf9b855b3ep-2", "0x1.5c08000000000p-1", False, 5865),
+            (3, "0x1.0000000000000p+0", 0, None, None, False, 5933),
+            (4, None, 0, None, None, True, 5861),
+            (5, "0x1.8164a893adcd2p-2", 3, "0x1.9451451451451p-2", "0x1.6043ae0000000p-1", False, 5853),
+        ],
+    ),
+    ("fixed_split", "small"): (
+        [  # train_records
+            (0, None, 3, "0x1.6789abcdf0123p-3", "0x1.56cd0e0000000p-1", False, 5893),
+            (1, None, 0, None, None, False, 5877),
+            (2, None, 3, "0x1.d56cf9b855b3ep-2", "0x1.5c08000000000p-1", False, 5865),
+            (3, None, 0, None, None, False, 5933),
+        ],
+        [  # per_step
+            (4, None, 0, None, None, True, 5861),
+            (5, "0x1.8164a893adcd2p-2", 0, None, None, False, 5853),
+        ],
+    ),
+}
+
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("update", UPDATES)
@@ -184,3 +303,55 @@ def test_golden_small_graph_with_empty_window(protocol):
     report = PROTOCOLS[protocol](g, run_config("gru", val_fraction=0.9))
     assert (rows(report.train_records), rows(report.per_step)) == \
         GOLDEN[(protocol, "small")]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("update", UPDATES)
+def test_golden_synth_graph_float32(synth_graph, protocol, update):
+    report = PROTOCOLS[protocol](synth_graph, run_config(update, dtype="float32"))
+    assert (rows(report.train_records), rows(report.per_step)) == \
+        GOLDEN_FLOAT32[(protocol, update)]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_golden_small_graph_with_empty_window_float32(protocol):
+    report = PROTOCOLS[protocol](small_graph(),
+                                 run_config("gru", val_fraction=0.9, dtype="float32"))
+    assert (rows(report.train_records), rows(report.per_step)) == \
+        GOLDEN_FLOAT32[(protocol, "small")]
+
+
+def assert_close_in_float32(actual, desired):
+    """Equal to rtol 1e-4 of each element or of the array's largest magnitude:
+    an entry near zero (just above a ReLU's kink, say) is a difference of
+    O(1) terms and keeps their absolute float32 error."""
+    assert actual.dtype == np.float32
+    np.testing.assert_allclose(actual, desired, rtol=1e-4,
+                               atol=1e-4 * np.abs(desired).max())
+
+
+@pytest.mark.parametrize("update", UPDATES)
+def test_float32_forward_matches_float64(synth_graph, update):
+    cfg = ModelConfig(hidden_dim=16, update=update)
+    model = init_model(cfg, np.random.default_rng(7))
+    state = fresh_state(model, synth_graph.node_count)
+    counter = fresh_counter(model, synth_graph.node_count)
+    # a train forward moves the BN statistics off their initial values and an
+    # eval forward gives a non-zero previous state
+    forward(synth_graph[0], state, model, counter, np.array([[0, 1]]), mode="train")
+    state = forward(synth_graph[0], state, model, counter).state
+    counter.advance(synth_graph[0])
+
+    model32 = init_model(replace(cfg, dtype="float32"), np.random.default_rng(0))
+    model32.load_state_arrays({k: v.astype(np.float32)
+                               for k, v in model.state_arrays().items()})
+    out64 = forward(synth_graph[1], state, model, counter.clone())
+    out32 = forward(synth_graph[1], state, model32, counter.clone())
+    assert_close_in_float32(out32.top_repr, out64.top_repr)
+    for layer32, layer64 in zip(out32.state.layers, out64.state.layers):
+        assert_close_in_float32(layer32, layer64)
+    dsts = np.arange(synth_graph.node_count)
+    for src in (0, 7, 23):
+        assert_close_in_float32(
+            PairScorer(out32.top_repr, model32).scores_against(src, dsts),
+            PairScorer(out64.top_repr, model).scores_against(src, dsts))

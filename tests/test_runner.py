@@ -5,14 +5,16 @@ import json
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from snaplink import evaluate as ev
 from snaplink import runner, synthetic
-from snaplink.config import ExperimentConfig
-from snaplink.errors import ConfigError
+from snaplink.config import ExperimentConfig, load_config
+from snaplink.errors import ConfigError, ParseError
+from snaplink.model import ModelConfig, load_checkpoint
 from snaplink.runner import grid_search, load_dataset, run_experiment
-from snaplink.snapshots import (EdgeSchema, edges_from_arrays, file_fingerprint,
-                                period_seconds)
+from snaplink.snapshots import (EdgeSchema, cache_key, edges_from_arrays,
+                                file_fingerprint, period_seconds)
 
 
 def test_seed_report_keeps_wall_seconds(synth_graph, tmp_path, monkeypatch):
@@ -28,6 +30,25 @@ def test_seed_report_keeps_wall_seconds(synth_graph, tmp_path, monkeypatch):
     report = ev.fixed_split_run(synth_graph, cfg.to_run_config(3))
     report.fingerprint = cfg.fingerprint()
     assert seed_report == report.summary_dict()
+
+
+def test_runs_default_to_float32_and_a_config_file_opts_out(synth_graph, tmp_path,
+                                                           monkeypatch):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    path = tmp_path / "exp.cfg"
+    path.write_text("dtype = float64\n")
+    settings = dict(dataset="synthetic", protocol="fixed_split", seeds=(3,),
+                    test_fraction=0.2, k_neg=20, hidden_dim=8, update="moving_average",
+                    max_epochs=1, patience=1, run_root=str(tmp_path))
+    for cfg, dtype in ((ExperimentConfig(**settings), np.float32),
+                       (replace(load_config(path), **settings), np.float64)):
+        run_dir = run_experiment(cfg, graph=synth_graph)
+        model, state, _ = load_checkpoint(run_dir / "seed3" / "model.npz")
+        assert model.config.dtype == np.dtype(dtype).name
+        arrays = [p.value for p in model.params] + state.layers + [
+            s.running_mean for s in model.bn_stats.values()]
+        assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+    assert ModelConfig().dtype == "float64"  # the library default grad_check relies on
 
 
 def test_completed_run_is_skipped_unless_forced(synth_graph, tmp_path, monkeypatch):
@@ -72,10 +93,72 @@ def test_load_dataset_never_opens_an_archive_of_the_old_format(tmp_path):
     assert len(written) == 2 and f"{old_key}.npz" in written
     warm = load_dataset(cfg, cache_dir=cache)
     assert len(g) == len(warm) == 5
-    for a, b, c in zip(load_dataset(cfg).snapshots, g.snapshots, warm.snapshots):
+    fresh = load_dataset(cfg)
+    assert_same_graph(fresh, g)
+    assert_same_graph(fresh, warm)
+
+
+def assert_same_graph(a, b):
+    assert len(a) == len(b)
+    for sa, sb in zip(a.snapshots, b.snapshots):
+        assert sa.window == sb.window
         for attr in ("edge_src", "edge_dst", "edge_features", "node_features"):
-            assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
-            assert getattr(a, attr).tobytes() == getattr(c, attr).tobytes()
+            assert getattr(sa, attr).tobytes() == getattr(sb, attr).tobytes()
+
+
+def truncate_archive(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def nan_feature_archive(path):
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays["edge_features"][3, 0] = np.nan
+    with open(path, "wb") as fh:  # np.savez would append .npz to a str path
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("damage", [truncate_archive, nan_feature_archive])
+def test_damaged_archive_is_a_cache_miss_and_is_rewritten(tmp_path, monkeypatch, damage):
+    path = tmp_path / "edges.csv"
+    synthetic.write_edge_file(path, synthetic.generate_edges(
+        n_nodes=30, n_steps=5, edges_per_step=40, period=1000.0, seed=4))
+    cfg = ExperimentConfig(dataset=str(path), frequency="1000")
+    cache = tmp_path / ".cache"
+    load_dataset(cfg, cache_dir=cache)
+    (archive,) = cache.iterdir()
+    damage(archive)
+
+    ingests = []
+    real = runner.load_edge_list
+
+    def counting(*args):
+        ingests.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(runner, "load_edge_list", counting)
+    g = load_dataset(cfg, cache_dir=cache)
+    assert len(ingests) == 1
+    assert [p.name for p in cache.iterdir()] == [archive.name]
+    warm = load_dataset(cfg, cache_dir=cache)
+    assert len(ingests) == 1  # the rewritten archive is a cache hit
+    fresh = load_dataset(cfg)
+    assert_same_graph(fresh, g)
+    assert_same_graph(fresh, warm)
+
+
+def test_damaged_archive_does_not_hide_a_parse_error(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("0,1,1.0,100\n1,2,x,200\n")
+    cfg = ExperimentConfig(dataset=str(path), frequency="1000")
+    schema = EdgeSchema.parse(cfg.schema)
+    cache = tmp_path / ".cache"
+    cache.mkdir()
+    archive = cache / f"{cache_key(file_fingerprint(path), cfg.frequency, schema)}.npz"
+    archive.write_bytes(b"not a zip archive")
+    with pytest.raises(ParseError, match="line 2"):
+        load_dataset(cfg, cache_dir=cache)
 
 
 def _edge_file_with_empty_window(path):

@@ -8,7 +8,7 @@ from snaplink import train as tr
 from snaplink import diffcore as dc
 from snaplink.errors import ConfigError, TrainingDiverged
 from snaplink.evaluate import RunConfig, live_update_run
-from snaplink.model import ModelConfig, forward
+from snaplink.model import ModelConfig, PairScorer, forward
 from snaplink.seeding import derive_rng
 from snaplink.snapshots import (LabelSet, build_labels, edges_from_arrays,
                                 partition_snapshots)
@@ -124,20 +124,33 @@ def test_fine_tune_without_validation_labels_runs_one_final_eval_forward(monkeyp
         np.testing.assert_array_equal(a, b)
 
 
-def test_fine_tune_divergence_raises_with_diagnostics():
-    model = toy_model(update="gru", hidden=4, batch_norm=False)
+@pytest.mark.parametrize("dtype,weight", [pytest.param("float64", 1e308, id="float64"),
+                                          pytest.param("float32", 1e38, id="float32")])
+def test_fine_tune_divergence_raises_with_diagnostics(dtype, weight):
+    model = toy_model(update="gru", hidden=4, batch_norm=False, dtype=dtype)
     # first affine overflows to inf, later sums produce NaN scores
-    model.params["pre.0.w"].value[:] = 1e308
+    model.params["pre.0.w"].value[:] = weight
     with pytest.raises(TrainingDiverged) as err:
         run_fine_tune(model)
     assert err.value.epoch == 1
     assert err.value.learning_rate == 0.05
 
 
-@pytest.mark.parametrize("name,scale", [("head.w1", 1.0), ("pre.0.w", 1e150),
-                                        ("pre.0.w", 1e308), ("mp.0.w", 1e200)])
-def test_fine_tune_never_returns_nan_parameters(name, scale):
-    model = toy_model(update="gru", hidden=4, batch_norm=False)
+# the float32 scales mirror the float64 ones: large but finite throughout
+# (1e19, 1e25), or overflowing float32 in the forward (1e38)
+@pytest.mark.parametrize("dtype,name,scale", [
+    pytest.param("float64", "head.w1", 1.0, id="head.w1-1.0"),
+    pytest.param("float64", "pre.0.w", 1e150, id="pre.0.w-1e+150"),
+    pytest.param("float64", "pre.0.w", 1e308, id="pre.0.w-1e+308"),
+    pytest.param("float64", "mp.0.w", 1e200, id="mp.0.w-1e+200"),
+    pytest.param("float32", "head.w1", 1.0, id="float32-head.w1-1.0"),
+    pytest.param("float32", "pre.0.w", 1e19, id="float32-pre.0.w-1e+19"),
+    pytest.param("float32", "pre.0.w", 1e38, id="float32-pre.0.w-1e+38"),
+    pytest.param("float32", "mp.0.w", 1e25, id="float32-mp.0.w-1e+25"),
+    pytest.param("float32", "mp.0.w", 1e38, id="float32-mp.0.w-1e+38"),
+])
+def test_fine_tune_never_returns_nan_parameters(dtype, name, scale):
+    model = toy_model(update="gru", hidden=4, batch_norm=False, dtype=dtype)
     model.params[name].value[:] *= scale
     try:
         result, *_ = run_fine_tune(model, cfg=tr.TrainConfig(
@@ -149,6 +162,42 @@ def test_fine_tune_never_returns_nan_parameters(name, scale):
         assert np.isfinite(p.value).all(), p.name
     for layer in result.state.layers:
         assert np.isfinite(layer).all()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("update", ["moving_average", "mlp", "gru"])
+def test_fine_tune_keeps_the_model_dtype(monkeypatch, update, dtype):
+    optimizers = []
+
+    class RecordingAdam(tr.Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(tr, "Adam", RecordingAdam)
+    model = toy_model(update=update, hidden=4, seed=5, dtype=dtype)
+    cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=3, patience=3)
+    result, snap, state, counter = run_fine_tune(model, cfg=cfg)
+    meta = tr.meta_update(tr.MetaParams(toy_model(update=update, hidden=4, seed=6,
+                                                  dtype=dtype), alpha=0.5),
+                          result.model)
+    scorer = PairScorer(forward(snap, state, result.model, counter).top_repr,
+                        result.model)
+    (opt,) = optimizers
+    assert opt.t == result.epochs_run > 0
+    checked = [("state", layer) for layer in result.state.layers]
+    checked += [("scorer.a", scorer.a), ("scorer.b", scorer.b),
+                ("scores", scorer.scores_against(0, np.arange(5)))]
+    for owner in (result.model, meta.model):
+        checked += [(p.name, p.value) for p in owner.params]
+        checked += [(f"bn:{key}", stat) for key, stats in owner.bn_stats.items()
+                    for stat in (stats.running_mean, stats.running_var)]
+    checked += [(f"{kind}:{p.name}", value) for p in result.model.params
+                for kind, value in (("grad", p.grad), ("m", opt.m[p.name]),
+                                    ("v", opt.v[p.name]))]
+    assert any(name.startswith("bn:") for name, _ in checked)
+    for name, value in checked:
+        assert value.dtype == np.dtype(dtype), name
 
 
 def test_fine_tune_trains_when_a_source_has_no_negatives():
