@@ -25,7 +25,7 @@ from .errors import SnaplinkError
 from .model import save_checkpoint
 from .snapshots import (EdgeSchema, cache_key, file_fingerprint, load_edge_list,
                         load_snapshot_cache, partition_snapshots,
-                        save_snapshot_cache)
+                        save_snapshot_cache, v1_cache_key)
 
 STEP_SCHEMA = {"schema_version": ev.REPORT_SCHEMA_VERSION}
 
@@ -46,25 +46,26 @@ def load_dataset(cfg: ExperimentConfig, cache_dir: Path | None = None):
 
     A cached archive that cannot be read, or whose arrays `DynamicGraph`
     rejects, is a cache miss: the dataset is ingested again and the archive
-    overwritten.
+    overwritten. A save also removes the dataset's archive in the retired
+    v1 format, which no load opens.
     """
     schema = EdgeSchema.parse(cfg.schema)
     path = Path(cfg.dataset)
-    if cache_dir is not None:
-        key = cache_key(file_fingerprint(path), cfg.frequency, schema)
-        cache_path = cache_dir / f"{key}.npz"
-        if cache_path.exists():
-            try:
-                return load_snapshot_cache(cache_path)
-            except DAMAGED_ARCHIVE_ERRORS:
-                pass
-        edges = load_edge_list(path, schema)
-        g = partition_snapshots(edges, cfg.frequency)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        save_snapshot_cache(cache_path, g)
-        return g
-    edges = load_edge_list(path, schema)
-    return partition_snapshots(edges, cfg.frequency)
+    if cache_dir is None:
+        return partition_snapshots(load_edge_list(path, schema), cfg.frequency)
+    fingerprint = file_fingerprint(path)
+    cache_path = cache_dir / f"{cache_key(fingerprint, cfg.frequency, schema)}.npz"
+    if cache_path.exists():
+        try:
+            return load_snapshot_cache(cache_path)
+        except DAMAGED_ARCHIVE_ERRORS:
+            pass
+    g = partition_snapshots(load_edge_list(path, schema, fingerprint), cfg.frequency)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    save_snapshot_cache(cache_path, g)
+    (cache_dir / f"{v1_cache_key(fingerprint, cfg.frequency, schema)}.npz").unlink(
+        missing_ok=True)
+    return g
 
 
 def _atomic_write(path: Path, text: str) -> None:

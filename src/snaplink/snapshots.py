@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -226,14 +227,42 @@ def _open_text(path: Path):
     return open(path, "r")
 
 
-def load_edge_list(path, schema: EdgeSchema = EdgeSchema()) -> TemporalEdgeList:
+def load_edge_list(path, schema: EdgeSchema = EdgeSchema(),
+                   fingerprint: str | None = None) -> TemporalEdgeList:
     """Read a delimiter-separated edge file into a compacted, time-sorted list.
 
     Ids are compacted to dense integers in order of first appearance.
     Missing weight column defaults to 1.0. Raises ParseError with the line
     number on malformed rows and EmptyInputError when no edges are present.
+    `fingerprint` is the file's `file_fingerprint` when the caller already
+    has it; otherwise the file is hashed here.
+
+    A file is parsed in one vectorised pass when it is ASCII text with no
+    control character but tab and line ends and no '#', its delimiter is
+    whitespace or one printable ASCII character (or tab), and every src/dst
+    field is, after stripping spaces and tabs, a canonical decimal integer:
+    digits only, no sign, no leading zero, at most 18 digits. Anything else,
+    and any row that pass cannot take (a field count, a float numpy rejects,
+    a non-finite value, a negative timestamp, no rows), goes to the per-line
+    parser, which is the only one that reports errors. Both give the same
+    arrays, node count and fingerprint.
     """
     path = Path(path)
+    parsed = _parse_canonical(path, schema)
+    if parsed is None:
+        parsed = _parse_lines(path, schema)
+    src, dst, weight, ts, node_count = parsed
+    order = np.argsort(ts, kind="stable")
+    return TemporalEdgeList(
+        src[order], dst[order], weight[order], ts[order],
+        node_count=node_count,
+        source_fingerprint=file_fingerprint(path) if fingerprint is None else fingerprint,
+    )
+
+
+def _parse_lines(path: Path, schema: EdgeSchema):
+    """The general parser: one Python loop over the lines of any input.
+    Returns (src, dst, weight, timestamp, node_count) in file order."""
     col_index = {c: i for i, c in enumerate(schema.columns)}
     n_cols = len(schema.columns)
     has_weight = "weight" in col_index
@@ -272,17 +301,111 @@ def load_edge_list(path, schema: EdgeSchema = EdgeSchema()) -> TemporalEdgeList:
 
     if not src_l:
         raise EmptyInputError(f"no edges found in {path}")
+    return (np.asarray(src_l, dtype=np.int64), np.asarray(dst_l, dtype=np.int64),
+            np.asarray(w_l, dtype=np.float64), np.asarray(t_l, dtype=np.float64),
+            len(ids))
 
-    src = np.asarray(src_l, dtype=np.int64)
-    dst = np.asarray(dst_l, dtype=np.int64)
-    weight = np.asarray(w_l, dtype=np.float64)
-    ts = np.asarray(t_l, dtype=np.float64)
-    order = np.argsort(ts, kind="stable")
-    return TemporalEdgeList(
-        src[order], dst[order], weight[order], ts[order],
-        node_count=len(ids),
-        source_fingerprint=file_fingerprint(path),
-    )
+
+# Text the vectorised parse takes: printable ASCII but '#', tab and newline
+# (text mode turns CR and CRLF into newline). This keeps out comment lines,
+# NUL (a byte-string field drops trailing NULs) and the separators
+# \x1c-\x1f, which numpy strips around a float and Python's float() rejects.
+_PLAIN_TEXT = ("\t\n" + "".join(map(chr, range(32, 127))).replace("#", "")).encode()
+# canonical ids have at most 18 digits, so they fit int64; the byte field is
+# one wider, so a field loadtxt cut to the width fills it and is declined
+_ID_DIGITS = 18
+_POW10 = 10 ** np.arange(_ID_DIGITS + 1, dtype=np.int64)
+
+
+def _parse_canonical(path: Path, schema: EdgeSchema):
+    """`_parse_lines`'s result in one `np.loadtxt` pass, or None when the
+    input is not plain text with canonical integer ids (see `load_edge_list`)."""
+    delim = schema.delimiter
+    if delim is not None and (len(delim) != 1 or delim == "\n"
+                              or delim.encode() not in _PLAIN_TEXT):
+        return None
+    dtype = np.dtype([(c, f"S{_ID_DIGITS + 1}" if c in ("src", "dst") else "f8")
+                      for c in schema.columns])
+    try:
+        with _open_text(path) as fh:
+            blank = True
+            for chunk in iter(lambda: fh.read(1 << 20), ""):
+                if not chunk.isascii() or chunk.encode().translate(None, _PLAIN_TEXT):
+                    return None
+                blank = blank and chunk.isspace()
+            if blank:
+                return None  # loadtxt would warn and return no rows
+            fh.seek(0)
+            rows = np.loadtxt(fh, dtype=dtype, delimiter=delim, comments=None,
+                              quotechar=None, ndmin=1)
+    except (ValueError, OSError, EOFError, zlib.error):
+        return None
+    ts = rows["timestamp"]
+    if not (np.isfinite(ts).all() and (ts >= 0).all()):
+        return None
+    if "weight" in dtype.names:
+        weight = rows["weight"]
+        if not np.isfinite(weight).all():
+            return None
+    else:
+        weight = np.ones(rows.size, dtype=np.float64)
+
+    record = rows.view(np.uint8).reshape(rows.size, dtype.itemsize)
+    keys = np.empty(2 * rows.size, dtype=np.int64)
+    for i, column in enumerate(("src", "dst")):
+        offset = dtype.fields[column][1]
+        values = _canonical_ints(record[:, offset:offset + _ID_DIGITS + 1])
+        if values is None:
+            return None
+        keys[i::2] = values  # src and dst interleaved: the loop's order
+    dense, node_count = _first_appearance_ids(keys)
+    # copies, so that the loaded rows are freed before the caller sorts
+    return (dense[0::2], dense[1::2], np.ascontiguousarray(weight),
+            np.ascontiguousarray(ts), node_count)
+
+
+def _canonical_ints(fields: np.ndarray) -> np.ndarray | None:
+    """int64 values of (n, width) NUL-padded byte fields that are canonical
+    decimal integers between optional spaces and tabs, or None if any is not."""
+    # the text has no NUL, so the used byte positions are a prefix
+    width = np.count_nonzero(fields.max(axis=0))
+    if width == fields.shape[1]:
+        return None  # a field as wide as the buffer may have been cut
+    cols = np.ascontiguousarray(fields[:, :width].T)  # one row per byte position
+    digit = cols - np.uint8(ord("0"))
+    is_digit = digit < 10
+    run_start = is_digit.copy()
+    run_start[1:] &= ~is_digit[:-1]
+    if not ((is_digit | (cols == ord(" ")) | (cols == ord("\t")) | (cols == 0)).all()
+            and (run_start.sum(axis=0, dtype=np.uint8) == 1).all()  # one digit run
+            and not (run_start[:-1] & (digit[:-1] == 0) & is_digit[1:]).any()):
+        return None
+    digit[~is_digit] = 0
+    value = np.zeros(cols.shape[1], dtype=np.int64)
+    for row in digit:  # Horner over byte positions, blanks read as zeros
+        value *= 10
+        value += row
+    # the blanks after the digits were read as trailing zeros
+    run_end = (is_digit * np.arange(1, width + 1, dtype=np.uint8)[:, None]).max(axis=0)
+    return value // _POW10[width - run_end]
+
+
+def _first_appearance_ids(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ids for non-negative int64 keys, numbered in order of first
+    appearance, and how many distinct keys there are."""
+    n = keys.size
+    top = int(keys.max()) + 1
+    if top <= n:  # a table over the id range: O(n + max id), no sort of n keys
+        first = np.full(top, n, dtype=np.int64)
+        np.minimum.at(first, keys, np.arange(n))
+        present = np.flatnonzero(first < n)
+        rank = np.empty(top, dtype=np.int64)
+        rank[present[np.argsort(first[present])]] = np.arange(present.size)
+        return rank[keys], present.size
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(uniq.size)
+    return rank[inverse], uniq.size
 
 
 def file_fingerprint(path) -> str:
@@ -459,8 +582,18 @@ def cache_key(source_fingerprint: str, frequency: str | int | float,
               schema: EdgeSchema | None = None) -> str:
     """Cache file stem for one (source, period, schema); the archive format
     is part of the key, so an archive of another format is never opened."""
-    period = period_seconds(frequency)
-    raw = (f"{CACHE_FORMAT}|{source_fingerprint}|{period:g}"
+    return _key_stem(f"{CACHE_FORMAT}|", source_fingerprint, frequency, schema)
+
+
+def v1_cache_key(source_fingerprint: str, frequency: str | int | float,
+                 schema: EdgeSchema | None = None) -> str:
+    """Stem of the same dataset's archive in the retired v1 format, whose
+    key did not name the format. It is never opened, only removed."""
+    return _key_stem("", source_fingerprint, frequency, schema)
+
+
+def _key_stem(prefix, source_fingerprint, frequency, schema) -> str:
+    raw = (f"{prefix}{source_fingerprint}|{period_seconds(frequency):g}"
            f"|{schema.tag() if schema else ''}")
     return hashlib.sha256(raw.encode()).hexdigest()[:20]
 

@@ -46,6 +46,19 @@ def test_ingest_non_finite_weight_exits_2_naming_the_line(tmp_path, capsys, monk
     assert err.startswith("ingest: line 2: bad weight")
 
 
+def test_ingest_reports_a_late_bad_weight_on_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    lines = [f"{i % 997},{(i * 7) % 991},1,{i}\n" for i in range(1, 20_001)]
+    lines[18_999] = "5,6,nan,19000\n"  # line 19000; the lines before it are clean
+    path = tmp_path / "edges.csv"
+    path.write_text("".join(lines))
+    argv = ["ingest", "--dataset", str(path), "--run-root", str(tmp_path / "runs")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ingest: line 19000: bad weight nan")
+
+
 def test_ingest_rebuilds_a_damaged_cache_archive(twelve_window_file, tmp_path, capsys):
     argv = ["ingest", "--dataset", str(twelve_window_file), "--frequency", "1000",
             "--run-root", str(tmp_path / "runs")]

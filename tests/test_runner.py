@@ -3,6 +3,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,30 +73,56 @@ def test_completed_run_is_skipped_unless_forced(synth_graph, tmp_path, monkeypat
     assert calls == [1, 1]
 
 
+def _v1_archive(cache, path, cfg):
+    """Write a v1-format archive of `path` where a v1 load would look for it."""
+    # the key of a v1 archive did not include the format
+    raw = (f"{file_fingerprint(path)}|{period_seconds(cfg.frequency):g}"
+           f"|{EdgeSchema.parse(cfg.schema).tag()}")
+    old = cache / f"{hashlib.sha256(raw.encode()).hexdigest()[:20]}.npz"
+    cache.mkdir(exist_ok=True)
+    meta = json.dumps({"format": "snaplink-snapshots-v1"}).encode()
+    np.savez_compressed(old, __meta__=np.frombuffer(meta, np.uint8),
+                        node_features=np.zeros((5, 30, 2)))
+    return old
+
+
 def test_load_dataset_never_opens_an_archive_of_the_old_format(tmp_path):
     path = tmp_path / "edges.csv"
     synthetic.write_edge_file(path, synthetic.generate_edges(
         n_nodes=30, n_steps=5, edges_per_step=40, period=1000.0, seed=4))
     cfg = ExperimentConfig(dataset=str(path), frequency="1000")
-    # the key of a v1 archive did not include the format
-    raw = (f"{file_fingerprint(path)}|{period_seconds(cfg.frequency):g}"
-           f"|{EdgeSchema.parse(cfg.schema).tag()}")
-    old_key = hashlib.sha256(raw.encode()).hexdigest()[:20]
     cache = tmp_path / ".cache"
-    cache.mkdir()
-    meta = json.dumps({"format": "snaplink-snapshots-v1"}).encode()
-    np.savez_compressed(cache / f"{old_key}.npz",
-                        __meta__=np.frombuffer(meta, np.uint8),
-                        node_features=np.zeros((5, 30, 2)))
+    old = _v1_archive(cache, path, cfg)
 
     g = load_dataset(cfg, cache_dir=cache)  # the v1 archive would raise
-    written = sorted(p.name for p in cache.iterdir())
-    assert len(written) == 2 and f"{old_key}.npz" in written
+    # the save replaced the dead v1 archive
+    assert [p.name for p in cache.iterdir()] == [
+        f"{cache_key(file_fingerprint(path), cfg.frequency, EdgeSchema.parse(cfg.schema))}.npz"]
+    assert not old.exists()
     warm = load_dataset(cfg, cache_dir=cache)
     assert len(g) == len(warm) == 5
     fresh = load_dataset(cfg)
     assert_same_graph(fresh, g)
     assert_same_graph(fresh, warm)
+
+
+def test_load_dataset_keeps_other_datasets_archives(tmp_path):
+    cache = tmp_path / ".cache"
+    cfgs = []
+    for seed in (4, 5):
+        path = tmp_path / f"edges{seed}.csv"
+        synthetic.write_edge_file(path, synthetic.generate_edges(
+            n_nodes=30, n_steps=5, edges_per_step=40, period=1000.0, seed=seed))
+        cfgs.append(ExperimentConfig(dataset=str(path), frequency="1000"))
+    other_v1 = _v1_archive(cache, Path(cfgs[1].dataset), cfgs[1])
+    # the same file at another period is another dataset
+    load_dataset(replace(cfgs[1], frequency="2000"), cache_dir=cache)
+    before = {p.name for p in cache.iterdir()}
+    assert other_v1.name in before and len(before) == 2
+
+    load_dataset(cfgs[0], cache_dir=cache)
+    after = {p.name for p in cache.iterdir()}
+    assert before < after and len(after) == 3
 
 
 def assert_same_graph(a, b):
