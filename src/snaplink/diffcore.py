@@ -6,6 +6,12 @@ aggregation. Gradients are produced by recording a small operation graph
 per forward pass and walking it backwards; `grad_check` verifies any
 scalar-valued composition against central finite differences.
 
+Tape memory follows what the backward still needs. Inside `no_tape()` no
+graph is recorded at all, so a forward that is never differentiated keeps
+only the values its caller holds. `backward` consumes the graph it walks:
+each node's closure, parent links and gradient are released as soon as its
+vjp has run, so a second `backward` through the same nodes raises.
+
 This is deliberately not a general autodiff framework: only the operations
 listed above are supported, and all values are dense 1-D/2-D float arrays.
 Every op keeps the dtype of its inputs. Runs default to float32
@@ -17,6 +23,7 @@ checks are meaningful.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +40,33 @@ AGGREGATION_MODES = ("sum", "mean", "max")
 # ---------------------------------------------------------------------------
 
 
+_recording = True
+# `Var._vjp` of a node whose gradient a `backward` has already propagated
+_CONSUMED = object()
+
+
+@contextmanager
+def no_tape():
+    """Record no graph while the context is open: a Var computed from
+    parents keeps neither them nor a backward closure, and so does not
+    require grad. Leaves (`Param`, `constant`) are unaffected. The previous
+    setting is restored on exit, also when the body raises. The setting is
+    process-wide: the package runs one forward at a time per process."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 class Var:
     """A node in the differentiation graph: an ndarray plus backward plumbing.
 
     `parents` are the Vars this node was computed from and `vjp` maps the
     output gradient to gradients for each parent (None for non-differentiable
-    slots). Leaves created directly from data have no parents.
+    slots). Leaves created directly from data have no parents, and neither
+    has any Var made inside `no_tape()`.
     """
 
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp")
@@ -46,6 +74,8 @@ class Var:
     def __init__(self, value, parents=(), vjp=None, requires_grad=None):
         self.value = np.asarray(value)
         self.grad = None
+        if not _recording:
+            parents, vjp = (), None
         self._parents = tuple(parents)
         self._vjp = vjp
         if requires_grad is None:
@@ -79,7 +109,14 @@ def constant(value) -> Var:
 
 
 def backward(root: Var) -> None:
-    """Accumulate gradients of a scalar-valued `root` into every reachable leaf."""
+    """Accumulate gradients of a scalar-valued `root` into every reachable leaf.
+
+    The walk consumes the graph: once a node's vjp has run, its gradient,
+    closure and parent links are dropped, so every activation and interior
+    gradient is freed as soon as no unprocessed node can read it. Leaves
+    keep their `grad`. A later `backward` that reaches a consumed node
+    raises RuntimeError instead of silently returning no gradients.
+    """
     if root.value.size != 1:
         raise DimensionError(f"backward needs a scalar root, got shape {root.value.shape}")
     order: list[Var] = []
@@ -92,23 +129,29 @@ def backward(root: Var) -> None:
             continue
         if id(node) in seen or not node.requires_grad:
             continue
+        if node._vjp is _CONSUMED:
+            raise RuntimeError("backward reached a node an earlier backward consumed")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
 
     root.grad = np.ones_like(root.value)
-    for node in reversed(order):
-        if node._vjp is None or node.grad is None:
+    while order:
+        node = order.pop()
+        if node._vjp is None:  # a leaf keeps its gradient
             continue
-        parent_grads = node._vjp(node.grad)
-        for parent, g in zip(node._parents, parent_grads):
-            if g is None or not parent.requires_grad:
-                continue
-            if parent.grad is None:
-                parent.grad = g.copy() if g.base is not None else g
-            else:
-                parent.grad = parent.grad + g
+        if node.grad is not None:
+            for parent, g in zip(node._parents, node._vjp(node.grad)):
+                if g is None or not parent.requires_grad:
+                    continue
+                if parent.grad is None:
+                    parent.grad = g.copy() if g.base is not None else g
+                else:
+                    parent.grad = parent.grad + g
+        node.grad = None
+        node._vjp = _CONSUMED
+        node._parents = ()
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -12,13 +12,15 @@ nothing later than the current snapshot can influence a prediction.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import diffcore as dc
 from .errors import BoundsError, ConfigError, DimensionError
-from .snapshots import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, GraphSnapshot
+from .snapshots import (EDGE_FEATURE_DIM, NODE_FEATURE_DIM, GraphSnapshot, npz_path,
+                        replacing)
 
 UPDATE_KINDS = ("moving_average", "mlp", "gru")
 
@@ -408,35 +410,39 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
     The previous state enters as data (no gradients flow into past steps).
     Returns the updated per-layer states, the post-processed top
     representation, and, when pairs are given, their differentiable scores.
+    An eval-mode forward without pairs runs under `dc.no_tape()`: it records
+    no graph and computes bitwise the same state and representation.
     """
     cfg = model.config
     if len(h_prev.layers) != cfg.n_mp:
         raise DimensionError(
             f"state has {len(h_prev.layers)} layers, model expects {cfg.n_mp}")
 
-    h = dc.constant(snapshot.node_features.astype(cfg.np_dtype, copy=False))
-    for i in range(cfg.n_pre):
-        h = dc.relu(dc.affine(h, model.params[f"pre.{i}.w"], model.params[f"pre.{i}.b"]))
+    # an eval forward without pairs is never differentiated: record no graph
+    with dc.no_tape() if mode == "eval" and pairs is None else nullcontext():
+        h = dc.constant(snapshot.node_features.astype(cfg.np_dtype, copy=False))
+        for i in range(cfg.n_pre):
+            h = dc.relu(dc.affine(h, model.params[f"pre.{i}.w"], model.params[f"pre.{i}.b"]))
 
-    kappa = counter.keep_ratio_for(snapshot) if cfg.update == "moving_average" else None
-    new_layers: list[dc.Var] = []
-    for l in range(cfg.n_mp):
-        tilde = gnn_layer(h, snapshot, model, l, mode)
-        prev = dc.constant(h_prev.layers[l].astype(cfg.np_dtype, copy=False))
-        h = update_state(prev, tilde, cfg.update, kappa,
-                         model.params.group(f"upd.{l}") if cfg.update != "moving_average"
-                         else None)
-        new_layers.append(h)
+        kappa = counter.keep_ratio_for(snapshot) if cfg.update == "moving_average" else None
+        new_layers: list[dc.Var] = []
+        for l in range(cfg.n_mp):
+            tilde = gnn_layer(h, snapshot, model, l, mode)
+            prev = dc.constant(h_prev.layers[l].astype(cfg.np_dtype, copy=False))
+            h = update_state(prev, tilde, cfg.update, kappa,
+                             model.params.group(f"upd.{l}") if cfg.update != "moving_average"
+                             else None)
+            new_layers.append(h)
 
-    for j in range(cfg.n_post):
-        h = dc.relu(dc.affine(h, model.params[f"post.{j}.w"], model.params[f"post.{j}.b"]))
+        for j in range(cfg.n_post):
+            h = dc.relu(dc.affine(h, model.params[f"post.{j}.w"], model.params[f"post.{j}.b"]))
 
-    state = HierarchicalNodeState([v.value for v in new_layers], h_prev.step + 1)
-    scores = None
-    if pairs is not None:
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        scores = _scores_var(h, pairs, model)
-    return ForwardResult(state=state, top_repr=h.value, scores=scores)
+        state = HierarchicalNodeState([v.value for v in new_layers], h_prev.step + 1)
+        scores = None
+        if pairs is not None:
+            pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+            scores = _scores_var(h, pairs, model)
+        return ForwardResult(state=state, top_repr=h.value, scores=scores)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +453,11 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
 def save_checkpoint(path, model: ModelParams,
                     state: HierarchicalNodeState | None = None,
                     counter: MovingAverageCounter | None = None) -> None:
-    """Model checkpoint: parameters + config + node state + counters."""
+    """Model checkpoint: parameters + config + node state + counters.
+
+    Written through `snapshots.replacing`, so a crash mid-write keeps the
+    previous checkpoint. As with `np.savez`, ".npz" is appended to a path
+    without it."""
     arrays = model.state_arrays()
     meta = {"config": asdict(model.config)}
     if state is not None:
@@ -458,7 +468,8 @@ def save_checkpoint(path, model: ModelParams,
         meta["counter_per_node"] = counter.per_node
         meta["counter_degenerate"] = counter.degenerate
         arrays["counter:history"] = np.atleast_1d(np.asarray(counter.history))
-    dc.save_params(path, arrays, meta)
+    with replacing(npz_path(path)) as tmp, open(tmp, "wb") as fh:
+        dc.save_params(fh, arrays, meta)
 
 
 def load_checkpoint(path):

@@ -8,6 +8,7 @@ their config fingerprint and skipped on re-execution unless forced.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import json
 import os
@@ -24,8 +25,8 @@ from .config import ExperimentConfig
 from .errors import SnaplinkError
 from .model import save_checkpoint
 from .snapshots import (EdgeSchema, cache_key, file_fingerprint, load_edge_list,
-                        load_snapshot_cache, partition_snapshots,
-                        save_snapshot_cache, v1_cache_key)
+                        load_snapshot_cache, partition_snapshots, replacing,
+                        save_snapshot_cache, temp_path, v1_cache_key)
 
 STEP_SCHEMA = {"schema_version": ev.REPORT_SCHEMA_VERSION}
 
@@ -69,9 +70,29 @@ def load_dataset(cfg: ExperimentConfig, cache_dir: Path | None = None):
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    with replacing(path) as tmp:
+        tmp.write_text(text)
+
+
+def _keep_freed_heap() -> None:
+    """Ask glibc to keep freed memory in the process for reuse.
+
+    `diffcore.backward` frees the train graph node by node, so by default
+    glibc trims the heap top after each backward (and unmaps the larger
+    arrays) and the next forward faults the same pages back in. Serving
+    arrays below 32 MiB from the heap and trimming only above 128 MiB of
+    free top keeps those pages for reuse; it does not raise the peak, which
+    is what the process holds at once. Setting both values turns off
+    glibc's dynamic mmap threshold. A no-op where the C library has no
+    `mallopt`.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
 
 
 def run_is_complete(run_dir: Path, fingerprint: str) -> bool:
@@ -90,6 +111,7 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
 
     Re-running a completed directory is a no-op unless cfg.force is set.
     """
+    _keep_freed_heap()
     cfg.validate()
     fingerprint = cfg.fingerprint()
     root = resolve_run_root(cfg)
@@ -113,7 +135,9 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
         seed_dir.mkdir(exist_ok=True)
         t0 = time.perf_counter()
         artifacts: dict = {}
-        with open(seed_dir / "steps.ndjson.tmp", "w") as fh:
+        steps = seed_dir / "steps.ndjson"
+        # not `replacing`: a seed that raises keeps the steps it finished
+        with open(temp_path(steps), "w") as fh:
 
             def emit(record: ev.StepRecord) -> None:
                 row = {"record": "step", **STEP_SCHEMA, **asdict(record)}
@@ -125,7 +149,7 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
             report.fingerprint = fingerprint
             fh.write(json.dumps({"record": "summary", **STEP_SCHEMA,
                                  **report.summary_dict()}, sort_keys=True) + "\n")
-        os.replace(seed_dir / "steps.ndjson.tmp", seed_dir / "steps.ndjson")
+        os.replace(temp_path(steps), steps)
         save_checkpoint(seed_dir / "model.npz", artifacts["model"],
                         artifacts["state"], artifacts["counter"])
         summary = report.summary_dict()

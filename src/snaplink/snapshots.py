@@ -22,6 +22,7 @@ import json
 import math
 import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -604,9 +605,9 @@ def save_snapshot_cache(path, g: DynamicGraph) -> None:
     entry holding the scalars and the window bounds.
 
     Node features are not stored; `DynamicGraph` derives them from the
-    edges. The archive is written under a per-process temporary name and
-    moved into place with `os.replace`, so a reader that sees `path` sees a
-    whole file. As with `np.savez`, ".npz" is appended to a path without it.
+    edges. The archive is written through `replacing`, so a reader that sees
+    `path` sees a whole file. As with `np.savez`, ".npz" is appended to a
+    path without it.
     """
     meta = {
         "format": CACHE_FORMAT,
@@ -620,13 +621,30 @@ def save_snapshot_cache(path, g: DynamicGraph) -> None:
     arrays = {"__meta__": np.frombuffer(json.dumps(meta).encode(), np.uint8),
               "offsets": g.offsets, "src": g.src, "dst": g.dst,
               "edge_features": g.edge_features}
+    with replacing(npz_path(path)) as tmp, open(tmp, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def npz_path(path) -> Path:
+    """`path` with ".npz" appended when it lacks it, as `np.savez` names files."""
     path = Path(path)
-    if not path.name.endswith(".npz"):
-        path = path.with_name(path.name + ".npz")
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    return path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
+
+
+def temp_path(path: Path) -> Path:
+    """A hidden, per-process temporary name next to `path`, so concurrent
+    writers of the same file never share one."""
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
+@contextmanager
+def replacing(path: Path):
+    """Yield `temp_path(path)` to write; when the body returns, move it onto
+    `path` with `os.replace`, and when it raises, remove it. A reader of
+    `path` sees the old file or the whole new one, never a torn write."""
+    tmp = temp_path(path)
     try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -89,9 +89,11 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
 
     Per epoch: resample one uniform negative per train positive, take a BCE
     step on the (positives + negatives) scores from a train-mode forward,
-    then measure validation MRR with an eval-mode forward. Raises
-    TrainingDiverged when the loss or any gradient is non-finite, before
-    the step writes it into the parameters. Stops after
+    then measure validation MRR with an eval-mode forward, which records no
+    graph. The backward consumes the train graph and its last references
+    are dropped after the step, so it is gone before the validation forward
+    runs. Raises TrainingDiverged when the loss or any gradient is
+    non-finite, before the step writes it into the parameters. Stops after
     `patience` consecutive epochs without a new best or at max_epochs and
     keeps the best-validation parameters. The returned state is the one the
     best epoch's eval forward computed with exactly those parameters (an
@@ -135,6 +137,7 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
                 raise TrainingDiverged(epoch, cfg.learning_rate)
             opt.step()
             final_train_loss = float(loss.value)
+            del result, loss  # the train graph is gone before the validation forward
             epochs_run = epoch
 
             if val_labels.skip:

@@ -546,6 +546,77 @@ def test_grad_check_rejects_bad_eps():
 
 
 # ---------------------------------------------------------------------------
+# graph lifetime: no_tape and the consuming backward
+# ---------------------------------------------------------------------------
+
+
+def test_no_tape_records_no_graph_and_keeps_values():
+    rng = rng_for(40)
+    x = dc.Param("x", rng.normal(size=(5, 3)))
+    w = dc.Param("w", rng.normal(size=(4, 3)))
+    b = dc.Param("b", rng.normal(size=4))
+    taped = dc.relu(dc.affine(x, w, b))
+    with dc.no_tape():
+        bare = dc.relu(dc.affine(x, w, b))
+    assert taped._parents and taped.requires_grad
+    assert bare._parents == () and bare._vjp is None and not bare.requires_grad
+    assert np.array_equal(bare.value, taped.value)
+    assert dc.relu(x)._parents == (x,)  # recording is back on after the context
+
+
+def test_no_tape_restores_the_previous_setting_on_an_exception():
+    x = dc.Param("x", np.ones((2, 2)))
+    with pytest.raises(KeyError):
+        with dc.no_tape():
+            with dc.no_tape():
+                pass
+            assert dc.relu(x)._parents == ()  # the inner exit keeps the outer off
+            raise KeyError("body failed")
+    assert dc.relu(x)._parents == (x,)
+
+
+def test_leaves_made_inside_no_tape_are_unchanged():
+    with dc.no_tape():
+        p = dc.Param("p", np.ones(3))
+        leaf = dc.Var(np.ones(3), requires_grad=True)
+        c = dc.constant(np.ones(3))
+    assert p.requires_grad and leaf.requires_grad and not c.requires_grad
+    loss = dc.mean_all(dc.mul(p, leaf))
+    dc.backward(loss)
+    np.testing.assert_array_equal(p.grad, np.full(3, 1.0 / 3))
+    np.testing.assert_array_equal(leaf.grad, np.full(3, 1.0 / 3))
+
+
+def test_backward_consumes_interior_nodes_and_keeps_leaf_grads():
+    rng = rng_for(41)
+    x = dc.Param("x", rng.normal(size=(6, 3)))
+    w = dc.Param("w", rng.normal(size=(2, 3)))
+    b = dc.Param("b", np.zeros(2))
+    hidden = dc.relu(dc.affine(x, w, b))
+    loss = dc.mean_all(dc.sigmoid(hidden))
+    dc.backward(loss)
+    for node in (hidden, loss):
+        assert node.grad is None and node._parents == ()
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    assert b.grad.shape == b.shape
+
+
+@pytest.mark.parametrize("second", ["same_root", "shared_subgraph"])
+def test_backward_through_a_consumed_graph_raises(second):
+    x = dc.Param("x", np.array([[1.0, -2.0, 3.0]]))
+    hidden = dc.tanh(x)
+    first = dc.mean_all(dc.mul(hidden, hidden))
+    dc.backward(first)
+    # without the guard the second walk would stop at the consumed nodes
+    # and silently leave no gradient
+    root = first if second == "same_root" else dc.mean_all(dc.relu(hidden))
+    x.grad = None
+    with pytest.raises(RuntimeError, match="consumed"):
+        dc.backward(root)
+    assert x.grad is None
+
+
+# ---------------------------------------------------------------------------
 # property sweep: every primitive vs finite differences on random shapes
 # ---------------------------------------------------------------------------
 

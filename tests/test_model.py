@@ -370,6 +370,98 @@ def test_forward_end_to_end_gradient():
 
 
 # ---------------------------------------------------------------------------
+# tape memory: eval forwards record no graph, backward frees it as it walks
+# ---------------------------------------------------------------------------
+
+
+def _tape_case(synth_graph, update, hidden=32):
+    """Window 3 of synth_graph with a random prior state and one positive
+    plus one random negative per edge; float64, the ModelConfig default."""
+    snap = synth_graph[3]
+    n = snap.n_nodes
+    model = toy_model(update=update, hidden=hidden, seed=3)
+    counter = fresh_counter(model, n)
+    counter.advance(synth_graph[2])
+    state = fresh_state(model, n)
+    rng = np.random.default_rng(30)
+    for layer in state.layers:
+        layer[:] = rng.normal(size=layer.shape)
+    pos = np.column_stack([snap.edge_src, snap.edge_dst])
+    pairs = np.vstack([pos, rng.integers(0, n, size=pos.shape)])
+    labels = np.zeros((len(pairs), 1))
+    labels[:len(pos)] = 1.0
+    return snap, model, counter, state, pairs, labels
+
+
+@pytest.mark.parametrize("update", ["moving_average", "mlp", "gru"])
+def test_eval_forward_records_no_graph_and_matches_the_taped_forward(
+        synth_graph, monkeypatch, update):
+    snap, model, counter, state, pairs, _ = _tape_case(synth_graph, update)
+    outputs = []
+    for name in ("gnn_layer", "update_state"):
+        real = getattr(md, name)
+
+        def spy(*args, _real=real, **kwargs):
+            out = _real(*args, **kwargs)
+            outputs.append(out)
+            return out
+
+        monkeypatch.setattr(md, name, spy)
+
+    bare = md.forward(snap, state, model, counter, mode="eval")
+    assert len(outputs) == 2 * model.config.n_mp
+    for out in outputs:
+        assert out._parents == () and out._vjp is None and not out.requires_grad
+    assert bare.scores is None
+
+    outputs.clear()
+    taped = md.forward(snap, state, model, counter, pairs=pairs, mode="eval")
+    assert all(out._parents for out in outputs)  # pairs given: the tape is on
+    assert np.array_equal(bare.top_repr, taped.top_repr)
+    for a, b in zip(bare.state.layers, taped.state.layers):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# Bounds in units of N*d*itemsize, the size of one node-state matrix. On
+# synth_graph's window 3 (N=40, 149 edges, so the bidirectional per-edge
+# message tensors, not the node matrices, are the largest arrays), at d=32:
+#   backward peak above what the forward keeps: 164 (moving average) and
+#   201 (GRU) units when the graph is held until backward returns, 22 and 23
+#   when each node is freed once its vjp has run;
+#   eval forward peak: 109 and 127 units with a recorded graph, 55 without.
+BACKWARD_EXTRA_UNITS = 60
+EVAL_FORWARD_UNITS = 80
+
+
+@pytest.mark.parametrize("update", ["moving_average", "gru"])
+def test_tape_memory_follows_what_the_backward_needs(synth_graph, update):
+    import tracemalloc
+
+    snap, model, counter, state, pairs, labels = _tape_case(synth_graph, update)
+    unit = snap.n_nodes * model.config.hidden_dim * np.dtype(model.config.np_dtype).itemsize
+    md.forward(snap, state, model, counter, pairs=pairs, mode="train")  # warm-up
+    tracemalloc.start()
+    try:
+        result = md.forward(snap, state, model, counter, pairs=pairs, mode="train")
+        loss = dc.bce_with_logits(result.scores, labels)
+        tracemalloc.reset_peak()
+        kept = tracemalloc.get_traced_memory()[0]
+        dc.backward(loss)
+        backward_extra = tracemalloc.get_traced_memory()[1] - kept
+        del result, loss
+        model.params.zero_grad()
+
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        md.forward(snap, state, model, counter, mode="eval")
+        eval_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert backward_extra <= BACKWARD_EXTRA_UNITS * unit, backward_extra / unit
+    assert eval_peak <= EVAL_FORWARD_UNITS * unit, eval_peak / unit
+
+
+# ---------------------------------------------------------------------------
 # checkpointing
 # ---------------------------------------------------------------------------
 

@@ -8,14 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from snaplink import diffcore as dc
 from snaplink import evaluate as ev
 from snaplink import runner, synthetic
 from snaplink.config import ExperimentConfig, load_config
 from snaplink.errors import ConfigError, ParseError
-from snaplink.model import ModelConfig, load_checkpoint
+from snaplink.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
 from snaplink.runner import grid_search, load_dataset, run_experiment
 from snaplink.snapshots import (EdgeSchema, cache_key, edges_from_arrays,
-                                file_fingerprint, period_seconds)
+                                file_fingerprint, period_seconds, temp_path)
 
 
 def test_seed_report_keeps_wall_seconds(synth_graph, tmp_path, monkeypatch):
@@ -256,7 +257,7 @@ def test_steps_are_on_disk_after_each_step(synth_graph, tmp_path, monkeypatch):
                            k_neg=20, hidden_dim=8, update="moving_average",
                            max_epochs=1, patience=1, run_root=str(tmp_path),
                            run_name="flush")
-    steps = tmp_path / "flush" / "seed2" / "steps.ndjson.tmp"
+    steps = temp_path(tmp_path / "flush" / "seed2" / "steps.ndjson")
     lines_seen = []
     real = ev.live_update_run
 
@@ -270,3 +271,84 @@ def test_steps_are_on_disk_after_each_step(synth_graph, tmp_path, monkeypatch):
     monkeypatch.setattr(ev, "live_update_run", spying)
     run_experiment(cfg, graph=synth_graph)
     assert lines_seen == list(range(1, len(synth_graph)))
+
+
+def test_a_run_leaves_no_temporary_behind(synth_graph, tmp_path, monkeypatch):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    cfg = ExperimentConfig(dataset="synthetic", protocol="fixed_split", seeds=(4,),
+                           test_fraction=0.5, k_neg=20, hidden_dim=8,
+                           update="moving_average", max_epochs=1, patience=1,
+                           run_root=str(tmp_path), run_name="clean")
+    run_experiment(cfg, graph=synth_graph)
+    written = sorted(str(p.relative_to(tmp_path / "clean"))
+                     for p in (tmp_path / "clean").rglob("*"))
+    assert written == ["config.resolved.txt", "fingerprint.txt", "report.json", "seed4",
+                       "seed4/model.npz", "seed4/report.json", "seed4/steps.ndjson"]
+
+
+@pytest.mark.parametrize("target", ["checkpoint", "text"])
+def test_a_write_that_fails_part_way_keeps_the_old_file(tmp_path, monkeypatch, target):
+    if target == "checkpoint":
+        path = tmp_path / "model.npz"
+        model = init_model(ModelConfig(hidden_dim=4), np.random.default_rng(0))
+        save_checkpoint(path, model)
+
+        def torn(fh, arrays, meta):
+            fh.write(b"PK\x03\x04")  # the head of a zip archive, then the disk fills
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(dc, "save_params", torn)
+        write, error = (lambda: save_checkpoint(path, model)), OSError
+    else:
+        path = tmp_path / "report.json"
+        runner._atomic_write(path, "old\n")
+        # the lone surrogate cannot be encoded, so the write fails after the
+        # temporary was opened
+        write, error = (lambda: runner._atomic_write(path, "new\ud800")), UnicodeEncodeError
+    old = path.read_bytes()
+    with pytest.raises(error):
+        write()
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_parallel_grid_matches_the_serial_grid(tmp_path, monkeypatch):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    path = tmp_path / "edges.csv"
+    synthetic.write_edge_file(path, synthetic.generate_edges(
+        n_nodes=30, n_steps=6, edges_per_step=60, period=1000.0, seed=9))
+    axes = {"alpha": ["0.5", "1.0"], "update": ["moving_average", "gru"]}
+    indexes = {}
+    for workers in (1, 2):
+        root = tmp_path / f"workers{workers}"
+        base = ExperimentConfig(dataset=str(path), frequency="1000", seeds=(1,),
+                                k_neg=20, hidden_dim=8, max_epochs=2, patience=1,
+                                workers=workers, run_root=str(root))
+        returned = grid_search(base, axes)  # from a cold cache
+        index = json.loads((root / "grid" / "index.json").read_text())
+        assert index == returned
+        # both workers may ingest at once; one whole archive and no temporary remain
+        assert [p.suffix for p in (root / ".cache").iterdir()] == [".npz"]
+        for cell in [*index["cells"], index["best"]]:
+            assert cell.pop("run_dir") == str(root / cell["cell"])
+        indexes[workers] = index
+    assert [c["status"] for c in indexes[2]["cells"]] == ["ok"] * 4
+    assert indexes[2] == indexes[1]
+
+
+def test_heap_setting_is_a_no_op_without_mallopt(monkeypatch):
+    calls = []
+
+    class Mallopt:
+        def __call__(self, param, value):
+            calls.append((param, value))
+
+    class Libc:
+        mallopt = Mallopt()
+
+    monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: Libc())
+    runner._keep_freed_heap()
+    assert calls == [(-3, 32 << 20), (-1, 128 << 20)]  # both, so no dynamic threshold
+    monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: object())
+    runner._keep_freed_heap()  # a C library without mallopt
+    assert len(calls) == 2
