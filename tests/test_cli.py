@@ -3,7 +3,8 @@
 import pytest
 
 from snaplink import synthetic
-from snaplink.cli import main
+from snaplink.cli import _build_config, build_parser, main
+from snaplink.config import ExperimentConfig
 
 
 @pytest.fixture
@@ -68,3 +69,18 @@ def test_ingest_rebuilds_a_damaged_cache_archive(twelve_window_file, tmp_path, c
     archive.write_bytes(archive.read_bytes()[:100])
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_every_named_flag_reaches_the_config():
+    argv = ["run-live", "--dataset", "d.csv", "--schema", "ws:src,dst,timestamp",
+            "--frequency", "daily", "--update", "mlp", "--alpha", "0.5",
+            "--seeds", "4,5", "--k-neg", "30", "--run-root", "rr", "--run-name", "nm",
+            "--workers", "2", "--force", "--set", "hidden_dim=16"]
+    cfg = _build_config(build_parser().parse_args(argv), "live_update")
+    assert (cfg.dataset, cfg.schema, cfg.frequency) == ("d.csv", "ws:src,dst,timestamp", "daily")
+    assert (cfg.update, cfg.alpha, cfg.seeds, cfg.k_neg) == ("mlp", 0.5, (4, 5), 30)
+    assert (cfg.run_root, cfg.run_name, cfg.workers, cfg.force) == ("rr", "nm", 2, True)
+    assert (cfg.hidden_dim, cfg.protocol) == (16, "live_update")
+    # a flag left out keeps the default
+    cfg = _build_config(build_parser().parse_args(["run-live"]), "live_update")
+    assert cfg == ExperimentConfig(protocol="live_update")

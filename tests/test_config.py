@@ -1,9 +1,13 @@
 """Contract tests for the key = value config loader."""
 
+from dataclasses import asdict, fields
+
 import pytest
 
-from snaplink.config import load_config
+from snaplink.config import NON_SEMANTIC, ExperimentConfig, load_config
 from snaplink.errors import ConfigError
+from snaplink.model import ModelConfig
+from snaplink.train import TrainConfig
 
 
 def test_load_config_overrides_beat_file_values(tmp_path):
@@ -24,3 +28,49 @@ def test_load_config_unknown_key_raises(tmp_path, where):
     with pytest.raises(ConfigError, match="unknown configuration key") as info:
         load_config(path, overrides)
     assert info.value.field == "meta_enabled"
+
+
+# every semantic key of ExperimentConfig, each at a value other than its default
+NON_DEFAULT = dict(
+    dataset="data/edges.txt", schema="ws:src,dst,timestamp", frequency="daily",
+    protocol="fixed_split", alpha=0.5, k_neg=30, val_fraction=0.2, test_fraction=0.3,
+    seeds=(4, 5), hidden_dim=16, n_pre=2, n_mp=3, n_post=2, update="mlp",
+    aggregation="mean", bidirectional=False, skip_connection=False, batch_norm=False,
+    bn_reset_per_snapshot=True, per_node_keep_ratio=True, dtype="float64",
+    learning_rate=0.01, max_epochs=7, patience=2, train_neg_per_pos=3)
+
+
+def test_non_default_config_sets_every_semantic_key():
+    default = ExperimentConfig()
+    assert set(NON_DEFAULT) == {f.name for f in fields(ExperimentConfig)} - NON_SEMANTIC
+    assert all(getattr(default, k) != v for k, v in NON_DEFAULT.items())
+
+
+@pytest.mark.parametrize("cfg,expected", [
+    (ExperimentConfig(), "038960a89aff2e7c"),
+    (ExperimentConfig(dataset="x"), "dba2cbd9aa50cca0"),
+    (ExperimentConfig(**NON_DEFAULT), "b4e50e4f00db5276"),
+    # execution keys do not enter the fingerprint
+    (ExperimentConfig(**NON_DEFAULT, run_name="a", run_root="b", workers=3, force=True),
+     "b4e50e4f00db5276"),
+])
+def test_fingerprint_is_pinned(cfg, expected):
+    assert cfg.fingerprint() == expected
+
+
+def test_every_model_train_and_protocol_key_reaches_the_run_config():
+    cfg = ExperimentConfig(**NON_DEFAULT)
+    run = cfg.to_run_config(9)
+    assert type(run.model) is ModelConfig and type(run.train) is TrainConfig
+    assert run.seed == 9
+    reached = {}
+    for part in (run.model, run.train, run):
+        for f in fields(part):
+            reached.setdefault(f.name, getattr(part, f.name))
+    flat_only = {"dataset", "schema", "frequency", "protocol", "seeds"}
+    for key, value in NON_DEFAULT.items():
+        if key not in flat_only:
+            assert reached[key] == value, key
+    # a checkpoint's meta["config"] is asdict(ModelConfig): exactly its own keys
+    assert set(asdict(run.model)) == {f.name for f in fields(ModelConfig)}
+    assert len(asdict(run.model)) == 12
