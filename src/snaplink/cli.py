@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
 from .errors import SnaplinkError
-from .runner import emit_report, grid_search, load_dataset, run_experiment
+from .runner import (emit_report, grid_search, load_dataset, resolve_run_root,
+                     run_experiment)
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -37,14 +39,11 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    for key in ("dataset", "schema", "frequency", "update", "alpha", "seeds",
-                "k_neg", "run_root", "run_name", "workers"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = str(value)
-    if getattr(args, "force", False):
-        overrides["force"] = "true"
+    """Every flag given whose name is a config key, then each --set. An
+    absent flag parses to None, or to False for --force."""
+    keys = {f.name for f in fields(ExperimentConfig)}
+    overrides = {key: str(value) for key, value in vars(args).items()
+                 if key in keys and value is not None and value is not False}
     for item in getattr(args, "sets", []):
         if "=" not in item:
             raise SnaplinkError(f"--set expects KEY=VALUE, got {item!r}")
@@ -65,7 +64,7 @@ def cmd_ingest(args) -> int:
     if not cfg.dataset:
         print("ingest: dataset: a dataset path is required", file=sys.stderr)
         return 2
-    cache_dir = Path(args.cache_dir) if args.cache_dir else Path(cfg.run_root) / ".cache"
+    cache_dir = Path(args.cache_dir) if args.cache_dir else resolve_run_root(cfg) / ".cache"
     g = load_dataset(cfg, cache_dir=cache_dir)
     print(f"dataset: {cfg.dataset}")
     print(f"nodes: {g.node_count}")

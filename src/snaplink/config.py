@@ -1,15 +1,29 @@
 """Flat, human-editable experiment configuration.
 
-One `key = value` pair per line, '#' comments, every field typed and
-validated. A fingerprint hash over the semantic fields (everything except
-execution knobs like worker counts and directory names) identifies a
-configuration regardless of key order.
+One `key = value` pair per line; `#` starts a comment at the start of a line
+or after whitespace, so a path may contain `#`. Every field is typed and
+validated.
+
+Each key, its default and its range check are declared once, in the
+component that uses it: the architecture keys in `model.ModelConfig`, the
+fine-tuning keys in `train.TrainConfig`, and the protocol keys (`alpha`,
+`k_neg`, `val_fraction`, `test_fraction`) in `evaluate.RunConfig`.
+`ExperimentConfig` takes those keys flat, with their defaults, and declares
+only the data, protocol, seed and execution keys itself, plus `dtype`: runs
+default to float32, while `ModelConfig` keeps float64 for code that builds
+one directly. `to_run_config` projects the flat keys back onto the
+components.
+
+A fingerprint hash over the sorted flat `key=value` pairs of the semantic
+fields (everything except execution knobs like worker counts and directory
+names) identifies a configuration regardless of key order.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+import re
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -22,41 +36,33 @@ PROTOCOLS = ("live_update", "fixed_split")
 # fields that steer execution, not semantics: excluded from the fingerprint
 NON_SEMANTIC = {"run_name", "run_root", "workers", "force"}
 
+# the component keys, flat and with the components' defaults; RunConfig's
+# nested components and per-run seed are not flat keys
+_ComponentKeys = make_dataclass("_ComponentKeys", [
+    (f.name, f.type, field(default=f.default))
+    for part in (ModelConfig, TrainConfig, RunConfig) for f in fields(part)
+    if f.name not in ("model", "train", "seed")])
+
+
+def _project(cfg, part: type, **given):
+    """An instance of the dataclass `part` whose other fields come from `cfg`."""
+    return part(**{f.name: getattr(cfg, f.name) for f in fields(part)
+                   if f.name not in given}, **given)
+
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(_ComponentKeys):
     # data
     dataset: str = ""
     schema: str = ",:src,dst,weight,timestamp"
     frequency: str = "weekly"
     # protocol
     protocol: str = "live_update"
-    alpha: float = 1.0
-    k_neg: int = 1000
-    val_fraction: float = 0.1
-    test_fraction: float = 0.1
     seeds: tuple[int, ...] = (0, 1, 2)
-    # architecture
-    hidden_dim: int = 128
-    n_pre: int = 1
-    n_mp: int = 2
-    n_post: int = 1
-    update: str = "gru"
-    aggregation: str = "sum"
-    bidirectional: bool = True
-    skip_connection: bool = True
-    batch_norm: bool = True
-    bn_reset_per_snapshot: bool = False
-    per_node_keep_ratio: bool = False
     # float32 halves the bytes through every layer at MRR parity with
     # float64; `dtype = float64` (or `--set dtype=float64`) opts out and
     # keeps the float64 bits. ModelConfig keeps float64 as the library default.
     dtype: str = "float32"
-    # training
-    learning_rate: float = 0.003
-    max_epochs: int = 100
-    patience: int = 3
-    train_neg_per_pos: int = 1
     # execution (non-semantic)
     run_name: str = ""
     run_root: str = "runs"
@@ -68,44 +74,15 @@ class ExperimentConfig:
             raise ConfigError("dataset", "a dataset path is required")
         if self.protocol not in PROTOCOLS:
             raise ConfigError("protocol", f"must be one of {PROTOCOLS}, got {self.protocol!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("alpha", f"must be in [0, 1], got {self.alpha}")
-        if self.k_neg < 1:
-            raise ConfigError("k_neg", f"must be >= 1, got {self.k_neg}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError("val_fraction", f"must be in (0, 1), got {self.val_fraction}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction", f"must be in (0, 1), got {self.test_fraction}")
         if not self.seeds:
             raise ConfigError("seeds", "at least one seed is required")
         if self.workers < 1:
             raise ConfigError("workers", f"must be >= 1, got {self.workers}")
-        self.to_model_config().validate()
-        self.to_train_config().validate()
-
-    def to_model_config(self) -> ModelConfig:
-        return ModelConfig(
-            hidden_dim=self.hidden_dim, n_pre=self.n_pre, n_mp=self.n_mp,
-            n_post=self.n_post, update=self.update, aggregation=self.aggregation,
-            bidirectional=self.bidirectional, skip_connection=self.skip_connection,
-            batch_norm=self.batch_norm,
-            bn_reset_per_snapshot=self.bn_reset_per_snapshot,
-            per_node_keep_ratio=self.per_node_keep_ratio, dtype=self.dtype,
-        )
-
-    def to_train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate, max_epochs=self.max_epochs,
-            patience=self.patience, train_neg_per_pos=self.train_neg_per_pos,
-        )
+        self.to_run_config(self.seeds[0]).validate()
 
     def to_run_config(self, seed: int) -> RunConfig:
-        return RunConfig(
-            model=self.to_model_config(), train=self.to_train_config(),
-            alpha=self.alpha, k_neg=self.k_neg,
-            val_fraction=self.val_fraction, test_fraction=self.test_fraction,
-            seed=seed,
-        )
+        return _project(self, RunConfig, model=_project(self, ModelConfig),
+                        train=_project(self, TrainConfig), seed=seed)
 
     def semantic_items(self) -> list[tuple[str, str]]:
         out = []
@@ -178,7 +155,8 @@ def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConf
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}", f"expected key = value, got {line!r}")
             key, _, value = line.partition("=")
-            file_overrides[key.strip()] = value.split("#", 1)[0].strip()
+            value = re.split(r"\s#", value.strip(), maxsplit=1)[0]
+            file_overrides[key.strip()] = value.rstrip()
     cfg = cfg.with_overrides(file_overrides)
     if overrides:
         cfg = cfg.with_overrides(overrides)

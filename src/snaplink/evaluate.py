@@ -154,6 +154,18 @@ class RunConfig:
     test_fraction: float = 0.1
     seed: int = 0
 
+    def validate(self) -> None:
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError("alpha", f"must be in [0, 1], got {self.alpha}")
+        if self.k_neg < 1:
+            raise ConfigError("k_neg", f"must be >= 1, got {self.k_neg}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError("val_fraction", f"must be in (0, 1), got {self.val_fraction}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError("test_fraction", f"must be in (0, 1), got {self.test_fraction}")
+        self.model.validate()
+        self.train.validate()
+
 
 def working_set_elements(deploy: ModelParams, meta: MetaParams,
                          snapshot, state: HierarchicalNodeState,
@@ -205,8 +217,7 @@ def _run_steps(g: DynamicGraph, cfg: RunConfig, protocol: str, n_train: int,
     which is checked at the end. Live-update scores every step, fixed-split
     only the frozen ones; unscored records go to `train_records`.
     """
-    cfg.train.validate()
-    cfg.model.validate()
+    cfg.validate()
 
     deploy = init_model(cfg.model, derive_rng(cfg.seed, "init"))
     meta = MetaParams(deploy.clone(), cfg.alpha)

@@ -72,15 +72,33 @@ def test_ingest_rebuilds_a_damaged_cache_archive(twelve_window_file, tmp_path, c
 
 
 def test_every_named_flag_reaches_the_config():
-    argv = ["run-live", "--dataset", "d.csv", "--schema", "ws:src,dst,timestamp",
-            "--frequency", "daily", "--update", "mlp", "--alpha", "0.5",
-            "--seeds", "4,5", "--k-neg", "30", "--run-root", "rr", "--run-name", "nm",
-            "--workers", "2", "--force", "--set", "hidden_dim=16"]
-    cfg = _build_config(build_parser().parse_args(argv), "live_update")
+    def parse(*flags):
+        return _build_config(build_parser().parse_args(["run-live", *flags]), "live_update")
+
+    cfg = parse("--dataset", "d.csv", "--schema", "ws:src,dst,timestamp",
+                "--frequency", "daily", "--update", "mlp", "--alpha", "0.5",
+                "--seeds", "4,5", "--k-neg", "30", "--run-root", "rr", "--run-name", "nm",
+                "--workers", "2", "--force", "--set", "hidden_dim=16")
     assert (cfg.dataset, cfg.schema, cfg.frequency) == ("d.csv", "ws:src,dst,timestamp", "daily")
     assert (cfg.update, cfg.alpha, cfg.seeds, cfg.k_neg) == ("mlp", 0.5, (4, 5), 30)
     assert (cfg.run_root, cfg.run_name, cfg.workers, cfg.force) == ("rr", "nm", 2, True)
     assert (cfg.hidden_dim, cfg.protocol) == (16, "live_update")
+    # a falsy value is still given
+    cfg = parse("--alpha", "0", "--workers", "0")
+    assert (cfg.alpha, cfg.workers) == (0.0, 0)
     # a flag left out keeps the default
-    cfg = _build_config(build_parser().parse_args(["run-live"]), "live_update")
-    assert cfg == ExperimentConfig(protocol="live_update")
+    assert parse() == ExperimentConfig(protocol="live_update")
+
+
+def test_ingest_and_run_share_the_cache_under_the_env_run_root(twelve_window_file, tmp_path,
+                                                               monkeypatch):
+    env_root = tmp_path / "envroot"
+    monkeypatch.setenv("SNAPLINK_RUN_ROOT", str(env_root))
+    monkeypatch.chdir(tmp_path)
+    flags = ["--dataset", str(twelve_window_file), "--frequency", "1000"]
+    assert main(["ingest", *flags]) == 0
+    assert main(["run-live", *flags, "--seeds", "0", "--k-neg", "5",
+                 "--set", "hidden_dim=4", "--set", "max_epochs=1"]) == 0
+    archives = [p for p in tmp_path.rglob("*.npz") if p.parent.name == ".cache"]
+    assert len(archives) == 1
+    assert archives[0].parent == env_root / ".cache"

@@ -179,6 +179,20 @@ def test_fixed_split_rejects_test_block_without_training(synth_graph):
         ev.fixed_split_run(synth_graph, fixed_config(test_fraction=0.9))
 
 
+@pytest.mark.parametrize("run", [ev.live_update_run, ev.fixed_split_run])
+@pytest.mark.parametrize("field,value", [
+    ("alpha", -0.1), ("alpha", 1.5), ("k_neg", 0), ("val_fraction", 0.0),
+    ("val_fraction", 1.0), ("test_fraction", -1.0), ("test_fraction", 0.0),
+    ("test_fraction", 1.0),
+])
+def test_run_config_rejects_an_out_of_range_protocol_key(synth_graph, run, field, value):
+    cfg = fixed_config()
+    setattr(cfg, field, value)
+    with pytest.raises(ConfigError) as info:
+        run(synth_graph, cfg)
+    assert info.value.field == field
+
+
 def test_fixed_split_parameters_frozen_in_test_block(synth_graph, monkeypatch):
     first_test_step = len(synth_graph) - 2 - 1  # test_fraction=0.2 -> 2 steps
     seen = []
