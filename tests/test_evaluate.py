@@ -252,3 +252,26 @@ def test_live_update_runs_one_loop_forward_per_step(monkeypatch):
     assert [r.epochs_run == 0 for r in report.per_step] == \
         [False, True, False, True, True, False]
     assert forwards == ["eval"] * (len(g) - 1)
+
+
+# ---------------------------------------------------------------------------
+# carried state
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("run", [ev.live_update_run, ev.fixed_split_run])
+@pytest.mark.parametrize("per_node", [False, True])
+def test_carried_history_counts_every_rolled_snapshot(synth_graph, run, per_node):
+    cfg = fixed_config()
+    cfg.model.per_node_keep_ratio = per_node
+    out = {}
+    run(synth_graph, cfg, artifacts_out=out)
+    rolled = synth_graph.snapshots[:-1]  # label steps 0..T-2
+    if per_node:
+        ends = np.concatenate([np.concatenate([s.edge_src, s.edge_dst]) for s in rolled])
+        expected = np.bincount(ends, minlength=synth_graph.node_count).astype(np.float64)
+    else:
+        expected = np.asarray(float(sum(s.n_edges for s in rolled)))
+    history = out["counter"].history
+    assert history.dtype == np.float64 and history.shape == expected.shape
+    assert np.array_equal(history, expected)

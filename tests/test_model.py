@@ -490,3 +490,24 @@ def test_checkpoint_roundtrip_reproduces_forward(tmp_path):
         np.testing.assert_array_equal(a, b)
     assert float(counter2.history) == float(counter.history)
     assert state2.step == state.step
+
+
+def test_checkpoint_roundtrip_restores_a_per_node_history(tmp_path):
+    model = toy_model(update="moving_average", seed=15, per_node_keep_ratio=True)
+    counter = fresh_counter(model, 6)
+    counter.advance(toy_snapshot())
+    counter.advance(make_snapshot(6, [0, 5], [3, 3]))
+    state = fresh_state(model, 6)
+
+    path = tmp_path / "model.npz"
+    md.save_checkpoint(path, model, state, counter)
+    model2, state2, counter2 = md.load_checkpoint(path)
+
+    assert model2.config.per_node_keep_ratio
+    assert counter2.history.dtype == np.float64 and counter2.history.shape == (6,)
+    assert counter2.history.tobytes() == counter.history.tobytes()
+    snap = make_snapshot(6, [1, 2], [4, 0])
+    r1 = md.forward(snap, state, model, counter)
+    r2 = md.forward(snap, state2, model2, counter2)
+    for a, b in zip(r1.state.layers, r2.state.layers):
+        assert a.tobytes() == b.tobytes()
