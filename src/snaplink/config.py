@@ -1,8 +1,10 @@
 """Flat, human-editable experiment configuration.
 
 One `key = value` pair per line; `#` starts a comment at the start of a line
-or after whitespace, so a path may contain `#`. Every field is typed and
-validated.
+or after whitespace, so a path may contain `#`. A value that starts with `"`
+is read as a JSON string literal; `to_text` writes a string that way when
+its plain text would not load back (a ` #` in a path, say). Every field is
+typed and validated.
 
 Each key, its default and its range check are declared once, in the
 component that uses it: the architecture keys in `model.ModelConfig`, the
@@ -22,6 +24,7 @@ names) identifies a configuration regardless of key order.
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 from pathlib import Path
@@ -99,7 +102,10 @@ class ExperimentConfig(_ComponentKeys):
     def to_text(self) -> str:
         lines = [f"# {type(self).__name__} (fingerprint {self.fingerprint()})"]
         for f in fields(self):
-            lines.append(f"{f.name} = {_format_value(getattr(self, f.name))}")
+            text = _format_value(getattr(self, f.name))
+            if text.startswith('"') or "\n" in text or _read_value(text) != text:
+                text = json.dumps(text)
+            lines.append(f"{f.name} = {text}")
         return "\n".join(lines) + "\n"
 
     def with_overrides(self, overrides: dict[str, str]) -> "ExperimentConfig":
@@ -121,10 +127,10 @@ def _parse_value(cfg: ExperimentConfig, key: str, raw):
     field_map = {f.name: f for f in fields(cfg)}
     if key not in field_map:
         raise ConfigError(key, "unknown configuration key")
-    if not isinstance(raw, str):
-        return raw
-    raw = raw.strip()
     current = getattr(cfg, key)
+    if not isinstance(raw, str) or isinstance(current, str):
+        return raw  # a string value keeps its spaces (a quoted one loads them back)
+    raw = raw.strip()
     try:
         if key == "seeds":
             return tuple(int(v) for v in raw.split(",") if v.strip() != "")
@@ -143,6 +149,18 @@ def _parse_value(cfg: ExperimentConfig, key: str, raw):
         raise ConfigError(key, str(exc)) from None
 
 
+def _read_value(raw: str) -> str:
+    """The value of a `key = value` line: a JSON string literal when it
+    starts with `"`, else the text before a comment."""
+    raw = raw.strip()
+    if not raw.startswith('"'):
+        return re.split(r"\s#", raw, maxsplit=1)[0].rstrip()
+    value, end = json.JSONDecoder().raw_decode(raw)
+    if raw[end:].strip() and not raw[end:].strip().startswith("#"):
+        raise ValueError(f"unexpected text after the quoted value: {raw[end:]!r}")
+    return value
+
+
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Read a key=value file (all keys optional) and apply overrides on top."""
     cfg = ExperimentConfig()
@@ -155,8 +173,10 @@ def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConf
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}", f"expected key = value, got {line!r}")
             key, _, value = line.partition("=")
-            value = re.split(r"\s#", value.strip(), maxsplit=1)[0]
-            file_overrides[key.strip()] = value.rstrip()
+            try:
+                file_overrides[key.strip()] = _read_value(value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}", str(exc)) from None
     cfg = cfg.with_overrides(file_overrides)
     if overrides:
         cfg = cfg.with_overrides(overrides)

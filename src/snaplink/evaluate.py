@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError, NumericError
-from .model import (HierarchicalNodeState, ModelConfig, ModelParams,
-                    MovingAverageCounter, PairScorer, forward, init_model)
+from .model import (HierarchicalNodeState, ModelConfig, ModelParams, PairScorer,
+                    forward, init_model)
 from .seeding import derive_rng
 from .snapshots import DynamicGraph, LabelSet, build_labels
 from .train import MetaParams, TrainConfig, fine_tune, meta_update
@@ -168,16 +168,14 @@ class RunConfig:
 
 
 def working_set_elements(deploy: ModelParams, meta: MetaParams,
-                         snapshot, state: HierarchicalNodeState,
-                         counter: MovingAverageCounter) -> int:
+                         snapshot, state: HierarchicalNodeState) -> int:
     """Element count of the step's live large objects: the deployed and meta
-    parameters, the current snapshot, the carried state, counters, and the
-    optimizer moment budget (two moments per trainable element)."""
+    parameters, the current snapshot, the carried state (with its history),
+    and the optimizer moment budget (two moments per trainable element)."""
     total = deploy.n_elements()
     total += meta.model.n_elements()
     total += snapshot.n_elements()
     total += state.n_elements()
-    total += counter.n_elements()
     total += 2 * deploy.params.n_elements()
     return total
 
@@ -222,7 +220,6 @@ def _run_steps(g: DynamicGraph, cfg: RunConfig, protocol: str, n_train: int,
     deploy = init_model(cfg.model, derive_rng(cfg.seed, "init"))
     meta = MetaParams(deploy.clone(), cfg.alpha)
     state = HierarchicalNodeState.zeros(g.node_count, cfg.model)
-    counter = MovingAverageCounter.fresh(g.node_count, cfg.model.per_node_keep_ratio)
 
     report = EvalReport(protocol=protocol, seed=cfg.seed)
     frozen_checksum = None
@@ -237,7 +234,7 @@ def _run_steps(g: DynamicGraph, cfg: RunConfig, protocol: str, n_train: int,
 
         mrr_s = eres = None
         if scored and not labels.skip:
-            eres = forward(snapshot, state, deploy, counter, mode="eval")
+            eres = forward(snapshot, state, deploy, mode="eval")
             mrr_s = mrr(eres.top_repr, labels, deploy)
 
         epochs, best_val, train_loss = 0, None, None
@@ -245,26 +242,25 @@ def _run_steps(g: DynamicGraph, cfg: RunConfig, protocol: str, n_train: int,
             warm = meta.model.clone()
             if cfg.model.bn_reset_per_snapshot:
                 warm.reset_bn_stats()
-            ft = fine_tune(warm, snapshot, state, labels, counter, cfg.train,
+            ft = fine_tune(warm, snapshot, state, labels, cfg.train,
                            derive_rng(cfg.seed, "train", s))
             deploy, state = ft.model, ft.state
             meta_update(meta, deploy)
             epochs, best_val, train_loss = (ft.epochs_run, ft.best_val_mrr,
                                             ft.final_train_loss)
         else:
-            # an eval forward only reads batch-norm running stats, so the
-            # scoring forward's state is the rolled state
+            # an eval forward mutates nothing and only reads batch-norm
+            # running stats, so the scoring forward's state (history
+            # included) is the rolled state
             if eres is None:
-                eres = forward(snapshot, state, deploy, counter, mode="eval")
+                eres = forward(snapshot, state, deploy, mode="eval")
             state = eres.state
 
-        counter.advance(snapshot)
         record = StepRecord(
             t=s, mrr=mrr_s, n_positives=labels.n_positives, epochs_run=epochs,
             best_val_mrr=best_val, final_train_loss=train_loss,
             skipped=labels.skip,
-            working_set_elements=working_set_elements(deploy, meta, snapshot,
-                                                      state, counter),
+            working_set_elements=working_set_elements(deploy, meta, snapshot, state),
             wall_seconds=time.perf_counter() - t0,
         )
         (report.per_step if scored else report.train_records).append(record)
@@ -273,7 +269,7 @@ def _run_steps(g: DynamicGraph, cfg: RunConfig, protocol: str, n_train: int,
     if frozen_checksum is not None and params_checksum(deploy) != frozen_checksum:
         raise NumericError("parameters moved in the frozen test block")
     if artifacts_out is not None:
-        artifacts_out.update(model=deploy, state=state, counter=counter)
+        artifacts_out.update(model=deploy, state=state)
     return report
 
 

@@ -5,9 +5,12 @@ outputs are merged with the previous snapshot's per-layer states by an
 update module (moving average, 2-layer MLP, or GRU), per-node
 post-processing layers, and an MLP head scoring (source, destination)
 pairs. All per-layer states are carried across time, not just the top one.
+The carried state, `HierarchicalNodeState`, also holds the history: the edge
+counts already folded in, which set the moving-average keep ratio.
 
-A forward pass consumes exactly one snapshot plus the previous state, so
-nothing later than the current snapshot can influence a prediction.
+A forward pass consumes exactly one snapshot plus the previous state and
+returns the next state without mutating its inputs, so nothing later than
+the current snapshot can influence a prediction.
 """
 
 from __future__ import annotations
@@ -66,10 +69,17 @@ class ModelConfig:
 
 @dataclass
 class HierarchicalNodeState:
-    """Per-layer node embedding matrices carried across snapshots."""
+    """Everything carried from one snapshot to the next.
+
+    `layers` are the per-layer node embedding matrices, `step` the index of
+    the last snapshot folded in, and `history` the edge counts folded in so
+    far, which set the moving-average keep ratio: float64, a scalar total by
+    default or per-node incident counts when `per_node_keep_ratio` is set.
+    """
 
     layers: list[np.ndarray]
     step: int = -1
+    history: np.ndarray = field(default_factory=lambda: np.zeros((), dtype=np.float64))
 
     @classmethod
     def zeros(cls, n_nodes: int, cfg: ModelConfig) -> "HierarchicalNodeState":
@@ -77,82 +87,31 @@ class HierarchicalNodeState:
             [np.zeros((n_nodes, cfg.hidden_dim), dtype=cfg.np_dtype)
              for _ in range(cfg.n_mp)],
             step=-1,
+            history=np.zeros((n_nodes,) if cfg.per_node_keep_ratio else (), dtype=np.float64),
         )
 
     def clone(self) -> "HierarchicalNodeState":
-        return HierarchicalNodeState([m.copy() for m in self.layers], self.step)
+        return HierarchicalNodeState([m.copy() for m in self.layers], self.step,
+                                     self.history.copy())
 
     def n_elements(self) -> int:
-        return sum(m.size for m in self.layers)
+        return sum(m.size for m in self.layers) + self.history.size
 
 
-@dataclass
-class MovingAverageCounter:
-    """Accumulated edge counts feeding the moving-average keep ratio.
+def keep_ratio(history, new):
+    """history / (history + new), the fraction of state kept this step.
 
-    `history` is the total edge count over all snapshots already folded into
-    the state: a scalar by default, or per-node incident counts when the
-    per-node variant is selected. `degenerate` records that a keep ratio was
-    requested while both counts were zero (leading run of empty snapshots).
+    Zero where both counts are zero (a leading run of empty snapshots).
+    Scalar counts give a float; per-node counts an (n_nodes, 1) column.
     """
-
-    history: np.ndarray            # shape () or (n_nodes,)
-    per_node: bool = False
-    degenerate: bool = False
-
-    @classmethod
-    def fresh(cls, n_nodes: int, per_node: bool = False) -> "MovingAverageCounter":
-        shape = (n_nodes,) if per_node else ()
-        return cls(np.zeros(shape, dtype=np.float64), per_node)
-
-    def _new_counts(self, snapshot: GraphSnapshot):
-        if not self.per_node:
-            return float(snapshot.n_edges)
-        incident = np.bincount(
-            np.concatenate([snapshot.edge_src, snapshot.edge_dst]),
-            minlength=self.history.shape[0],
-        )
-        return incident.astype(np.float64)
-
-    def keep_ratio_for(self, snapshot: GraphSnapshot):
-        """Keep ratio for folding this snapshot into the state.
-
-        Returns a scalar (global counts) or an (n_nodes, 1) column
-        (per-node variant)."""
-        new = self._new_counts(snapshot)
-        if not self.per_node:
-            if self.history == 0.0 and new == 0.0:
-                self.degenerate = True
-                return 0.0
-            return keep_ratio(float(self.history), new)
-        total = self.history + new
-        if np.any(total == 0.0):
-            self.degenerate = True
-        kappa = np.divide(self.history, np.maximum(total, 1.0),
-                          where=total > 0, out=np.zeros_like(total))
-        return kappa[:, None]
-
-    def advance(self, snapshot: GraphSnapshot) -> None:
-        """Fold the snapshot's counts into history. Call once per step."""
-        self.history = self.history + self._new_counts(snapshot)
-
-    def clone(self) -> "MovingAverageCounter":
-        return MovingAverageCounter(np.array(self.history, copy=True),
-                                    self.per_node, self.degenerate)
-
-    def n_elements(self) -> int:
-        return int(np.size(self.history))
-
-
-def keep_ratio(history_count: float, new_count: float) -> float:
-    """history / (history + new), the fraction of state kept this step."""
-    if history_count < 0 or new_count < 0:
-        raise ValueError(f"counts must be non-negative, got "
-                         f"({history_count}, {new_count})")
-    total = history_count + new_count
-    if total == 0:
-        return 0.0  # degenerate: caller flags it
-    return history_count / total
+    history = np.asarray(history, dtype=np.float64)
+    new = np.asarray(new, dtype=np.float64)
+    if (history < 0).any() or (new < 0).any():
+        raise ValueError(f"counts must be non-negative, got ({history}, {new})")
+    total = history + new
+    kappa = np.divide(history, np.maximum(total, 1.0), where=total > 0,
+                      out=np.zeros_like(total))
+    return float(kappa) if kappa.ndim == 0 else kappa[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +299,11 @@ class PairScorer:
         self.b2 = float(model.params["head.b2"].value[0])
         self.n_nodes = top_repr.shape[0]
 
-    def scores(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
-        srcs = np.asarray(srcs)
-        dsts = np.asarray(dsts)
-        for idx in (srcs, dsts):
-            if idx.size and (idx.min() < 0 or idx.max() >= self.n_nodes):
-                raise BoundsError(f"pair id out of range [0, {self.n_nodes})")
-        hidden = np.maximum(self.a[srcs] + self.b[dsts] + self.b1, 0.0)
-        return hidden @ self.w2 + self.b2
-
     def scores_against(self, src: int, dsts: np.ndarray) -> np.ndarray:
-        """All candidate dsts for one source; bitwise equal to `scores`.
+        """Scores of (src, dst) for every candidate dst of one source.
 
         Builds a single (len(dsts), d) temporary: `np.take` always copies, so
-        the in-place adds never write into `self.b`, and each element sees the
-        same additions in the same order as `scores` (b + a == a + b exactly).
+        the in-place adds never write into `self.b`.
         """
         dsts = np.asarray(dsts)
         if not 0 <= src < self.n_nodes or (
@@ -365,16 +314,6 @@ class PairScorer:
         hidden += self.b1
         np.maximum(hidden, 0.0, out=hidden)
         return hidden @ self.w2 + self.b2
-
-
-def predict_scores(top_repr: np.ndarray, pairs: np.ndarray,
-                   model: ModelParams) -> np.ndarray:
-    """One raw score per (src, dst) pair; deterministic in its inputs."""
-    pairs = np.asarray(pairs)
-    scorer = PairScorer(top_repr, model)
-    if pairs.size == 0:
-        return np.zeros(0, dtype=top_repr.dtype)
-    return scorer.scores(pairs[:, 0], pairs[:, 1])
 
 
 def _scores_var(top: dc.Var, pairs: np.ndarray, model: ModelParams) -> dc.Var:
@@ -403,20 +342,26 @@ class ForwardResult:
 
 
 def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
-            model: ModelParams, counter: MovingAverageCounter,
-            pairs: np.ndarray | None = None, mode: str = "eval") -> ForwardResult:
+            model: ModelParams, pairs: np.ndarray | None = None,
+            mode: str = "eval") -> ForwardResult:
     """Run the network on one snapshot.
 
-    The previous state enters as data (no gradients flow into past steps).
-    Returns the updated per-layer states, the post-processed top
-    representation, and, when pairs are given, their differentiable scores.
-    An eval-mode forward without pairs runs under `dc.no_tape()`: it records
-    no graph and computes bitwise the same state and representation.
+    The previous state enters as data (no gradients flow into past steps)
+    and is not mutated. Returns the updated state (per-layer embeddings and
+    the history with this snapshot's edge counts added), the post-processed
+    top representation, and, when pairs are given, their differentiable
+    scores. An eval-mode forward without pairs runs under `dc.no_tape()`: it
+    records no graph and computes bitwise the same state and representation.
     """
     cfg = model.config
     if len(h_prev.layers) != cfg.n_mp:
         raise DimensionError(
             f"state has {len(h_prev.layers)} layers, model expects {cfg.n_mp}")
+    if h_prev.history.ndim:
+        counts = np.bincount(np.concatenate([snapshot.edge_src, snapshot.edge_dst]),
+                             minlength=h_prev.history.shape[0]).astype(np.float64)
+    else:
+        counts = float(snapshot.n_edges)
 
     # an eval forward without pairs is never differentiated: record no graph
     with dc.no_tape() if mode == "eval" and pairs is None else nullcontext():
@@ -424,7 +369,7 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
         for i in range(cfg.n_pre):
             h = dc.relu(dc.affine(h, model.params[f"pre.{i}.w"], model.params[f"pre.{i}.b"]))
 
-        kappa = counter.keep_ratio_for(snapshot) if cfg.update == "moving_average" else None
+        kappa = keep_ratio(h_prev.history, counts) if cfg.update == "moving_average" else None
         new_layers: list[dc.Var] = []
         for l in range(cfg.n_mp):
             tilde = gnn_layer(h, snapshot, model, l, mode)
@@ -437,7 +382,8 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
         for j in range(cfg.n_post):
             h = dc.relu(dc.affine(h, model.params[f"post.{j}.w"], model.params[f"post.{j}.b"]))
 
-        state = HierarchicalNodeState([v.value for v in new_layers], h_prev.step + 1)
+        state = HierarchicalNodeState([v.value for v in new_layers], h_prev.step + 1,
+                                      h_prev.history + counts)
         scores = None
         if pairs is not None:
             pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -451,9 +397,8 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
 
 
 def save_checkpoint(path, model: ModelParams,
-                    state: HierarchicalNodeState | None = None,
-                    counter: MovingAverageCounter | None = None) -> None:
-    """Model checkpoint: parameters + config + node state + counters.
+                    state: HierarchicalNodeState | None = None) -> None:
+    """Model checkpoint: parameters + config + carried state.
 
     Written through `snapshots.replacing`, so a crash mid-write keeps the
     previous checkpoint. As with `np.savez`, ".npz" is appended to a path
@@ -464,33 +409,24 @@ def save_checkpoint(path, model: ModelParams,
         meta["state_step"] = state.step
         for i, layer in enumerate(state.layers):
             arrays[f"hstate:{i}"] = layer
-    if counter is not None:
-        meta["counter_per_node"] = counter.per_node
-        meta["counter_degenerate"] = counter.degenerate
-        arrays["counter:history"] = np.atleast_1d(np.asarray(counter.history))
+        arrays["hstate:history"] = state.history
     with replacing(npz_path(path)) as tmp, open(tmp, "wb") as fh:
         dc.save_params(fh, arrays, meta)
 
 
 def load_checkpoint(path):
-    """Returns (model, state_or_None, counter_or_None)."""
+    """Returns (model, state_or_None)."""
     arrays, meta = dc.load_params(path)
     cfg = ModelConfig(**meta["config"])
     model = init_model(cfg, np.random.default_rng(0))
-    model_arrays = {k: v for k, v in arrays.items()
-                    if not k.startswith(("hstate:", "counter:"))}
-    model.load_state_arrays(model_arrays)
+    model.load_state_arrays({k: v for k, v in arrays.items()
+                             if not k.startswith("hstate:")})
 
     state = None
     if "state_step" in meta:
         layers = [arrays[f"hstate:{i}"] for i in range(cfg.n_mp)]
-        state = HierarchicalNodeState(layers, meta["state_step"])
-
-    counter = None
-    if "counter:history" in arrays:
-        history = arrays["counter:history"]
-        if not meta["counter_per_node"]:
-            history = np.asarray(float(history[0]))
-        counter = MovingAverageCounter(history, meta["counter_per_node"],
-                                       meta["counter_degenerate"])
-    return model, state, counter
+        history = arrays["hstate:history"]  # stored 1-d, also when a scalar
+        state = HierarchicalNodeState(layers, meta["state_step"],
+                                      history if cfg.per_node_keep_ratio
+                                      else history.reshape(()))
+    return model, state

@@ -150,8 +150,7 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
             fh.write(json.dumps({"record": "summary", **STEP_SCHEMA,
                                  **report.summary_dict()}, sort_keys=True) + "\n")
         os.replace(temp_path(steps), steps)
-        save_checkpoint(seed_dir / "model.npz", artifacts["model"],
-                        artifacts["state"], artifacts["counter"])
+        save_checkpoint(seed_dir / "model.npz", artifacts["model"], artifacts["state"])
         summary = report.summary_dict()
         summary["wall_seconds"] = time.perf_counter() - t0
         _atomic_write(seed_dir / "report.json",

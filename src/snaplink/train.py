@@ -15,8 +15,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .errors import ConfigError, TrainingDiverged
-from .model import (HierarchicalNodeState, ModelParams, MovingAverageCounter,
-                    forward)
+from .model import HierarchicalNodeState, ModelParams, forward
 from .snapshots import GraphSnapshot, LabelSet, sample_training_negatives
 
 
@@ -82,8 +81,7 @@ class FineTuneResult:
 
 
 def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
-              h_prev: HierarchicalNodeState, labels: LabelSet,
-              counter: MovingAverageCounter, cfg: TrainConfig,
+              h_prev: HierarchicalNodeState, labels: LabelSet, cfg: TrainConfig,
               rng: np.random.Generator) -> FineTuneResult:
     """Train on one step's labels until validation MRR stops improving.
 
@@ -127,7 +125,7 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
             y = np.zeros((n_pos + len(negatives), 1), dtype=np.float64)
             y[:n_pos] = 1.0
             model.params.zero_grad()
-            result = forward(snapshot, h_prev, model, counter, pairs, mode="train")
+            result = forward(snapshot, h_prev, model, pairs=pairs, mode="train")
             loss = dc.bce_with_logits(result.scores, y)
             if not np.isfinite(loss.value):
                 raise TrainingDiverged(epoch, cfg.learning_rate)
@@ -143,7 +141,7 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
             if val_labels.skip:
                 val = 0.0
             else:
-                vres = forward(snapshot, h_prev, model, counter, mode="eval")
+                vres = forward(snapshot, h_prev, model, mode="eval")
                 val = evaluate.mrr(vres.top_repr, val_labels, model)
             if val > best_val:
                 best_val = val
@@ -157,7 +155,7 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
 
     model.load_state_arrays(best_arrays)
     if best_state is None:
-        best_state = forward(snapshot, h_prev, model, counter, mode="eval").state
+        best_state = forward(snapshot, h_prev, model, mode="eval").state
     if best_val == -np.inf:
         best_val = float("nan")
     return FineTuneResult(model, best_state, float(best_val), epochs_run,

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from snaplink import synthetic
-from snaplink.model import (HierarchicalNodeState, ModelConfig,
-                            MovingAverageCounter, init_model)
+from snaplink.model import HierarchicalNodeState, ModelConfig, init_model
 from snaplink.snapshots import GraphSnapshot, partition_snapshots
 
 
@@ -47,10 +46,6 @@ def toy_model(update="gru", hidden=4, seed=0, **overrides):
 
 def fresh_state(model, n_nodes):
     return HierarchicalNodeState.zeros(n_nodes, model.config)
-
-
-def fresh_counter(model, n_nodes):
-    return MovingAverageCounter.fresh(n_nodes, model.config.per_node_keep_ratio)
 
 
 @pytest.fixture(scope="session")

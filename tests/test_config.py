@@ -82,7 +82,9 @@ def test_every_model_train_and_protocol_key_reaches_the_run_config():
     ExperimentConfig(),
     ExperimentConfig(**NON_DEFAULT),
     ExperimentConfig(dataset="runs/exp#2/edges.csv", schema="ws:src,dst,timestamp",
-                     dtype="float64", run_name=""),
+                     dtype="float64", run_name=""),    ExperimentConfig(dataset="my data #2/edges.csv", run_name="grid #3"),
+    ExperimentConfig(dataset='"quoted" dir/edges.csv', run_name="a\tb #"),
+    ExperimentConfig(dataset=" padded.csv ", run_name="two\nlines"),
 ])
 def test_resolved_text_loads_back_to_the_same_config(tmp_path, cfg):
     path = tmp_path / "config.resolved.txt"
@@ -90,6 +92,16 @@ def test_resolved_text_loads_back_to_the_same_config(tmp_path, cfg):
     back = load_config(path)
     assert back == cfg
     assert back.fingerprint() == cfg.fingerprint()
+
+
+def test_a_quoted_value_may_carry_a_comment(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text('dataset = "my data #2/edges.csv"  # the raw file\nk_neg = 30  # per source\n')
+    cfg = load_config(path)
+    assert (cfg.dataset, cfg.k_neg) == ("my data #2/edges.csv", 30)
+    path.write_text('dataset = "my data"/edges.csv\n')
+    with pytest.raises(ConfigError, match="exp.cfg:1"):
+        load_config(path)
 
 
 def class_fields(module: str, name: str) -> set[str]:

@@ -272,6 +272,6 @@ def test_carried_history_counts_every_rolled_snapshot(synth_graph, run, per_node
         expected = np.bincount(ends, minlength=synth_graph.node_count).astype(np.float64)
     else:
         expected = np.asarray(float(sum(s.n_edges for s in rolled)))
-    history = out["counter"].history
+    history = out["state"].history
     assert history.dtype == np.float64 and history.shape == expected.shape
     assert np.array_equal(history, expected)

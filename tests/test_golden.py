@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fresh_counter, fresh_state
+from conftest import fresh_state
 from snaplink import evaluate as ev
 from snaplink.model import ModelConfig, PairScorer, forward, init_model
 from snaplink.snapshots import edges_from_arrays, partition_snapshots
@@ -335,18 +335,16 @@ def test_float32_forward_matches_float64(synth_graph, update):
     cfg = ModelConfig(hidden_dim=16, update=update)
     model = init_model(cfg, np.random.default_rng(7))
     state = fresh_state(model, synth_graph.node_count)
-    counter = fresh_counter(model, synth_graph.node_count)
     # a train forward moves the BN statistics off their initial values and an
     # eval forward gives a non-zero previous state
-    forward(synth_graph[0], state, model, counter, np.array([[0, 1]]), mode="train")
-    state = forward(synth_graph[0], state, model, counter).state
-    counter.advance(synth_graph[0])
+    forward(synth_graph[0], state, model, pairs=np.array([[0, 1]]), mode="train")
+    state = forward(synth_graph[0], state, model).state
 
     model32 = init_model(replace(cfg, dtype="float32"), np.random.default_rng(0))
     model32.load_state_arrays({k: v.astype(np.float32)
                                for k, v in model.state_arrays().items()})
-    out64 = forward(synth_graph[1], state, model, counter.clone())
-    out32 = forward(synth_graph[1], state, model32, counter.clone())
+    out64 = forward(synth_graph[1], state, model)
+    out32 = forward(synth_graph[1], state, model32)
     assert_close_in_float32(out32.top_repr, out64.top_repr)
     for layer32, layer64 in zip(out32.state.layers, out64.state.layers):
         assert_close_in_float32(layer32, layer64)

@@ -1,18 +1,20 @@
 """Tests for the network: keep ratio, message-passing layer, update modules,
 prediction head, and the full forward pass."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import (fresh_counter, fresh_state, make_snapshot, toy_model,
-                      toy_snapshot)
+from conftest import fresh_state, make_snapshot, toy_model, toy_snapshot
 from snaplink import diffcore as dc
 from snaplink import model as md
 from snaplink.errors import BoundsError, ConfigError, DimensionError
 
 
 # ---------------------------------------------------------------------------
-# keep_ratio and counters
+# keep_ratio and the carried history
 # ---------------------------------------------------------------------------
 
 
@@ -20,43 +22,95 @@ def test_keep_ratio_direct_substitutions():
     assert md.keep_ratio(0, 5) == 0.0
     assert md.keep_ratio(7, 0) == 1.0
     assert md.keep_ratio(300, 100) == 0.75
+    assert md.keep_ratio(np.float64(3.0), 7.0) == 3.0 / 10.0
+    kappa = md.keep_ratio(np.array([300.0, 7.0]), np.array([100.0, 0.0]))
+    assert kappa.shape == (2, 1) and kappa.dtype == np.float64
+    np.testing.assert_array_equal(kappa.ravel(), [0.75, 1.0])
 
 
 def test_keep_ratio_rejects_negative():
     with pytest.raises(ValueError):
         md.keep_ratio(-1, 2)
+    with pytest.raises(ValueError):
+        md.keep_ratio(np.array([1.0, 2.0]), np.array([0.0, -1.0]))
 
 
 def test_keep_ratio_both_zero_degenerate():
     assert md.keep_ratio(0, 0) == 0.0
+    kappa = md.keep_ratio(np.array([0.0, 2.0, 0.0]), np.array([0.0, 2.0, 3.0]))
+    np.testing.assert_array_equal(kappa.ravel(), [0.0, 0.5, 0.0])
 
 
-def test_counter_global_accumulates():
-    counter = md.MovingAverageCounter.fresh(4, per_node=False)
+def spy_keep_ratio(monkeypatch) -> list:
+    """Record every keep ratio a forward computes."""
+    kappas = []
+    real = md.keep_ratio
+
+    def spy(history, new):
+        kappas.append(real(history, new))
+        return kappas[-1]
+
+    monkeypatch.setattr(md, "keep_ratio", spy)
+    return kappas
+
+
+def test_forward_adds_the_snapshot_edge_count_to_the_history(monkeypatch):
+    kappas = spy_keep_ratio(monkeypatch)
+    model = toy_model(update="moving_average")
+    state = fresh_state(model, 4)
+    assert state.history.shape == () and state.history.dtype == np.float64
     s1 = make_snapshot(4, [0, 1, 2], [1, 2, 3])
     s2 = make_snapshot(4, [0], [1])
-    assert counter.keep_ratio_for(s1) == 0.0
-    counter.advance(s1)
-    assert counter.keep_ratio_for(s2) == pytest.approx(3 / 4)
-    counter.advance(s2)
-    assert float(counter.history) == 4.0
+    r1 = md.forward(s1, state, model)
+    r2 = md.forward(s2, r1.state, model)
+    assert kappas == [0.0, 3 / 4]
+    assert float(r1.state.history) == 3.0 and float(r2.state.history) == 4.0
+    assert float(state.history) == 0.0
 
 
-def test_counter_degenerate_flag_on_leading_empty():
-    counter = md.MovingAverageCounter.fresh(3, per_node=False)
-    empty = make_snapshot(3, [], [])
-    assert counter.keep_ratio_for(empty) == 0.0
-    assert counter.degenerate
-
-
-def test_counter_per_node_variant():
-    counter = md.MovingAverageCounter.fresh(3, per_node=True)
+def test_forward_per_node_history_and_keep_ratio(monkeypatch):
+    kappas = spy_keep_ratio(monkeypatch)
+    model = toy_model(update="moving_average", per_node_keep_ratio=True)
+    state = fresh_state(model, 3)
+    assert state.history.shape == (3,) and state.history.dtype == np.float64
     s1 = make_snapshot(3, [0, 0], [1, 1])  # node0: 2, node1: 2, node2: 0
-    counter.advance(s1)
     s2 = make_snapshot(3, [2], [0])  # node0: +1, node2: +1
-    kappa = counter.keep_ratio_for(s2)
-    assert kappa.shape == (3, 1)
-    np.testing.assert_allclose(kappa.ravel(), [2 / 3, 1.0, 0.0])
+    r1 = md.forward(s1, state, model)
+    r2 = md.forward(s2, r1.state, model)
+    np.testing.assert_array_equal(r1.state.history, [2.0, 2.0, 0.0])
+    np.testing.assert_array_equal(r2.state.history, [3.0, 2.0, 1.0])
+    assert kappas[1].shape == (3, 1)
+    np.testing.assert_allclose(kappas[1].ravel(), [2 / 3, 1.0, 0.0])
+
+
+def test_eval_forward_on_an_empty_first_snapshot_is_pure(monkeypatch):
+    model = toy_model(update="moving_average", seed=16)
+    # a train forward moves the batch-norm statistics off their initial values
+    md.forward(toy_snapshot(), fresh_state(model, 6), model, pairs=[(0, 1)], mode="train")
+    state = fresh_state(model, 6)
+    rng = np.random.default_rng(16)
+    for layer in state.layers:
+        layer[:] = rng.normal(size=layer.shape)
+    layers = [m.copy() for m in state.layers]
+    history = state.history.copy()
+    arrays = model.state_arrays()  # parameters and batch-norm statistics
+
+    empty = make_snapshot(6, [], [])
+    kappas = spy_keep_ratio(monkeypatch)
+    first = md.forward(empty, state, model, mode="eval")
+    second = md.forward(empty, state, model, mode="eval")
+
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(state.layers, layers))
+    assert state.history.tobytes() == history.tobytes()
+    after = model.state_arrays()
+    assert after.keys() == arrays.keys()
+    assert all(after[k].tobytes() == arrays[k].tobytes() for k in arrays)
+    assert first.top_repr.tobytes() == second.top_repr.tobytes()
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(first.state.layers, second.state.layers))
+    assert first.state.history.tobytes() == second.state.history.tobytes()
+    # both counts are zero: the keep ratio is zero and the history stays zero
+    assert kappas == [0.0, 0.0] and float(first.state.history) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +227,15 @@ def test_update_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# predict_scores
+# prediction head
 # ---------------------------------------------------------------------------
+
+
+def predict_scores(reps, pairs, model):
+    """One raw score per (src, dst) pair, through `PairScorer.scores_against`,
+    the scorer MRR ranks with."""
+    scorer = md.PairScorer(reps, model)
+    return np.array([scorer.scores_against(int(u), np.array([v]))[0] for u, v in pairs])
 
 
 def test_predict_scores_zero_head_gives_zero():
@@ -184,14 +245,14 @@ def test_predict_scores_zero_head_gives_zero():
     model.params["head.b1"].value[:] = 0.0
     model.params["head.b2"].value[:] = 0.0
     reps = np.random.default_rng(6).normal(size=(5, 4))
-    scores = md.predict_scores(reps, [(0, 1), (2, 3)], model)
+    scores = predict_scores(reps, [(0, 1), (2, 3)], model)
     np.testing.assert_array_equal(scores, [0.0, 0.0])
 
 
 def test_predict_scores_duplicate_pairs_identical():
     model = toy_model(seed=7)
     reps = np.random.default_rng(7).normal(size=(6, 4))
-    scores = md.predict_scores(reps, [(1, 4), (1, 4)], model)
+    scores = md.PairScorer(reps, model).scores_against(1, np.array([4, 4]))
     assert scores[0] == scores[1]
 
 
@@ -203,7 +264,7 @@ def test_predict_scores_scalar_hand_computed():
     model.params["head.b2"].value = np.array([0.3])
     reps = np.array([[2.0], [3.0]])
     # hidden = relu(.5*2 + 1*3 + .2) = 4.2; score = 2*4.2 + .3 = 8.7
-    scores = md.predict_scores(reps, [(0, 1)], model)
+    scores = predict_scores(reps, [(0, 1)], model)
     assert scores[0] == pytest.approx(8.7, abs=1e-12)
 
 
@@ -211,7 +272,7 @@ def test_predict_scores_out_of_range():
     model = toy_model()
     reps = np.zeros((3, 4))
     with pytest.raises(BoundsError):
-        md.predict_scores(reps, [(0, 9)], model)
+        predict_scores(reps, [(0, 9)], model)
 
 
 def test_pair_scorer_matches_naive_concat():
@@ -219,7 +280,7 @@ def test_pair_scorer_matches_naive_concat():
     rng = np.random.default_rng(8)
     reps = rng.normal(size=(7, 4))
     pairs = rng.integers(0, 7, size=(20, 2))
-    fast = md.predict_scores(reps, pairs, model)
+    fast = predict_scores(reps, pairs, model)
     w1 = model.params["head.w1"].value
     b1 = model.params["head.b1"].value
     w2 = model.params["head.w2"].value
@@ -251,24 +312,13 @@ def test_scores_against_leaves_projections_unchanged():
     np.testing.assert_array_equal(scorer.b, b)
 
 
-def test_scores_against_bitwise_equals_scores():
-    model = toy_model(hidden=8, seed=12)
-    rng = np.random.default_rng(12)
-    scorer = md.PairScorer(rng.normal(size=(40, 8)), model)
-    for src in (0, 17, 39):
-        for k in (0, 1, 7, 100):
-            dsts = rng.integers(0, 40, size=k)
-            assert np.array_equal(scorer.scores_against(src, dsts),
-                                  scorer.scores(np.full(k, src), dsts))
-
-
 def test_scores_var_matches_predict_scores():
     model = toy_model(seed=9)
     rng = np.random.default_rng(9)
     reps = rng.normal(size=(6, 4))
     pairs = rng.integers(0, 6, size=(11, 2))
     tape_scores = md._scores_var(dc.constant(reps), pairs, model).value.ravel()
-    fast_scores = md.predict_scores(reps, pairs, model)
+    fast_scores = predict_scores(reps, pairs, model)
     np.testing.assert_allclose(tape_scores, fast_scores, rtol=1e-12, atol=1e-12)
 
 
@@ -281,22 +331,20 @@ def test_forward_state_shapes_and_step():
     model = toy_model(hidden=4)
     snap = toy_snapshot()
     state = fresh_state(model, 6)
-    counter = fresh_counter(model, 6)
-    result = md.forward(snap, state, model, counter, pairs=[(0, 1), (2, 4)])
+    result = md.forward(snap, state, model, pairs=[(0, 1), (2, 4)])
     assert len(result.state.layers) == 2
     for layer in result.state.layers:
         assert layer.shape == (6, 4)
     assert result.state.step == 0
     assert result.scores.value.shape == (2, 1)
-    second = md.forward(snap, result.state, model, counter)
+    second = md.forward(snap, result.state, model)
     assert second.state.step == 1
 
 
 def test_forward_default_hidden_dim_is_128():
     model = toy_model(hidden=128)
     snap = toy_snapshot()
-    result = md.forward(snap, fresh_state(model, 6), model,
-                        fresh_counter(model, 6))
+    result = md.forward(snap, fresh_state(model, 6), model)
     assert all(layer.shape == (6, 128) for layer in result.state.layers)
 
 
@@ -304,10 +352,9 @@ def test_forward_deterministic():
     model = toy_model(seed=10)
     snap = toy_snapshot()
     state = fresh_state(model, 6)
-    counter = fresh_counter(model, 6)
     pairs = [(0, 1), (3, 5)]
-    r1 = md.forward(snap, state, model, counter, pairs=pairs)
-    r2 = md.forward(snap, state, model, counter, pairs=pairs)
+    r1 = md.forward(snap, state, model, pairs=pairs)
+    r2 = md.forward(snap, state, model, pairs=pairs)
     np.testing.assert_array_equal(r1.scores.value, r2.scores.value)
     for a, b in zip(r1.state.layers, r2.state.layers):
         np.testing.assert_array_equal(a, b)
@@ -315,14 +362,13 @@ def test_forward_deterministic():
 
 def test_forward_moving_average_full_keep_on_empty_snapshot():
     model = toy_model(update="moving_average")
-    counter = fresh_counter(model, 6)
-    counter.advance(toy_snapshot())  # history 8, so an empty step keeps kappa=1
     state = fresh_state(model, 6)
+    state.history = np.asarray(8.0)  # 8 edges folded in, so an empty step keeps kappa=1
     rng = np.random.default_rng(11)
     for layer in state.layers:
         layer[:] = rng.normal(size=layer.shape)
     empty = make_snapshot(6, [], [])
-    result = md.forward(empty, state, model, counter)
+    result = md.forward(empty, state, model)
     for new, old in zip(result.state.layers, state.layers):
         np.testing.assert_array_equal(new, old)
 
@@ -331,12 +377,11 @@ def test_forward_hierarchical_persistence():
     # perturbing the lower-layer carried state must change scores
     model = toy_model(update="gru", seed=12)
     snap = toy_snapshot()
-    counter = fresh_counter(model, 6)
     state = fresh_state(model, 6)
-    base = md.forward(snap, state, model, counter, pairs=[(0, 1)]).scores.value.copy()
+    base = md.forward(snap, state, model, pairs=[(0, 1)]).scores.value.copy()
     state2 = state.clone()
     state2.layers[0][3, 2] += 0.37
-    bumped = md.forward(snap, state2, model, counter, pairs=[(0, 1)]).scores.value
+    bumped = md.forward(snap, state2, model, pairs=[(0, 1)]).scores.value
     assert not np.array_equal(base, bumped)
 
 
@@ -345,14 +390,13 @@ def test_forward_state_layer_count_mismatch():
     snap = toy_snapshot()
     bad = md.HierarchicalNodeState([np.zeros((6, 4))], step=-1)
     with pytest.raises(DimensionError):
-        md.forward(snap, bad, model, fresh_counter(model, 6))
+        md.forward(snap, bad, model)
 
 
 def test_forward_end_to_end_gradient():
     # BCE through the full network (gru) vs finite differences
     model = toy_model(update="gru", hidden=3, seed=13)
     snap = toy_snapshot()
-    counter = fresh_counter(model, 6)
     state = fresh_state(model, 6)
     rng = np.random.default_rng(13)
     for layer in state.layers:
@@ -361,12 +405,34 @@ def test_forward_end_to_end_gradient():
     labels = np.array([[1.0], [0.0], [1.0], [0.0]])
 
     def loss():
-        res = md.forward(snap, state, model, counter, pairs=pairs, mode="train")
+        res = md.forward(snap, state, model, pairs=pairs, mode="train")
         return dc.bce_with_logits(res.scores, labels)
 
     wrt = list(model.params)
     err = dc.grad_check(loss, wrt, eps=1e-5)
     assert err < 1e-4
+
+
+def test_every_forward_call_in_src_passes_pairs_and_mode_by_keyword():
+    """The benchmark's tracer reads `forward`'s `pairs` and `mode` from the
+    keywords, or from positions it fixes (4 and 5); it counts training pairs
+    and splits train from eval time with them. A call passing either by
+    position would be misread without any error, so every call in src/
+    passes at most (snapshot, h_prev, model) by position and `mode` by
+    keyword."""
+    src = Path(__file__).resolve().parents[1] / "src" / "snaplink"
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "forward":
+                calls.append((f"{path.name}:{node.lineno}", node))
+    assert len(calls) >= 4
+    for where, call in calls:
+        keywords = {k.arg for k in call.keywords}
+        assert len(call.args) <= 3 and None not in keywords, where
+        assert not any(isinstance(a, ast.Starred) for a in call.args), where
+        assert "mode" in keywords, where
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +446,8 @@ def _tape_case(synth_graph, update, hidden=32):
     snap = synth_graph[3]
     n = snap.n_nodes
     model = toy_model(update=update, hidden=hidden, seed=3)
-    counter = fresh_counter(model, n)
-    counter.advance(synth_graph[2])
     state = fresh_state(model, n)
+    state.history = np.asarray(float(synth_graph[2].n_edges))
     rng = np.random.default_rng(30)
     for layer in state.layers:
         layer[:] = rng.normal(size=layer.shape)
@@ -390,13 +455,13 @@ def _tape_case(synth_graph, update, hidden=32):
     pairs = np.vstack([pos, rng.integers(0, n, size=pos.shape)])
     labels = np.zeros((len(pairs), 1))
     labels[:len(pos)] = 1.0
-    return snap, model, counter, state, pairs, labels
+    return snap, model, state, pairs, labels
 
 
 @pytest.mark.parametrize("update", ["moving_average", "mlp", "gru"])
 def test_eval_forward_records_no_graph_and_matches_the_taped_forward(
         synth_graph, monkeypatch, update):
-    snap, model, counter, state, pairs, _ = _tape_case(synth_graph, update)
+    snap, model, state, pairs, _ = _tape_case(synth_graph, update)
     outputs = []
     for name in ("gnn_layer", "update_state"):
         real = getattr(md, name)
@@ -408,14 +473,14 @@ def test_eval_forward_records_no_graph_and_matches_the_taped_forward(
 
         monkeypatch.setattr(md, name, spy)
 
-    bare = md.forward(snap, state, model, counter, mode="eval")
+    bare = md.forward(snap, state, model, mode="eval")
     assert len(outputs) == 2 * model.config.n_mp
     for out in outputs:
         assert out._parents == () and out._vjp is None and not out.requires_grad
     assert bare.scores is None
 
     outputs.clear()
-    taped = md.forward(snap, state, model, counter, pairs=pairs, mode="eval")
+    taped = md.forward(snap, state, model, pairs=pairs, mode="eval")
     assert all(out._parents for out in outputs)  # pairs given: the tape is on
     assert np.array_equal(bare.top_repr, taped.top_repr)
     for a, b in zip(bare.state.layers, taped.state.layers):
@@ -437,12 +502,12 @@ EVAL_FORWARD_UNITS = 80
 def test_tape_memory_follows_what_the_backward_needs(synth_graph, update):
     import tracemalloc
 
-    snap, model, counter, state, pairs, labels = _tape_case(synth_graph, update)
+    snap, model, state, pairs, labels = _tape_case(synth_graph, update)
     unit = snap.n_nodes * model.config.hidden_dim * np.dtype(model.config.np_dtype).itemsize
-    md.forward(snap, state, model, counter, pairs=pairs, mode="train")  # warm-up
+    md.forward(snap, state, model, pairs=pairs, mode="train")  # warm-up
     tracemalloc.start()
     try:
-        result = md.forward(snap, state, model, counter, pairs=pairs, mode="train")
+        result = md.forward(snap, state, model, pairs=pairs, mode="train")
         loss = dc.bce_with_logits(result.scores, labels)
         tracemalloc.reset_peak()
         kept = tracemalloc.get_traced_memory()[0]
@@ -453,7 +518,7 @@ def test_tape_memory_follows_what_the_backward_needs(synth_graph, update):
 
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        md.forward(snap, state, model, counter, mode="eval")
+        md.forward(snap, state, model, mode="eval")
         eval_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -469,45 +534,43 @@ def test_tape_memory_follows_what_the_backward_needs(synth_graph, update):
 def test_checkpoint_roundtrip_reproduces_forward(tmp_path):
     model = toy_model(update="gru", seed=14)
     snap = toy_snapshot()
-    counter = fresh_counter(model, 6)
-    counter.advance(snap)
     state = fresh_state(model, 6)
+    state.history = np.asarray(float(snap.n_edges))
     rng = np.random.default_rng(14)
     for layer in state.layers:
         layer[:] = rng.normal(size=layer.shape)
     # run a train-mode pass so batch-norm running stats are non-trivial
-    md.forward(snap, state, model, counter, pairs=[(0, 1)], mode="train")
+    md.forward(snap, state, model, pairs=[(0, 1)], mode="train")
 
     path = tmp_path / "model.npz"
-    md.save_checkpoint(path, model, state, counter)
-    model2, state2, counter2 = md.load_checkpoint(path)
+    md.save_checkpoint(path, model, state)
+    model2, state2 = md.load_checkpoint(path)
 
     pairs = [(0, 1), (2, 5), (4, 3)]
-    r1 = md.forward(snap, state, model, counter, pairs=pairs)
-    r2 = md.forward(snap, state2, model2, counter2, pairs=pairs)
+    r1 = md.forward(snap, state, model, pairs=pairs)
+    r2 = md.forward(snap, state2, model2, pairs=pairs)
     np.testing.assert_array_equal(r1.scores.value, r2.scores.value)
     for a, b in zip(r1.state.layers, r2.state.layers):
         np.testing.assert_array_equal(a, b)
-    assert float(counter2.history) == float(counter.history)
+    assert state2.history.shape == () and state2.history.tobytes() == state.history.tobytes()
     assert state2.step == state.step
 
 
 def test_checkpoint_roundtrip_restores_a_per_node_history(tmp_path):
     model = toy_model(update="moving_average", seed=15, per_node_keep_ratio=True)
-    counter = fresh_counter(model, 6)
-    counter.advance(toy_snapshot())
-    counter.advance(make_snapshot(6, [0, 5], [3, 3]))
     state = fresh_state(model, 6)
+    for snap in (toy_snapshot(), make_snapshot(6, [0, 5], [3, 3])):
+        state = md.forward(snap, state, model).state
 
     path = tmp_path / "model.npz"
-    md.save_checkpoint(path, model, state, counter)
-    model2, state2, counter2 = md.load_checkpoint(path)
+    md.save_checkpoint(path, model, state)
+    model2, state2 = md.load_checkpoint(path)
 
     assert model2.config.per_node_keep_ratio
-    assert counter2.history.dtype == np.float64 and counter2.history.shape == (6,)
-    assert counter2.history.tobytes() == counter.history.tobytes()
+    assert state2.history.dtype == np.float64 and state2.history.shape == (6,)
+    assert state2.history.tobytes() == state.history.tobytes()
     snap = make_snapshot(6, [1, 2], [4, 0])
-    r1 = md.forward(snap, state, model, counter)
-    r2 = md.forward(snap, state2, model2, counter2)
+    r1 = md.forward(snap, state, model)
+    r2 = md.forward(snap, state2, model2)
     for a, b in zip(r1.state.layers, r2.state.layers):
         assert a.tobytes() == b.tobytes()

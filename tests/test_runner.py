@@ -45,7 +45,7 @@ def test_runs_default_to_float32_and_a_config_file_opts_out(synth_graph, tmp_pat
     for cfg, dtype in ((ExperimentConfig(**settings), np.float32),
                        (replace(load_config(path), **settings), np.float64)):
         run_dir = run_experiment(cfg, graph=synth_graph)
-        model, state, _ = load_checkpoint(run_dir / "seed3" / "model.npz")
+        model, state = load_checkpoint(run_dir / "seed3" / "model.npz")
         assert model.config.dtype == np.dtype(dtype).name
         arrays = [p.value for p in model.params] + state.layers + [
             s.running_mean for s in model.bn_stats.values()]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import fresh_counter, fresh_state, make_snapshot, toy_model
+from conftest import fresh_state, make_snapshot, toy_model
 from snaplink import train as tr
 from snaplink import diffcore as dc
 from snaplink.errors import ConfigError, TrainingDiverged
@@ -33,9 +33,8 @@ def run_fine_tune(model, labels=None, cfg=None, seed=0):
     labels = labels or single_pair_labels()
     cfg = cfg or tr.TrainConfig(learning_rate=0.05, max_epochs=100, patience=5)
     state = fresh_state(model, 5)
-    counter = fresh_counter(model, 5)
-    return tr.fine_tune(model, snap, state, labels, counter, cfg,
-                        derive_rng(seed, "train", 0)), snap, state, counter
+    return tr.fine_tune(model, snap, state, labels, cfg,
+                        derive_rng(seed, "train", 0)), snap, state
 
 
 def test_zero_learning_rate_keeps_params_and_stops_early():
@@ -72,20 +71,20 @@ def test_fine_tune_does_not_mutate_prev_state_or_labels():
         layer[:] = rng.normal(size=layer.shape)
     state_before = state.clone()
     labels_pos_before = labels.positives.copy()
-    counter = fresh_counter(model, 5)
-    tr.fine_tune(model, snap, state, labels, counter,
+    tr.fine_tune(model, snap, state, labels,
                  tr.TrainConfig(learning_rate=0.05, max_epochs=10, patience=3),
                  derive_rng(0, "train", 0))
     for a, b in zip(state.layers, state_before.layers):
         np.testing.assert_array_equal(a, b)
+    assert state.history.tobytes() == state_before.history.tobytes()
     np.testing.assert_array_equal(labels.positives, labels_pos_before)
     assert state.step == state_before.step
 
 
 def test_fine_tune_state_consistent_with_returned_params():
     model = toy_model(update="gru", hidden=4, seed=5)
-    result, snap, state, counter = run_fine_tune(model)
-    again = forward(snap, state, result.model, counter, mode="eval")
+    result, snap, state = run_fine_tune(model)
+    again = forward(snap, state, result.model, mode="eval")
     for a, b in zip(result.state.layers, again.state.layers):
         np.testing.assert_array_equal(a, b)
 
@@ -116,10 +115,9 @@ def test_fine_tune_without_validation_labels_runs_one_final_eval_forward(monkeyp
                       val_pos=np.empty((0, 2), dtype=np.int64),
                       eval_negatives={0: np.array([3], dtype=np.int64)})
     cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=4, patience=2)
-    result, snap, state, counter = run_fine_tune(toy_model(seed=6), labels=labels,
-                                                 cfg=cfg)
+    result, snap, state = run_fine_tune(toy_model(seed=6), labels=labels, cfg=cfg)
     assert modes == ["train"] * result.epochs_run + ["eval"]
-    again = forward(snap, state, result.model, counter, mode="eval")
+    again = forward(snap, state, result.model, mode="eval")
     for a, b in zip(result.state.layers, again.state.layers):
         np.testing.assert_array_equal(a, b)
 
@@ -182,11 +180,11 @@ def test_fine_tune_keeps_the_model_dtype(monkeypatch, update, dtype):
     monkeypatch.setattr(tr, "Adam", RecordingAdam)
     model = toy_model(update=update, hidden=4, seed=5, dtype=dtype)
     cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=3, patience=3)
-    result, snap, state, counter = run_fine_tune(model, cfg=cfg)
+    result, snap, state = run_fine_tune(model, cfg=cfg)
     meta = tr.meta_update(tr.MetaParams(toy_model(update=update, hidden=4, seed=6,
                                                   dtype=dtype), alpha=0.5),
                           result.model)
-    scorer = PairScorer(forward(snap, state, result.model, counter).top_repr,
+    scorer = PairScorer(forward(snap, state, result.model).top_repr,
                         result.model)
     (opt,) = optimizers
     assert opt.t == result.epochs_run > 0
@@ -213,7 +211,6 @@ def test_fine_tune_trains_when_a_source_has_no_negatives():
     labels = build_labels(g, 0, 0.25, 5, np.random.default_rng(0))
     model = toy_model(update="gru", hidden=4)
     result = tr.fine_tune(model, g[0], fresh_state(model, 3), labels,
-                          fresh_counter(model, 3),
                           tr.TrainConfig(learning_rate=0.05, max_epochs=3),
                           np.random.default_rng(1))
     assert result.epochs_run >= 1
