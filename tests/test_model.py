@@ -308,6 +308,7 @@ def test_scores_against_leaves_projections_unchanged():
     a, b = scorer.a.copy(), scorer.b.copy()
     for dsts in (np.array([3]), np.array([0, 5, 5, 2]), np.arange(6)):
         scorer.scores_against(2, dsts)
+    assert scorer.scores_against(2, np.array([], dtype=np.int64)).shape == (0,)
     np.testing.assert_array_equal(scorer.a, a)
     np.testing.assert_array_equal(scorer.b, b)
 
