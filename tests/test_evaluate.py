@@ -210,13 +210,24 @@ def test_fixed_split_parameters_frozen_in_test_block(synth_graph, monkeypatch):
     assert set(seen) == {ev.params_checksum(out["model"])}
 
 
-def test_fixed_split_raises_when_parameters_move(synth_graph, monkeypatch):
+def move_head_weight(model):
+    model.params["head.w1"].value = model.params["head.w1"].value + 1.0
+
+
+def move_running_mean(model):
+    stats = model.bn_stats["mp.0"]
+    stats.running_mean = stats.running_mean + 1.0
+
+
+@pytest.mark.parametrize("move", [move_head_weight, move_running_mean],
+                         ids=["head.w1", "mp.0.running_mean"])
+def test_fixed_split_raises_when_parameters_move(synth_graph, monkeypatch, move):
     first_test_step = len(synth_graph) - 2 - 1
     real_mrr = ev.mrr
 
     def mutating_mrr(top_repr, labels, model):
         if labels.step >= first_test_step:
-            model.params["head.w1"].value = model.params["head.w1"].value + 1.0
+            move(model)
         return real_mrr(top_repr, labels, model)
 
     monkeypatch.setattr(ev, "mrr", mutating_mrr)
@@ -252,6 +263,57 @@ def test_live_update_runs_one_loop_forward_per_step(monkeypatch):
     assert [r.epochs_run == 0 for r in report.per_step] == \
         [False, True, False, True, True, False]
     assert forwards == ["eval"] * (len(g) - 1)
+
+
+def running_stats(model):
+    """Copies of the model's batch-norm running statistics, by name."""
+    return {f"{key}.running_{kind}": getattr(stats, f"running_{kind}").copy()
+            for key, stats in model.bn_stats.items() for kind in ("mean", "var")}
+
+
+@pytest.mark.parametrize("reset", [False, True])
+def test_bn_reset_per_snapshot_resets_only_the_warm_start(synth_graph, monkeypatch,
+                                                          reset):
+    starts, trained, blended = [], [], []
+    real_fine_tune, real_meta_update = ev.fine_tune, ev.meta_update
+
+    def recording_fine_tune(model, *args, **kwargs):
+        starts.append(running_stats(model))
+        out = real_fine_tune(model, *args, **kwargs)
+        trained.append(running_stats(out.model))
+        return out
+
+    def recording_meta_update(*args, **kwargs):
+        out = real_meta_update(*args, **kwargs)
+        blended.append(running_stats(out.model))
+        return out
+
+    monkeypatch.setattr(ev, "fine_tune", recording_fine_tune)
+    monkeypatch.setattr(ev, "meta_update", recording_meta_update)
+    cfg = fixed_config()
+    cfg.alpha = 0.5
+    cfg.model.bn_reset_per_snapshot = reset
+    ev.live_update_run(synth_graph, cfg)
+
+    assert len(starts) == len(trained) == len(blended) == len(synth_graph) - 1
+    initial = starts[0]
+    assert initial.keys() == {"mp.0.running_mean", "mp.0.running_var",
+                              "mp.1.running_mean", "mp.1.running_var"}
+    for name, value in initial.items():
+        assert (value == (0.0 if name.endswith("mean") else 1.0)).all(), name
+    meta = initial
+    for start, after_train, after_blend in zip(starts, trained, blended):
+        # every fine-tune starts from the initial statistics when they are
+        # reset, and from the meta model's blended ones otherwise
+        for name, value in (initial if reset else meta).items():
+            np.testing.assert_array_equal(start[name], value, err_msg=name)
+        # the meta model blends from its own statistics, never reset ones
+        meta = {name: (1.0 - cfg.alpha) * meta[name] + cfg.alpha * after_train[name]
+                for name in meta}
+        for name, value in meta.items():
+            np.testing.assert_allclose(after_blend[name], value, rtol=1e-12,
+                                       err_msg=name)
+            assert not (value == initial[name]).all(), name
 
 
 # ---------------------------------------------------------------------------
