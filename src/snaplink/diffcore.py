@@ -6,6 +6,11 @@ aggregation. Gradients are produced by recording a small operation graph
 per forward pass and walking it backwards; `grad_check` verifies any
 scalar-valued composition against central finite differences.
 
+A model's whole state is one `ParamSet`: the trainable weights and, as
+non-trainable entries, the batch-norm running statistics. A non-trainable
+`Param` never requires grad, so it never enters a graph or gets a `grad`,
+but it is cloned, blended, hashed and saved with the rest.
+
 Tape memory follows what the backward still needs. Inside `no_tape()` no
 graph is recorded at all, so a forward that is never differentiated keeps
 only the values its caller holds. `backward` consumes the graph it walks:
@@ -15,22 +20,18 @@ vjp has run, so a second `backward` through the same nodes raises.
 This is deliberately not a general autodiff framework: only the operations
 listed above are supported, and all values are dense 1-D/2-D float arrays.
 Every op keeps the dtype of its inputs. Runs default to float32
-(`ExperimentConfig.dtype`); `grad_check` is run on float64 values (the
-`DEFAULT_DTYPE`, and `ModelConfig`'s default) so that finite-difference
-checks are meaningful.
+(`ExperimentConfig.dtype`); `grad_check` is run on float64 values
+(`ModelConfig`'s default) so that finite-difference checks are meaningful.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundsError, DimensionError, NumericError
-
-DEFAULT_DTYPE = np.float64
 
 AGGREGATION_MODES = ("sum", "mean", "max")
 
@@ -91,12 +92,14 @@ class Var:
 
 
 class Param(Var):
-    """A named trainable leaf. `grad` accumulates until `zero_grad`."""
+    """A named leaf. A trainable one requires grad, and its `grad`
+    accumulates until `zero_grad`; a non-trainable one is state that only
+    its op updates (a batch-norm running statistic)."""
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, value):
-        super().__init__(np.asarray(value), requires_grad=True)
+    def __init__(self, name: str, value, trainable: bool = True):
+        super().__init__(np.asarray(value), requires_grad=trainable)
         self.name = name
 
     def __repr__(self):
@@ -310,40 +313,16 @@ def gru_cell(h_prev: Var, x: Var, params: dict[str, Var]) -> Var:
     return add(mul(sub(one, z), n), mul(z, h_prev))
 
 
-@dataclass
-class BatchNormStats:
-    """Running statistics for one batch-norm site."""
-
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
-
-    @classmethod
-    def zeros(cls, dim: int, momentum: float = 0.1, eps: float = 1e-5,
-              dtype=DEFAULT_DTYPE) -> "BatchNormStats":
-        return cls(np.zeros(dim, dtype=dtype), np.ones(dim, dtype=dtype), momentum, eps)
-
-    def clone(self) -> "BatchNormStats":
-        return BatchNormStats(
-            self.running_mean.copy(), self.running_var.copy(), self.momentum, self.eps
-        )
-
-    def reset(self) -> None:
-        self.running_mean[:] = 0.0
-        self.running_var[:] = 1.0
-
-    @property
-    def n_elements(self) -> int:
-        return self.running_mean.size + self.running_var.size
-
-
-def batch_norm(x: Var, gamma: Var, beta: Var, stats: BatchNormStats, mode: str) -> Var:
+def batch_norm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
+               running_var: np.ndarray, mode: str, momentum: float = 0.1,
+               eps: float = 1e-5) -> Var:
     """Normalize columns of x by batch statistics (train) or running stats (eval).
 
-    Train mode updates the running statistics in place (unbiased variance,
-    torch-style momentum blend). Batches with fewer than 2 rows degrade to
-    eval behavior so tiny snapshots never divide by a zero-count variance.
+    Train mode updates the `running_mean` and `running_var` arrays in place
+    (unbiased variance, torch-style momentum blend); a model passes the
+    values of its non-trainable running-statistic Params. Batches with
+    fewer than 2 rows degrade to eval behavior so tiny snapshots never
+    divide by a zero-count variance.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown batch_norm mode {mode!r}")
@@ -351,13 +330,13 @@ def batch_norm(x: Var, gamma: Var, beta: Var, stats: BatchNormStats, mode: str) 
     if mode == "train" and n >= 2:
         mu = x.value.mean(axis=0)
         var = x.value.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + stats.eps)
+        inv_std = 1.0 / np.sqrt(var + eps)
         xhat = (x.value - mu) * inv_std
         out = xhat * gamma.value + beta.value
 
-        m = stats.momentum
-        stats.running_mean[:] = (1.0 - m) * stats.running_mean + m * mu
-        stats.running_var[:] = (1.0 - m) * stats.running_var + m * var * n / (n - 1)
+        m = momentum
+        running_mean[:] = (1.0 - m) * running_mean + m * mu
+        running_var[:] = (1.0 - m) * running_var + m * var * n / (n - 1)
 
         def vjp(g):
             dgamma = (g * xhat).sum(axis=0)
@@ -370,8 +349,8 @@ def batch_norm(x: Var, gamma: Var, beta: Var, stats: BatchNormStats, mode: str) 
 
         return Var(out, (x, gamma, beta), vjp)
 
-    inv_std = 1.0 / np.sqrt(stats.running_var + stats.eps)
-    xhat = (x.value - stats.running_mean) * inv_std
+    inv_std = 1.0 / np.sqrt(running_var + eps)
+    xhat = (x.value - running_mean) * inv_std
     out = xhat * gamma.value + beta.value
 
     def vjp(g):
@@ -462,15 +441,15 @@ def bce_with_logits(scores: Var, labels: np.ndarray) -> Var:
 
 
 class ParamSet:
-    """An ordered, name-keyed collection of Params."""
+    """An ordered, name-keyed collection of Params, trainable or not."""
 
     def __init__(self):
         self._params: dict[str, Param] = {}
 
-    def new(self, name: str, value: np.ndarray) -> Param:
+    def new(self, name: str, value: np.ndarray, trainable: bool = True) -> Param:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        p = Param(name, value)
+        p = Param(name, value, trainable)
         self._params[name] = p
         return p
 
@@ -501,8 +480,8 @@ class ParamSet:
         for p in self:
             p.grad = None
 
-    def n_elements(self) -> int:
-        return sum(p.value.size for p in self)
+    def n_elements(self, trainable_only: bool = False) -> int:
+        return sum(p.value.size for p in self if p.requires_grad or not trainable_only)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self._params.items()}
@@ -523,7 +502,7 @@ class ParamSet:
     def clone(self) -> "ParamSet":
         out = ParamSet()
         for name, p in self._params.items():
-            out.new(name, p.value.copy())
+            out.new(name, p.value.copy(), p.requires_grad)
         return out
 
 

@@ -27,7 +27,7 @@ from .model import (HierarchicalNodeState, ModelConfig, ModelParams, PairScorer,
                     forward, init_model)
 from .seeding import derive_rng
 from .snapshots import DynamicGraph, LabelSet, build_labels
-from .train import MetaParams, TrainConfig, fine_tune, meta_update
+from .train import TrainConfig, fine_tune, meta_update
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +167,15 @@ class RunConfig:
         self.train.validate()
 
 
-def working_set_elements(deploy: ModelParams, meta: MetaParams,
+def working_set_elements(deploy: ModelParams, meta: ModelParams,
                          snapshot, state: HierarchicalNodeState) -> int:
     """Element count of the step's live large objects: the deployed and meta
-    parameters, the current snapshot, the carried state (with its history),
-    and the optimizer moment budget (two moments per trainable element)."""
-    total = deploy.n_elements()
-    total += meta.model.n_elements()
-    total += snapshot.n_elements()
-    total += state.n_elements()
-    total += 2 * deploy.params.n_elements()
-    return total
+    parameters (running statistics included), the current snapshot, the
+    carried state (with its history), and the optimizer moment budget (two
+    moments per trainable element)."""
+    return (deploy.params.n_elements() + meta.params.n_elements()
+            + snapshot.n_elements() + state.n_elements()
+            + 2 * deploy.params.n_elements(trainable_only=True))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +216,7 @@ def _run_steps(g: DynamicGraph, cfg: RunConfig, protocol: str, n_train: int,
     cfg.validate()
 
     deploy = init_model(cfg.model, derive_rng(cfg.seed, "init"))
-    meta = MetaParams(deploy.clone(), cfg.alpha)
+    meta = deploy.clone()
     state = HierarchicalNodeState.zeros(g.node_count, cfg.model)
 
     report = EvalReport(protocol=protocol, seed=cfg.seed)
@@ -239,13 +237,13 @@ def _run_steps(g: DynamicGraph, cfg: RunConfig, protocol: str, n_train: int,
 
         epochs, best_val, train_loss = 0, None, None
         if s < n_train and labels.train_pos.shape[0] > 0:
-            warm = meta.model.clone()
+            warm = meta.clone()
             if cfg.model.bn_reset_per_snapshot:
                 warm.reset_bn_stats()
             ft = fine_tune(warm, snapshot, state, labels, cfg.train,
                            derive_rng(cfg.seed, "train", s))
             deploy, state = ft.model, ft.state
-            meta_update(meta, deploy)
+            meta = meta_update(meta, deploy, cfg.alpha)
             epochs, best_val, train_loss = (ft.epochs_run, ft.best_val_mrr,
                                             ft.final_train_loss)
         else:
@@ -287,17 +285,14 @@ def live_update_run(g: DynamicGraph, cfg: RunConfig, step_callback=None,
 
 
 def params_checksum(model: ModelParams) -> str:
+    """sha256 over every entry of the model's ParamSet, running statistics
+    included, in ParamSet order. Compared only within a run."""
     import hashlib
 
     h = hashlib.sha256()
-    for name in model.params.names():
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(model.params[name].value).tobytes())
-    for key in sorted(model.bn_stats):
-        s = model.bn_stats[key]
-        h.update(key.encode())
-        h.update(np.ascontiguousarray(s.running_mean).tobytes())
-        h.update(np.ascontiguousarray(s.running_var).tobytes())
+    for p in model.params:
+        h.update(p.name.encode())
+        h.update(np.ascontiguousarray(p.value).tobytes())
     return h.hexdigest()
 
 

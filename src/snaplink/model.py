@@ -121,39 +121,24 @@ def keep_ratio(history, new):
 
 @dataclass
 class ModelParams:
-    """Trainable parameters plus batch-norm running statistics."""
+    """A model's config and its one `ParamSet`: the trainable weights and,
+    with `batch_norm`, each layer's non-trainable `mp.{l}.running_mean` and
+    `mp.{l}.running_var`. Cloning, the meta blend, the checksum and
+    checkpoints all go through the one store, so the running statistics
+    travel with the weights they were collected under."""
 
     config: ModelConfig
     params: dc.ParamSet
-    bn_stats: dict[str, dc.BatchNormStats] = field(default_factory=dict)
 
     def clone(self) -> "ModelParams":
-        return ModelParams(
-            self.config,
-            self.params.clone(),
-            {k: v.clone() for k, v in self.bn_stats.items()},
-        )
-
-    def n_elements(self) -> int:
-        return self.params.n_elements() + sum(s.n_elements for s in self.bn_stats.values())
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = dict(self.params.state_dict())
-        for key, s in self.bn_stats.items():
-            out[f"bnstat:{key}:mean"] = s.running_mean.copy()
-            out[f"bnstat:{key}:var"] = s.running_var.copy()
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        params = {k: v for k, v in arrays.items() if not k.startswith("bnstat:")}
-        self.params.load_state_dict(params)
-        for key, s in self.bn_stats.items():
-            s.running_mean = arrays[f"bnstat:{key}:mean"].copy()
-            s.running_var = arrays[f"bnstat:{key}:var"].copy()
+        return ModelParams(self.config, self.params.clone())
 
     def reset_bn_stats(self) -> None:
-        for s in self.bn_stats.values():
-            s.reset()
+        """Running mean 0 and variance 1 at every batch-norm site, in place."""
+        if self.config.batch_norm:
+            for l in range(self.config.n_mp):
+                self.params[f"mp.{l}.running_mean"].value[:] = 0.0
+                self.params[f"mp.{l}.running_var"].value[:] = 1.0
 
 
 def _xavier(rng: np.random.Generator, shape, dtype) -> np.ndarray:
@@ -168,7 +153,6 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     d = cfg.hidden_dim
     dt = cfg.np_dtype
     ps = dc.ParamSet()
-    bn: dict[str, dc.BatchNormStats] = {}
 
     in_dim = NODE_FEATURE_DIM
     for i in range(cfg.n_pre):
@@ -183,7 +167,8 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
         if cfg.batch_norm:
             ps.new(f"mp.{l}.gamma", np.ones(d, dtype=dt))
             ps.new(f"mp.{l}.beta", np.zeros(d, dtype=dt))
-            bn[f"mp.{l}"] = dc.BatchNormStats.zeros(d, dtype=dt)
+            ps.new(f"mp.{l}.running_mean", np.zeros(d, dtype=dt), trainable=False)
+            ps.new(f"mp.{l}.running_var", np.ones(d, dtype=dt), trainable=False)
         if cfg.update == "gru":
             for gate in ("z", "r", "n"):
                 ps.new(f"upd.{l}.w{gate}", _xavier(rng, (d, 2 * d), dt))
@@ -203,7 +188,7 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     ps.new("head.w2", _xavier(rng, (1, d), dt))
     ps.new("head.b2", np.zeros(1, dtype=dt))
 
-    return ModelParams(cfg, ps, bn)
+    return ModelParams(cfg, ps)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +203,8 @@ def gnn_layer(h: dc.Var, snapshot: GraphSnapshot, model: ModelParams,
     Per-edge messages are an affine map of concat(source embedding,
     destination embedding, edge features) aggregated at the destination;
     bidirectional mode also sends each edge backwards through the same
-    weights. Order after aggregation: skip term, batch norm, ReLU.
+    weights. Order after aggregation: skip term, batch norm, ReLU. A
+    train-mode batch norm updates the layer's running statistics in place.
     """
     cfg = model.config
     n = snapshot.n_nodes
@@ -235,20 +221,19 @@ def gnn_layer(h: dc.Var, snapshot: GraphSnapshot, model: ModelParams,
     else:
         msrc, mdst = src, dst
 
+    mp = model.params.group(f"mp.{layer}")
     if len(msrc):
         hu = dc.gather_rows(h, msrc)
         hv = dc.gather_rows(h, mdst)
-        msgs = dc.affine(dc.concat_cols([hu, hv, dc.constant(feats)]),
-                         model.params[f"mp.{layer}.w"], model.params[f"mp.{layer}.b"])
+        msgs = dc.affine(dc.concat_cols([hu, hv, dc.constant(feats)]), mp["w"], mp["b"])
         agg = dc.aggregate(msgs, mdst, n, cfg.aggregation)
     else:
         agg = dc.constant(np.zeros((n, d), dtype=cfg.np_dtype))
 
     out = dc.add(agg, h) if cfg.skip_connection else agg
     if cfg.batch_norm:
-        out = dc.batch_norm(out, model.params[f"mp.{layer}.gamma"],
-                            model.params[f"mp.{layer}.beta"],
-                            model.bn_stats[f"mp.{layer}"], mode)
+        out = dc.batch_norm(out, mp["gamma"], mp["beta"], mp["running_mean"].value,
+                            mp["running_var"].value, mode)
     return dc.relu(out)
 
 
@@ -398,12 +383,13 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
 
 def save_checkpoint(path, model: ModelParams,
                     state: HierarchicalNodeState | None = None) -> None:
-    """Model checkpoint: parameters + config + carried state.
+    """Model checkpoint: every parameter (running statistics included) +
+    config + carried state.
 
     Written through `snapshots.replacing`, so a crash mid-write keeps the
     previous checkpoint. As with `np.savez`, ".npz" is appended to a path
     without it."""
-    arrays = model.state_arrays()
+    arrays = model.params.state_dict()
     meta = {"config": asdict(model.config)}
     if state is not None:
         meta["state_step"] = state.step
@@ -418,15 +404,13 @@ def load_checkpoint(path):
     """Returns (model, state_or_None)."""
     arrays, meta = dc.load_params(path)
     cfg = ModelConfig(**meta["config"])
-    model = init_model(cfg, np.random.default_rng(0))
-    model.load_state_arrays({k: v for k, v in arrays.items()
-                             if not k.startswith("hstate:")})
-
     state = None
     if "state_step" in meta:
-        layers = [arrays[f"hstate:{i}"] for i in range(cfg.n_mp)]
-        history = arrays["hstate:history"]  # stored 1-d, also when a scalar
+        layers = [arrays.pop(f"hstate:{i}") for i in range(cfg.n_mp)]
+        history = arrays.pop("hstate:history")  # stored 1-d, also when a scalar
         state = HierarchicalNodeState(layers, meta["state_step"],
                                       history if cfg.per_node_keep_ratio
                                       else history.reshape(()))
+    model = init_model(cfg, np.random.default_rng(0))
+    model.params.load_state_dict(arrays)
     return model, state

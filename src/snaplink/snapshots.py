@@ -253,12 +253,8 @@ def load_edge_list(path, schema: EdgeSchema = EdgeSchema(),
     if parsed is None:
         parsed = _parse_lines(path, schema)
     src, dst, weight, ts, node_count = parsed
-    order = np.argsort(ts, kind="stable")
-    return TemporalEdgeList(
-        src[order], dst[order], weight[order], ts[order],
-        node_count=node_count,
-        source_fingerprint=file_fingerprint(path) if fingerprint is None else fingerprint,
-    )
+    return edges_from_arrays(src, dst, ts, weight, node_count,
+                             file_fingerprint(path) if fingerprint is None else fingerprint)
 
 
 def _parse_lines(path: Path, schema: EdgeSchema):
@@ -419,7 +415,9 @@ def file_fingerprint(path) -> str:
 
 def edges_from_arrays(src, dst, timestamp, weight=None, node_count=None,
                       fingerprint="inline") -> TemporalEdgeList:
-    """Build a TemporalEdgeList from in-memory arrays (tests, synthetic data)."""
+    """Build a TemporalEdgeList from in-memory arrays: a parsed edge file,
+    synthetic data or a test's edges. The sort by time is stable, so edges
+    with equal timestamps keep their order."""
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     timestamp = np.asarray(timestamp, dtype=np.float64)

@@ -3,8 +3,8 @@
 Each step fine-tunes the network on the current snapshot's future-edge
 labels with Adam and early stopping on validation MRR, treating the
 previous state as constant data (truncated backpropagation: only the
-current snapshot and prior state are live). A meta-parameter set is blended
-from the trained models and warm-starts the next step.
+current snapshot and prior state are live). A meta model is blended from
+the trained models and warm-starts the next step.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam over a ParamSet. Moment state is fresh per fine-tune call."""
+    """Adam over the trainable entries of a ParamSet. Moment state is fresh
+    per fine-tune call."""
 
     def __init__(self, params: dc.ParamSet, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -51,8 +52,8 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.value) for p in params}
-        self.v = {p.name: np.zeros_like(p.value) for p in params}
+        self.m = {p.name: np.zeros_like(p.value) for p in params if p.requires_grad}
+        self.v = {p.name: np.zeros_like(p.value) for p in params if p.requires_grad}
 
     def step(self) -> None:
         self.t += 1
@@ -93,7 +94,8 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
     runs. Raises TrainingDiverged when the loss or any gradient is
     non-finite, before the step writes it into the parameters. Stops after
     `patience` consecutive epochs without a new best or at max_epochs and
-    keeps the best-validation parameters. The returned state is the one the
+    keeps the best-validation parameters and running statistics (one
+    `state_dict` of the model's ParamSet). The returned state is the one the
     best epoch's eval forward computed with exactly those parameters (an
     eval forward mutates nothing); only when no validation forward ran
     (validation labels skipped, or no training positives) is it computed
@@ -110,7 +112,7 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
     val_labels = labels.val_view()
 
     best_val = -np.inf
-    best_arrays = model.state_arrays()
+    best_arrays = model.params.state_dict()
     best_state = None
     epochs_run = 0
     stale = 0
@@ -145,7 +147,7 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
                 val = evaluate.mrr(vres.top_repr, val_labels, model)
             if val > best_val:
                 best_val = val
-                best_arrays = model.state_arrays()
+                best_arrays = model.params.state_dict()
                 best_state = None if val_labels.skip else vres.state
                 stale = 0
             else:
@@ -153,7 +155,7 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
             if stale >= cfg.patience:
                 break
 
-    model.load_state_arrays(best_arrays)
+    model.params.load_state_dict(best_arrays)
     if best_state is None:
         best_state = forward(snapshot, h_prev, model, mode="eval").state
     if best_val == -np.inf:
@@ -163,47 +165,33 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
 
 
 # ---------------------------------------------------------------------------
-# Meta parameters
+# Meta model
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MetaParams:
-    """The blended warm-start model and its smoothing factor."""
-
-    model: ModelParams
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("alpha", f"must be in [0, 1], got {self.alpha}")
-
-
-def meta_update(meta: MetaParams, trained: ModelParams) -> MetaParams:
+def meta_update(meta: ModelParams, trained: ModelParams, alpha: float) -> ModelParams:
     """Blend the trained model into the meta model:
-    theta_meta <- (1 - alpha) * theta_meta + alpha * theta_trained.
+    theta_meta <- (1 - alpha) * theta_meta + alpha * theta_trained,
+    for every entry of the ParamSet, so the batch-norm running statistics
+    blend like the weights (they are part of the warm start).
 
-    Batch-norm running statistics blend identically (they are part of the
-    warm start). alpha=1 copies the trained model exactly; alpha=0 leaves
-    the meta model untouched. Mutates and returns `meta`.
+    Returns the new meta model: `meta` itself when alpha=0 (untouched) or
+    0 < alpha < 1 (blended in place), and an exact copy of `trained` when
+    alpha=1.
     """
-    a = meta.alpha
-    if a == 0.0:
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError("alpha", f"must be in [0, 1], got {alpha}")
+    if alpha == 0.0:
         return meta
-    if a == 1.0:
-        meta.model = trained.clone()
-        return meta
-    mp, tp = meta.model.params, trained.params
+    if alpha == 1.0:
+        return trained.clone()
+    mp, tp = meta.params, trained.params
     if mp.names() != tp.names():
         raise ConfigError("meta", "parameter sets do not match")
-    for name in mp.names():
-        if mp[name].value.shape != tp[name].value.shape:
+    for p in mp:
+        other = tp[p.name].value
+        if p.value.shape != other.shape:
             raise ConfigError(
-                "meta", f"shape mismatch for {name}: "
-                        f"{mp[name].value.shape} vs {tp[name].value.shape}")
-        mp[name].value = (1.0 - a) * mp[name].value + a * tp[name].value
-    for key, stats in meta.model.bn_stats.items():
-        other = trained.bn_stats[key]
-        stats.running_mean = (1.0 - a) * stats.running_mean + a * other.running_mean
-        stats.running_var = (1.0 - a) * stats.running_var + a * other.running_var
+                "meta", f"shape mismatch for {p.name}: {p.value.shape} vs {other.shape}")
+        p.value = (1.0 - alpha) * p.value + alpha * other
     return meta

@@ -2,7 +2,9 @@
 else, and one that only tests name is listed in TEST_ONLY."""
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -14,23 +16,37 @@ SEARCHED = ("src", "tests", "bench")
 TEST_ONLY = {
     "mean_all",         # the scalar loss that diffcore's gradient checks reduce to
     "load_checkpoint",  # reads what runs write; resume will call it
+    "grad_check",       # the finite-difference reference the gradient tests compare against
 }
+
+
+def words(label: str, text: str):
+    """(word, line) for each name `text` uses. Under `src/` only code counts:
+    the NAME tokens, not comments, docstrings or other strings. Before
+    Python 3.12 an f-string is one string token, so a name used only inside
+    its braces reads as unused there: the test fails, it never passes
+    wrongly. Elsewhere every whole word on a line counts, so a reference
+    inside a string (a tracer's target table, a test id) is a use."""
+    if label.startswith("src/"):
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                yield tok.string, tok.start[0]
+        return
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for word in set(re.findall(r"\w+", line)):
+            yield word, lineno
 
 
 def name_uses(sources: dict[str, str], modules: list[str]) -> list[tuple[str, str, set[str]]]:
     """For each top-level `def`/`class` of `modules`, in definition order:
     ("label:line", name, labels of the `sources` (label -> text, which
-    includes the modules) whose lines name it as a whole word, apart from
-    the name's own definition line).
-
-    The match is textual, so a reference inside a string (a tracer's target
-    table, a test id) counts as a use.
+    includes the modules) whose `words` name it, apart from the name's own
+    definition line).
     """
     seen: dict[str, set[tuple[str, int]]] = {}
     for label, text in sources.items():
-        for lineno, line in enumerate(text.splitlines(), 1):
-            for word in set(re.findall(r"\w+", line)):
-                seen.setdefault(word, set()).add((label, lineno))
+        for word, lineno in words(label, text):
+            seen.setdefault(word, set()).add((label, lineno))
     out = []
     for label in modules:
         for node in ast.parse(sources[label]).body:
@@ -86,14 +102,22 @@ def test_dead_name_detector():
               "def named_in_tests():\n"
               "    pass\n"
               "def used_prefix():\n"
-              "    pass\n")
-    sources = {"mod.py": module,
+              "    pass\n"
+              "def named_in_a_comment():\n"
+              "    pass\n"
+              "# named_in_a_comment is not a use under src/,\n"
+              "x = 'and neither is named_in_a_comment in a string'\n")
+    sources = {"src/mod.py": module,
                "tracer.py": 'TARGETS = (("mod", "named_in_a_string"),)\n',
                "test_mod.py": "from mod import named_in_tests, used\n"
                               "used(1); used_prefix_not()\n"}
-    assert dead_names(sources, ["mod.py"]) == ["mod.py:7: unused_decorated",
-                                              "mod.py:9: Orphan",
-                                              "mod.py:16: used_prefix"]
-    assert names_only_tests_use(sources, ["mod.py"]) == []
+    assert dead_names(sources, ["src/mod.py"]) == ["src/mod.py:7: unused_decorated",
+                                                  "src/mod.py:9: Orphan",
+                                                  "src/mod.py:16: used_prefix",
+                                                  "src/mod.py:18: named_in_a_comment"]
+    assert names_only_tests_use(sources, ["src/mod.py"]) == []
     sources["tests/test_mod.py"] = sources.pop("test_mod.py")
-    assert names_only_tests_use(sources, ["mod.py"]) == ["used", "named_in_tests"]
+    assert names_only_tests_use(sources, ["src/mod.py"]) == ["used", "named_in_tests"]
+    # outside src/ the match stays textual: a comment there is a use
+    sources["bench/notes.py"] = "# named_in_a_comment\n"
+    assert "src/mod.py:18: named_in_a_comment" not in dead_names(sources, ["src/mod.py"])

@@ -202,69 +202,68 @@ def test_gru_finite_for_large_inputs():
 # ---------------------------------------------------------------------------
 
 
+def initial_stats(dim):
+    """Fresh running statistics: mean 0, variance 1."""
+    return np.zeros(dim), np.ones(dim)
+
+
 def test_batch_norm_constant_column_train():
-    stats = dc.BatchNormStats.zeros(3)
     x = dc.constant(np.full((6, 3), 2.5))
     out = dc.batch_norm(x, dc.Param("g", np.ones(3)), dc.Param("b", np.zeros(3)),
-                        stats, "train")
+                        *initial_stats(3), "train")
     np.testing.assert_array_equal(out.value, np.zeros((6, 3)))
 
 
 def test_batch_norm_eval_identity_stats():
-    stats = dc.BatchNormStats.zeros(3, eps=1e-5)
     rng = rng_for(9)
     x = rng.normal(size=(4, 3))
     gamma = rng.normal(size=3)
     beta = rng.normal(size=3)
     out = dc.batch_norm(dc.constant(x), dc.Param("g", gamma), dc.Param("b", beta),
-                        stats, "eval")
+                        *initial_stats(3), "eval", eps=1e-5)
     np.testing.assert_allclose(out.value, x / np.sqrt(1 + 1e-5) * gamma + beta,
                                rtol=0, atol=1e-15)
 
 
 def test_batch_norm_train_statistics():
     # eps small enough that var/(var+eps) sits within 1e-6 of 1
-    stats = dc.BatchNormStats.zeros(4, eps=1e-9)
     x = rng_for(10).normal(size=(50, 4)) * 3.0 + 1.0
     out = dc.batch_norm(dc.constant(x), dc.Param("g", np.ones(4)),
-                        dc.Param("b", np.zeros(4)), stats, "train")
+                        dc.Param("b", np.zeros(4)), *initial_stats(4), "train", eps=1e-9)
     assert np.abs(out.value.mean(axis=0)).max() < 1e-10
     assert np.abs(out.value.var(axis=0) - 1.0).max() < 1e-6
 
 
 def test_batch_norm_single_row_train_falls_back_to_eval():
-    stats = dc.BatchNormStats.zeros(2)
-    stats.running_mean[:] = [1.0, 2.0]
-    stats.running_var[:] = [4.0, 9.0]
-    before = stats.clone()
+    mean, var = np.array([1.0, 2.0]), np.array([4.0, 9.0])
     x = np.array([[3.0, 5.0]])
     out = dc.batch_norm(dc.constant(x), dc.Param("g", np.ones(2)),
-                        dc.Param("b", np.zeros(2)), stats, "train")
-    expected = (x - before.running_mean) / np.sqrt(before.running_var + stats.eps)
+                        dc.Param("b", np.zeros(2)), mean, var, "train")
+    expected = (x - [1.0, 2.0]) / np.sqrt(np.array([4.0, 9.0]) + 1e-5)
     np.testing.assert_allclose(out.value, expected, rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(stats.running_mean, before.running_mean)
+    np.testing.assert_array_equal(mean, [1.0, 2.0])
+    np.testing.assert_array_equal(var, [4.0, 9.0])
 
 
 def test_batch_norm_updates_running_stats():
-    stats = dc.BatchNormStats.zeros(1, momentum=0.5)
+    mean, var = initial_stats(1)
     x = np.array([[0.0], [2.0]])  # mean 1, biased var 1, unbiased var 2
     dc.batch_norm(dc.constant(x), dc.Param("g", np.ones(1)),
-                  dc.Param("b", np.zeros(1)), stats, "train")
-    assert stats.running_mean[0] == pytest.approx(0.5)
-    assert stats.running_var[0] == pytest.approx(0.5 * 1.0 + 0.5 * 2.0)
+                  dc.Param("b", np.zeros(1)), mean, var, "train", momentum=0.5)
+    assert mean[0] == pytest.approx(0.5)
+    assert var[0] == pytest.approx(0.5 * 1.0 + 0.5 * 2.0)
 
 
 def test_batch_norm_eval_deterministic_and_stateless():
-    stats = dc.BatchNormStats.zeros(3)
-    clone = stats.clone()
+    mean, var = initial_stats(3)
     x = rng_for(11).normal(size=(5, 3))
     g = dc.Param("g", np.ones(3))
     b = dc.Param("b", np.zeros(3))
-    out1 = dc.batch_norm(dc.constant(x), g, b, stats, "eval")
-    out2 = dc.batch_norm(dc.constant(x), g, b, stats, "eval")
+    out1 = dc.batch_norm(dc.constant(x), g, b, mean, var, "eval")
+    out2 = dc.batch_norm(dc.constant(x), g, b, mean, var, "eval")
     np.testing.assert_array_equal(out1.value, out2.value)
-    np.testing.assert_array_equal(stats.running_mean, clone.running_mean)
-    np.testing.assert_array_equal(stats.running_var, clone.running_var)
+    np.testing.assert_array_equal(mean, np.zeros(3))
+    np.testing.assert_array_equal(var, np.ones(3))
 
 
 def test_batch_norm_gradient_both_modes():
@@ -272,19 +271,17 @@ def test_batch_norm_gradient_both_modes():
     # columns sum to zero), so weight the entries to get nonzero gradients
     rng = rng_for(12)
     for mode in ("train", "eval"):
-        stats = dc.BatchNormStats.zeros(3)
-        stats.running_mean[:] = rng.normal(size=3)
-        stats.running_var[:] = rng.uniform(0.5, 2.0, size=3)
+        frozen_mean = rng.normal(size=3)
+        frozen_var = rng.uniform(0.5, 2.0, size=3)
         x = dc.Param("x", rng.normal(size=(6, 3)))
         g = dc.Param("g", rng.normal(size=3))
         b = dc.Param("b", rng.normal(size=3))
         weights = dc.constant(rng.normal(size=(6, 3)))
-        frozen = stats.clone()
 
         def f():
             # keep running stats fixed so repeated calls see the same function
-            s = frozen.clone()
-            return dc.mean_all(dc.mul(dc.batch_norm(x, g, b, s, mode), weights))
+            out = dc.batch_norm(x, g, b, frozen_mean.copy(), frozen_var.copy(), mode)
+            return dc.mean_all(dc.mul(out, weights))
 
         err = dc.grad_check(f, [x, g, b])
         assert err < 1e-4, mode
@@ -656,7 +653,6 @@ def test_property_random_instances_gradients():
             dst = rng.integers(0, n, size=2 * n)
             err = dc.grad_check(lambda: dc.mean_all(dc.aggregate(m, dst, n, mode)), [m])
         else:
-            stats = dc.BatchNormStats.zeros(d_in)
             rows = max(n, 2)
             x = dc.Param("x", rng.normal(size=(rows, d_in)))
             g = dc.Param("g", rng.normal(size=d_in))
@@ -665,7 +661,7 @@ def test_property_random_instances_gradients():
 
             def f():
                 return dc.mean_all(
-                    dc.mul(dc.batch_norm(x, g, b, stats.clone(), "train"), weights)
+                    dc.mul(dc.batch_norm(x, g, b, *initial_stats(d_in), "train"), weights)
                 )
 
             err = dc.grad_check(f, [x, g, b])
@@ -690,6 +686,18 @@ def test_paramset_roundtrip_and_clone():
     state = ps.state_dict()
     clone.load_state_dict(state)
     np.testing.assert_array_equal(clone["a.w"].value, ps["a.w"].value)
+
+
+def test_paramset_non_trainable_entries_get_no_grad():
+    ps = dc.ParamSet()
+    w = ps.new("w", np.ones((2, 3)))
+    stat = ps.new("stat", np.zeros(3), trainable=False)
+    assert w.requires_grad and not stat.requires_grad
+    assert ps.n_elements() == 9 and ps.n_elements(trainable_only=True) == 6
+    assert [p.requires_grad for p in ps.clone()] == [True, False]
+    dc.backward(dc.mean_all(dc.add(w, stat)))
+    assert stat.grad is None
+    np.testing.assert_array_equal(w.grad, np.full((2, 3), 1 / 6))
 
 
 def test_checkpoint_bit_exact_roundtrip(tmp_path):

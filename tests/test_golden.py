@@ -341,8 +341,8 @@ def test_float32_forward_matches_float64(synth_graph, update):
     state = forward(synth_graph[0], state, model).state
 
     model32 = init_model(replace(cfg, dtype="float32"), np.random.default_rng(0))
-    model32.load_state_arrays({k: v.astype(np.float32)
-                               for k, v in model.state_arrays().items()})
+    model32.params.load_state_dict({k: v.astype(np.float32)
+                                    for k, v in model.params.state_dict().items()})
     out64 = forward(synth_graph[1], state, model)
     out32 = forward(synth_graph[1], state, model32)
     assert_close_in_float32(out32.top_repr, out64.top_repr)

@@ -93,7 +93,7 @@ def test_eval_forward_on_an_empty_first_snapshot_is_pure(monkeypatch):
         layer[:] = rng.normal(size=layer.shape)
     layers = [m.copy() for m in state.layers]
     history = state.history.copy()
-    arrays = model.state_arrays()  # parameters and batch-norm statistics
+    arrays = model.params.state_dict()  # parameters and batch-norm statistics
 
     empty = make_snapshot(6, [], [])
     kappas = spy_keep_ratio(monkeypatch)
@@ -102,7 +102,7 @@ def test_eval_forward_on_an_empty_first_snapshot_is_pure(monkeypatch):
 
     assert all(a.tobytes() == b.tobytes() for a, b in zip(state.layers, layers))
     assert state.history.tobytes() == history.tobytes()
-    after = model.state_arrays()
+    after = model.params.state_dict()
     assert after.keys() == arrays.keys()
     assert all(after[k].tobytes() == arrays[k].tobytes() for k in arrays)
     assert first.top_repr.tobytes() == second.top_repr.tobytes()
@@ -547,6 +547,13 @@ def test_checkpoint_roundtrip_reproduces_forward(tmp_path):
     md.save_checkpoint(path, model, state)
     model2, state2 = md.load_checkpoint(path)
 
+    # one ParamSet, saved under the entry names: running statistics included
+    with np.load(path) as data:
+        assert {"arr:mp.0.running_mean", "arr:mp.1.running_var"} <= set(data.files)
+    assert model2.params.names() == model.params.names()
+    for p in model.params:
+        assert model2.params[p.name].requires_grad == p.requires_grad, p.name
+        assert model2.params[p.name].value.tobytes() == p.value.tobytes(), p.name
     pairs = [(0, 1), (2, 5), (4, 3)]
     r1 = md.forward(snap, state, model, pairs=pairs)
     r2 = md.forward(snap, state2, model2, pairs=pairs)

@@ -181,9 +181,8 @@ def test_fine_tune_keeps_the_model_dtype(monkeypatch, update, dtype):
     model = toy_model(update=update, hidden=4, seed=5, dtype=dtype)
     cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=3, patience=3)
     result, snap, state = run_fine_tune(model, cfg=cfg)
-    meta = tr.meta_update(tr.MetaParams(toy_model(update=update, hidden=4, seed=6,
-                                                  dtype=dtype), alpha=0.5),
-                          result.model)
+    meta = tr.meta_update(toy_model(update=update, hidden=4, seed=6, dtype=dtype),
+                          result.model, 0.5)
     scorer = PairScorer(forward(snap, state, result.model).top_repr,
                         result.model)
     (opt,) = optimizers
@@ -191,16 +190,34 @@ def test_fine_tune_keeps_the_model_dtype(monkeypatch, update, dtype):
     checked = [("state", layer) for layer in result.state.layers]
     checked += [("scorer.a", scorer.a), ("scorer.b", scorer.b),
                 ("scores", scorer.scores_against(0, np.arange(5)))]
-    for owner in (result.model, meta.model):
+    for owner in (result.model, meta):
         checked += [(p.name, p.value) for p in owner.params]
-        checked += [(f"bn:{key}", stat) for key, stats in owner.bn_stats.items()
-                    for stat in (stats.running_mean, stats.running_var)]
     checked += [(f"{kind}:{p.name}", value) for p in result.model.params
+                if p.requires_grad
                 for kind, value in (("grad", p.grad), ("m", opt.m[p.name]),
                                     ("v", opt.v[p.name]))]
-    assert any(name.startswith("bn:") for name, _ in checked)
+    assert any(name.endswith(".running_var") for name, _ in checked)
     for name, value in checked:
         assert value.dtype == np.dtype(dtype), name
+
+
+def test_adam_never_touches_a_running_statistic():
+    model = toy_model(update="gru", hidden=4, seed=8)
+    opt = tr.Adam(model.params, lr=0.05)
+    trainable = {p.name for p in model.params if p.requires_grad}
+    assert set(opt.m) == set(opt.v) == trainable
+    assert trainable < set(model.params.names())  # the running statistics
+    result = forward(learnable_snapshot(), fresh_state(model, 5), model,
+                     pairs=np.array([[0, 1], [2, 4]]), mode="train")
+    stats = {p.name: p.value.copy() for p in model.params if not p.requires_grad}
+    before = model.params.state_dict()
+    dc.backward(dc.bce_with_logits(result.scores, np.array([[1.0], [0.0]])))
+    opt.step()
+    for name, value in stats.items():
+        assert model.params[name].grad is None, name
+        assert model.params[name].value.tobytes() == value.tobytes(), name
+    moved = {p.name for p in model.params if (p.value != before[p.name]).any()}
+    assert moved == {p.name for p in model.params if p.grad is not None and p.grad.any()}
 
 
 def test_fine_tune_trains_when_a_source_has_no_negatives():
@@ -231,60 +248,58 @@ def test_fine_tune_skip_labels_rejected():
 
 
 def test_meta_alpha_one_copies_trained():
-    meta = tr.MetaParams(toy_model(seed=1), alpha=1.0)
     trained = toy_model(seed=2)
-    tr.meta_update(meta, trained)
+    meta = tr.meta_update(toy_model(seed=1), trained, 1.0)
     for name in trained.params.names():
-        np.testing.assert_array_equal(meta.model.params[name].value,
+        np.testing.assert_array_equal(meta.params[name].value,
                                       trained.params[name].value)
     # it is a copy, not a reference
     trained.params["head.w1"].value[0, 0] += 1.0
-    assert meta.model.params["head.w1"].value[0, 0] != \
+    assert meta.params["head.w1"].value[0, 0] != \
         trained.params["head.w1"].value[0, 0]
 
 
 def test_meta_alpha_zero_is_identity():
-    meta = tr.MetaParams(toy_model(seed=1), alpha=0.0)
-    before = meta.model.params.state_dict()
-    tr.meta_update(meta, toy_model(seed=2))
+    meta = toy_model(seed=1)
+    before = meta.params.state_dict()
+    assert tr.meta_update(meta, toy_model(seed=2), 0.0) is meta
     for name, value in before.items():
-        np.testing.assert_array_equal(meta.model.params[name].value, value)
+        np.testing.assert_array_equal(meta.params[name].value, value)
 
 
 def test_meta_blend_scalar_arithmetic():
-    meta = tr.MetaParams(toy_model(seed=1), alpha=0.5)
+    meta = toy_model(seed=1)
     trained = toy_model(seed=1)
-    for p in meta.model.params:
+    for p in meta.params:
         p.value[:] = 0.0
     for p in trained.params:
         p.value[:] = 2.0
-    tr.meta_update(meta, trained)
-    for p in meta.model.params:
+    assert tr.meta_update(meta, trained, 0.5) is meta
+    for p in meta.params:
         np.testing.assert_array_equal(p.value, np.ones_like(p.value))
 
 
 def test_meta_blends_batch_norm_running_stats():
-    meta = tr.MetaParams(toy_model(seed=1), alpha=0.25)
+    meta = toy_model(seed=1)
     trained = toy_model(seed=1)
-    meta.model.bn_stats["mp.0"].running_mean[:] = 0.0
-    trained.bn_stats["mp.0"].running_mean[:] = 4.0
-    meta.model.bn_stats["mp.0"].running_var[:] = 1.0
-    trained.bn_stats["mp.0"].running_var[:] = 5.0
-    tr.meta_update(meta, trained)
-    np.testing.assert_allclose(meta.model.bn_stats["mp.0"].running_mean, 1.0)
-    np.testing.assert_allclose(meta.model.bn_stats["mp.0"].running_var, 2.0)
+    meta.params["mp.0.running_mean"].value[:] = 0.0
+    trained.params["mp.0.running_mean"].value[:] = 4.0
+    meta.params["mp.0.running_var"].value[:] = 1.0
+    trained.params["mp.0.running_var"].value[:] = 5.0
+    tr.meta_update(meta, trained, 0.25)
+    np.testing.assert_allclose(meta.params["mp.0.running_mean"].value, 1.0)
+    np.testing.assert_allclose(meta.params["mp.0.running_var"].value, 2.0)
 
 
 def test_meta_alpha_out_of_range():
     with pytest.raises(ConfigError):
-        tr.MetaParams(toy_model(), alpha=1.5)
+        tr.meta_update(toy_model(), toy_model(), 1.5)
 
 
 def test_meta_shape_mismatch():
-    meta = tr.MetaParams(toy_model(hidden=4), alpha=0.5)
     other = toy_model(hidden=3)
     with pytest.raises(ConfigError):
-        tr.meta_update(meta, other)
+        tr.meta_update(toy_model(hidden=4), other, 0.5)
 
 
 # ---------------------------------------------------------------------------
