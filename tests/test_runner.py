@@ -146,7 +146,13 @@ def nan_feature_archive(path):
         np.savez(fh, **arrays)
 
 
-@pytest.mark.parametrize("damage", [truncate_archive, nan_feature_archive])
+def checkpoint_archive(path):
+    """A whole archive of the checkpoint format where the cache should be."""
+    save_checkpoint(path, init_model(ModelConfig(hidden_dim=4), np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("damage", [truncate_archive, nan_feature_archive,
+                                    checkpoint_archive])
 def test_damaged_archive_is_a_cache_miss_and_is_rewritten(tmp_path, monkeypatch, damage):
     path = tmp_path / "edges.csv"
     synthetic.write_edge_file(path, synthetic.generate_edges(
