@@ -9,7 +9,9 @@ scalar-valued composition against central finite differences.
 A model's whole state is one `ParamSet`: the trainable weights and, as
 non-trainable entries, the batch-norm running statistics. A non-trainable
 `Param` never requires grad, so it never enters a graph or gets a `grad`,
-but it is cloned, blended, hashed and saved with the rest.
+but it is cloned, blended, hashed and saved with the rest. This module
+reads and writes no files: `model.save_checkpoint` stores a `ParamSet`'s
+`state_dict()` through `snapshots.save_archive`.
 
 Tape memory follows what the backward still needs. Inside `no_tape()` no
 graph is recorded at all, so a forward that is never differentiated keeps
@@ -26,7 +28,6 @@ Every op keeps the dtype of its inputs. Runs default to float32
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 
 import numpy as np
@@ -380,8 +381,8 @@ def aggregate(messages: Var, dst_index: np.ndarray, n_nodes: int, mode: str) -> 
 
     if mode in ("sum", "mean"):
         out = _scatter_sum(dst_index, messages.value, n_nodes)
-        counts = np.bincount(dst_index, minlength=n_nodes).astype(messages.value.dtype)
         if mode == "mean":
+            counts = np.bincount(dst_index, minlength=n_nodes).astype(messages.value.dtype)
             denom = np.maximum(counts, 1.0)[:, None]
             out = out / denom
 
@@ -436,7 +437,7 @@ def bce_with_logits(scores: Var, labels: np.ndarray) -> Var:
 
 
 # ---------------------------------------------------------------------------
-# Parameter collections and checkpointing
+# Parameter collections
 # ---------------------------------------------------------------------------
 
 
@@ -504,30 +505,6 @@ class ParamSet:
         for name, p in self._params.items():
             out.new(name, p.value.copy(), p.requires_grad)
         return out
-
-
-CHECKPOINT_FORMAT = "snaplink-params-v1"
-
-
-def save_params(path, arrays: dict[str, np.ndarray], extra_meta: dict | None = None) -> None:
-    """Write a named flat map of arrays with a versioned header, bit-exact."""
-    meta = {"format": CHECKPOINT_FORMAT}
-    if extra_meta:
-        meta.update(extra_meta)
-    payload = {"__meta__": np.frombuffer(json.dumps(meta, sort_keys=True).encode(), np.uint8)}
-    for name, arr in arrays.items():
-        payload["arr:" + name] = np.ascontiguousarray(arr)
-    np.savez(path, **payload)
-
-
-def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint written by `save_params`; returns (arrays, meta)."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")
-        arrays = {k[4:]: data[k].copy() for k in data.files if k.startswith("arr:")}
-    return arrays, meta
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import diffcore as dc
 from .errors import BoundsError, ConfigError, DimensionError
-from .snapshots import (EDGE_FEATURE_DIM, NODE_FEATURE_DIM, GraphSnapshot, npz_path,
-                        replacing)
+from .snapshots import (EDGE_FEATURE_DIM, NODE_FEATURE_DIM, GraphSnapshot, load_archive,
+                        save_archive)
 
 UPDATE_KINDS = ("moving_average", "mlp", "gru")
 
@@ -380,13 +380,16 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
 # Checkpointing
 # ---------------------------------------------------------------------------
 
+CHECKPOINT_FORMAT = "snaplink-params-v1"
+
 
 def save_checkpoint(path, model: ModelParams,
                     state: HierarchicalNodeState | None = None) -> None:
     """Model checkpoint: every parameter (running statistics included) +
-    config + carried state.
+    config + carried state, as a `CHECKPOINT_FORMAT` archive of entries named
+    "arr:" + the parameter or state name, each C-contiguous and at least 1-d.
 
-    Written through `snapshots.replacing`, so a crash mid-write keeps the
+    Written through `snapshots.save_archive`, so a crash mid-write keeps the
     previous checkpoint. As with `np.savez`, ".npz" is appended to a path
     without it."""
     arrays = model.params.state_dict()
@@ -396,13 +399,14 @@ def save_checkpoint(path, model: ModelParams,
         for i, layer in enumerate(state.layers):
             arrays[f"hstate:{i}"] = layer
         arrays["hstate:history"] = state.history
-    with replacing(npz_path(path)) as tmp, open(tmp, "wb") as fh:
-        dc.save_params(fh, arrays, meta)
+    save_archive(path, CHECKPOINT_FORMAT,
+                 {"arr:" + k: np.ascontiguousarray(v) for k, v in arrays.items()}, meta)
 
 
 def load_checkpoint(path):
     """Returns (model, state_or_None)."""
-    arrays, meta = dc.load_params(path)
+    entries, meta = load_archive(path, CHECKPOINT_FORMAT)
+    arrays = {k[4:]: v for k, v in entries.items() if k.startswith("arr:")}
     cfg = ModelConfig(**meta["config"])
     state = None
     if "state_step" in meta:

@@ -13,7 +13,6 @@ import itertools
 import json
 import os
 import time
-import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -24,17 +23,11 @@ from . import evaluate as ev
 from .config import ExperimentConfig
 from .errors import SnaplinkError
 from .model import save_checkpoint
-from .snapshots import (EdgeSchema, cache_key, file_fingerprint, load_edge_list,
-                        load_snapshot_cache, partition_snapshots, replacing,
-                        save_snapshot_cache, temp_path, v1_cache_key)
+from .snapshots import (DAMAGED_ARCHIVE_ERRORS, EdgeSchema, cache_key, file_fingerprint,
+                        load_edge_list, load_snapshot_cache, partition_snapshots,
+                        replacing, save_snapshot_cache, temp_path, v1_cache_key)
 
 STEP_SCHEMA = {"schema_version": ev.REPORT_SCHEMA_VERSION}
-
-# what `load_snapshot_cache` raises on a damaged archive: a cut or corrupt
-# zip (BadZipFile, EOFError, an unknown compression method), a missing entry
-# (KeyError), or arrays and meta that `DynamicGraph` rejects (ValueError)
-DAMAGED_ARCHIVE_ERRORS = (zipfile.BadZipFile, EOFError, NotImplementedError,
-                          KeyError, ValueError)
 
 
 def resolve_run_root(cfg: ExperimentConfig) -> Path:
@@ -96,14 +89,7 @@ def _keep_freed_heap() -> None:
 
 
 def run_is_complete(run_dir: Path, fingerprint: str) -> bool:
-    report = run_dir / "report.json"
-    if not report.exists():
-        return False
-    try:
-        data = json.loads(report.read_text())
-    except json.JSONDecodeError:
-        return False
-    return data.get("fingerprint") == fingerprint
+    return (_read_run(run_dir) or {}).get("fingerprint") == fingerprint
 
 
 def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:

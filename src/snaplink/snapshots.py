@@ -10,6 +10,10 @@ offsets (a time-CSR layout). Partitioning, the snapshot cache and the
 snapshots themselves all share that layout, and `DynamicGraph` alone checks
 it and slices it into windows.
 
+This module also owns the one archive format of the snapshot cache and of
+`model`'s checkpoints: an uncompressed `.npz` whose JSON `__meta__` entry
+holds a `format` tag, written atomically (`save_archive`, `load_archive`).
+
 All functions are pure over their inputs and take explicit generators, so
 identical (file, schema, frequency, seed) reproduce identical outputs.
 """
@@ -21,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import zipfile
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -571,10 +576,62 @@ def sample_training_negatives(labels: LabelSet, n_nodes: int,
 
 
 # ---------------------------------------------------------------------------
-# Snapshot cache
+# Archives: the snapshot cache, and the model checkpoints of `model.py`
 # ---------------------------------------------------------------------------
 
+# what `load_archive`, and a loader over it, raise on a damaged archive: a cut
+# or corrupt zip (BadZipFile, EOFError, an unknown compression method), a missing
+# entry (KeyError), or a wrong format tag, meta or arrays (ValueError)
+DAMAGED_ARCHIVE_ERRORS = (zipfile.BadZipFile, EOFError, NotImplementedError,
+                          KeyError, ValueError)
+
 CACHE_FORMAT = "snaplink-snapshots-v2"
+CACHE_ARRAYS = ("offsets", "src", "dst", "edge_features")
+
+
+def save_archive(path, fmt: str, arrays: dict[str, np.ndarray], meta: dict) -> None:
+    """Write `arrays` bit-exactly as one uncompressed .npz, plus a `__meta__`
+    entry: `meta` and `"format": fmt` as sorted-key JSON. The write goes
+    through `replacing`, so a reader sees the old file or the whole new one.
+    As with `np.savez`, ".npz" is appended to a path without it."""
+    path = Path(path)
+    if not path.name.endswith(".npz"):
+        path = path.with_name(path.name + ".npz")
+    header = json.dumps({**meta, "format": fmt}, sort_keys=True).encode()
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
+        np.savez(fh, __meta__=np.frombuffer(header, np.uint8), **arrays)
+
+
+def load_archive(path, fmt: str) -> tuple[dict[str, np.ndarray], dict]:
+    """Read an archive written by `save_archive`: (arrays but `__meta__`,
+    meta). A format tag other than `fmt` raises ValueError; see
+    `DAMAGED_ARCHIVE_ERRORS` for what else a damaged archive raises."""
+    with np.load(path) as data:
+        meta = json.loads(bytes(data["__meta__"]).decode())
+        if meta.get("format") != fmt:
+            raise ValueError(f"archive format {meta.get('format')!r}, expected {fmt!r}")
+        arrays = {k: data[k] for k in data.files if k != "__meta__"}
+    return arrays, meta
+
+
+def temp_path(path: Path) -> Path:
+    """A hidden, per-process temporary name next to `path`, so concurrent
+    writers of the same file never share one."""
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
+@contextmanager
+def replacing(path: Path):
+    """Yield `temp_path(path)` to write; when the body returns, move it onto
+    `path` with `os.replace`, and when it raises, remove it. A reader of
+    `path` sees the old file or the whole new one, never a torn write."""
+    tmp = temp_path(path)
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cache_key(source_fingerprint: str, frequency: str | int | float,
@@ -598,67 +655,23 @@ def _key_stem(prefix, source_fingerprint, frequency, schema) -> str:
 
 
 def save_snapshot_cache(path, g: DynamicGraph) -> None:
-    """Persist a DynamicGraph as one uncompressed .npz: its time-CSR arrays
-    (`offsets`, `src`, `dst`, `edge_features`) as they are, and a JSON meta
-    entry holding the scalars and the window bounds.
-
-    Node features are not stored; `DynamicGraph` derives them from the
-    edges. The archive is written through `replacing`, so a reader that sees
-    `path` sees a whole file. As with `np.savez`, ".npz" is appended to a
-    path without it.
-    """
-    meta = {
-        "format": CACHE_FORMAT,
-        "period_seconds": g.period_seconds,
-        "node_count": g.node_count,
-        "frequency": g.frequency,
-        "source_fingerprint": g.source_fingerprint,
-        "n_snapshots": len(g),
-        "windows": [list(s.window) for s in g.snapshots],
-    }
-    arrays = {"__meta__": np.frombuffer(json.dumps(meta).encode(), np.uint8),
-              "offsets": g.offsets, "src": g.src, "dst": g.dst,
-              "edge_features": g.edge_features}
-    with replacing(npz_path(path)) as tmp, open(tmp, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def npz_path(path) -> Path:
-    """`path` with ".npz" appended when it lacks it, as `np.savez` names files."""
-    path = Path(path)
-    return path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
-
-
-def temp_path(path: Path) -> Path:
-    """A hidden, per-process temporary name next to `path`, so concurrent
-    writers of the same file never share one."""
-    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
-
-
-@contextmanager
-def replacing(path: Path):
-    """Yield `temp_path(path)` to write; when the body returns, move it onto
-    `path` with `os.replace`, and when it raises, remove it. A reader of
-    `path` sees the old file or the whole new one, never a torn write."""
-    tmp = temp_path(path)
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Persist a DynamicGraph as a `CACHE_FORMAT` archive: its time-CSR
+    arrays (`CACHE_ARRAYS`) as they are, and the scalars and the window
+    bounds in the meta. Node features are not stored; `DynamicGraph`
+    derives them from the edges."""
+    meta = {"period_seconds": g.period_seconds, "node_count": g.node_count,
+            "frequency": g.frequency, "source_fingerprint": g.source_fingerprint,
+            "n_snapshots": len(g), "windows": [list(s.window) for s in g.snapshots]}
+    save_archive(path, CACHE_FORMAT, {k: getattr(g, k) for k in CACHE_ARRAYS}, meta)
 
 
 def load_snapshot_cache(path) -> DynamicGraph:
     """Read an archive written by `save_snapshot_cache` into a DynamicGraph,
     which checks the arrays (a damaged archive raises ValueError) and
-    rebuilds the node features. Windows start at the first stored window."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("format") != CACHE_FORMAT:
-            raise ValueError(f"unsupported cache format {meta.get('format')!r}")
-        arrays = {k: data[k] for k in ("offsets", "src", "dst", "edge_features")}
-    return DynamicGraph(**arrays, start=meta["windows"][0][0],
+    rebuilds the node features. Windows start at the first stored window.
+    A missing entry of `CACHE_ARRAYS` raises KeyError; others are ignored."""
+    arrays, meta = load_archive(path, CACHE_FORMAT)
+    return DynamicGraph(*(arrays[k] for k in CACHE_ARRAYS), start=meta["windows"][0][0],
                         period_seconds=meta["period_seconds"],
                         node_count=meta["node_count"], frequency=meta["frequency"],
                         source_fingerprint=meta["source_fingerprint"])

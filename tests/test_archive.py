@@ -1,11 +1,16 @@
 """The on-disk archives: a model checkpoint and the snapshot cache.
 
+Both go through `snapshots.save_archive` / `load_archive`, which round-trip
+arrays bit-exactly; and only `snapshots.py` calls numpy's archive I/O.
 Their entry names and format tags are pinned, an archive written by hand
 in that layout loads bit-exactly, and neither loader accepts the other's
 archive."""
 
+import io
 import json
+import tokenize
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +84,76 @@ def assert_same_cached_graph(a, b):
 
 
 # ---------------------------------------------------------------------------
+# the archive helpers
+# ---------------------------------------------------------------------------
+
+
+def test_checkpoint_bit_exact_roundtrip(tmp_path):
+    rng = np.random.default_rng(20)
+    arrays = {
+        "layer.w": rng.normal(size=(4, 7)),
+        "layer.b": rng.normal(size=4) * 1e-300,  # subnormal-scale values survive
+        "odd/name:1": rng.normal(size=(2, 2, 2)),
+    }
+    path = tmp_path / "ck.npz"
+    sn.save_archive(path, "test-format", arrays, {"note": "test"})
+    loaded, meta = sn.load_archive(path, "test-format")
+    assert meta == {"format": "test-format", "note": "test"}
+    assert set(loaded) == set(arrays)
+    for k in arrays:
+        assert loaded[k].dtype == arrays[k].dtype
+        assert np.array_equal(
+            loaded[k].view(np.uint64), arrays[k].view(np.uint64)
+        ), f"{k} not bit-exact"
+    with pytest.raises(ValueError, match="test-format"):
+        sn.load_archive(path, "other-format")
+    # like np.savez, a name without the suffix gains ".npz"
+    sn.save_archive(tmp_path / "bare", "test-format", arrays, {})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.npz", "ck.npz"]
+
+
+ARCHIVE_CALLS = {"savez", "savez_compressed", "load"}
+
+
+def archive_calls(text: str) -> list[int]:
+    """Lines of `text` whose code calls `np.savez`, `np.savez_compressed` or
+    `np.load` (also spelled `numpy.`), or imports one of them from numpy.
+    Tokens, not text: a comment or a string naming one is not a call."""
+    toks = [t for t in tokenize.generate_tokens(io.StringIO(text).readline)
+            if t.type in (tokenize.NAME, tokenize.OP)]
+    lines = []
+    for i, tok in enumerate(toks):
+        if tok.string not in ARCHIVE_CALLS or i < 2:
+            continue
+        if toks[i - 1].string == "." and toks[i - 2].string in ("np", "numpy"):
+            lines.append(tok.start[0])
+        elif tok.string != "load" and toks[i - 1].string in ("import", ",", "("):
+            lines.append(tok.start[0])
+    return lines
+
+
+def test_only_snapshots_calls_numpy_archive_io():
+    package = Path(__file__).resolve().parents[1] / "src" / "snaplink"
+    found = {p.name: archive_calls(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert found.pop("snapshots.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_archive_call_detector():
+    text = ("import numpy as np\n"
+            "from numpy import savez_compressed\n"
+            "np.savez(fh, **arrays)\n"
+            "with np.load(path) as data:\n"
+            "    pass\n"
+            "numpy.savez_compressed(fh)\n"
+            "# np.load in a comment\n"
+            "x = 'np.savez in a string'\n"
+            "json.load(fh)\n"
+            "model.load(path)\n")
+    assert archive_calls(text) == [2, 3, 4, 6]
+
+
+# ---------------------------------------------------------------------------
 # the pinned layouts
 # ---------------------------------------------------------------------------
 
@@ -93,6 +168,10 @@ def test_checkpoint_entries_and_format_are_pinned(tmp_path):
     meta = meta_of(path)
     assert meta == {"format": "snaplink-params-v1", "config": asdict(model.config),
                     "state_step": 3}
+    with np.load(path) as data:
+        # every entry C-contiguous, and at least 1-d: a scalar history too
+        assert data["arr:hstate:history"].shape == (1,)
+        assert all(data[k].flags.c_contiguous for k in data.files)
     # without a state the archive holds only the parameters
     md.save_checkpoint(tmp_path / "bare.npz", model)
     assert entries_of(tmp_path / "bare.npz") == (
@@ -118,7 +197,7 @@ def test_a_checkpoint_written_by_hand_loads_bit_exactly(tmp_path):
             "state_step": state.step}
     arrays = {f"arr:{name}": value for name, value in model.params.state_dict().items()}
     arrays.update({f"arr:hstate:{i}": layer for i, layer in enumerate(state.layers)})
-    arrays["arr:hstate:history"] = state.history
+    arrays["arr:hstate:history"] = state.history.reshape(1)
     path = tmp_path / "model.npz"
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
                                           np.uint8), **arrays)

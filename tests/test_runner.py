@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from snaplink import diffcore as dc
 from snaplink import evaluate as ev
 from snaplink import runner, synthetic
 from snaplink.config import ExperimentConfig, load_config
@@ -298,11 +297,11 @@ def test_a_write_that_fails_part_way_keeps_the_old_file(tmp_path, monkeypatch, t
         model = init_model(ModelConfig(hidden_dim=4), np.random.default_rng(0))
         save_checkpoint(path, model)
 
-        def torn(fh, arrays, meta):
+        def torn(fh, **arrays):
             fh.write(b"PK\x03\x04")  # the head of a zip archive, then the disk fills
             raise OSError("No space left on device")
 
-        monkeypatch.setattr(dc, "save_params", torn)
+        monkeypatch.setattr(np, "savez", torn)
         write, error = (lambda: save_checkpoint(path, model)), OSError
     else:
         path = tmp_path / "report.json"
