@@ -43,6 +43,12 @@ def mrr(top_repr: np.ndarray, labels: LabelSet, model: ModelParams) -> float:
     the positive: rank = 1 + #(negatives scoring higher) + #(negatives
     scoring equal), so a constant model earns 1/(k+1) rather than a free
     win. A positive whose source has no negatives ranks first.
+
+    A source's positives and negatives are scored in one `scores_against`
+    call. The head computes relu(a[u] + b[v]) . w2 + b2 as
+    max(b[v], -a[u]) . w2 + (a[u] . w2 + b2) and is row-stable, so a
+    negative whose representation row equals the positive's scores bitwise
+    equal and ties: the tie rule holds by construction.
     """
     if labels.skip or labels.positives.shape[0] == 0:
         raise EmptyInputError(f"step {labels.step}: no positives to evaluate")
@@ -56,7 +62,8 @@ def mrr(top_repr: np.ndarray, labels: LabelSet, model: ModelParams) -> float:
         hi = starts[i + 1] if i + 1 < len(srcs) else n_pos
         dsts = positives[starts[i]:hi, 1]
         negs = labels.eval_negatives[int(src)]
-        pos_scores = scorer.scores_against(int(src), dsts)
+        scores = scorer.scores_against(int(src), np.concatenate([dsts, negs]))
+        pos_scores, neg_scores = scores[:len(dsts)], scores[len(dsts):]
         if not np.isfinite(pos_scores).all():
             raise NumericError(f"non-finite positive score at step {labels.step}")
         if negs.size == 0:
@@ -64,7 +71,6 @@ def mrr(top_repr: np.ndarray, labels: LabelSet, model: ModelParams) -> float:
             total += float(len(dsts))
             count += len(dsts)
             continue
-        neg_scores = scorer.scores_against(int(src), negs)
         if not np.isfinite(neg_scores).all():
             raise NumericError(f"non-finite negative score at step {labels.step}")
         # scores are finite here, so >= is exactly "higher or tied"

@@ -8,6 +8,12 @@ pairs. All per-layer states are carried across time, not just the top one.
 The carried state, `HierarchicalNodeState`, also holds the history: the edge
 counts already folded in, which set the moving-average keep ratio.
 
+Ranking scores many candidates per source through `PairScorer`, which uses
+the identity relu(x + y) . w = max(x, -y) . w + y . w to score a source's
+candidates with one gather, one max and one row-wise dot. That scoring is
+row-stable, so equal representation rows get equal scores and tie; the
+training head, `_scores_var`, computes relu(x + y) . w directly on the tape.
+
 A forward pass consumes exactly one snapshot plus the previous state and
 returns the next state without mutating its inputs, so nothing later than
 the current snapshot can influence a prediction.
@@ -266,9 +272,21 @@ def update_state(h_prev: dc.Var, h_tilde: dc.Var, kind: str,
 class PairScorer:
     """Scores (src, dst) pairs against fixed node representations.
 
-    The first head layer is split into source and destination slabs so the
-    per-node projections are computed once; scoring a pair is then a fused
-    add + ReLU + dot. Raw (pre-sigmoid) scores.
+    The first head layer is split into source and destination slabs, so with
+    a = top @ w1_src.T and b = top @ w1_dst.T + b1 (b1 folded in) the score is
+    relu(a[u] + b[v]) . w2 + b2. The identity relu(x + y) = max(x, -y) + y
+    turns it into
+
+        max(b[v], -a[u]) . w2 + (a[u] . w2 + b2),
+
+    whose second term is one number per source, computed once per scorer
+    with `-a`. Scoring a source's candidates is then one gather, one max and
+    one row-wise dot. Raw (pre-sigmoid) scores.
+
+    Scoring is row-stable: `einsum` computes each row's dot product on its
+    own, so a candidate's score does not depend on the block it is scored in
+    or its place there. Equal representation rows therefore get bitwise
+    equal scores and tie.
     """
 
     def __init__(self, top_repr: np.ndarray, model: ModelParams):
@@ -277,28 +295,28 @@ class PairScorer:
             raise DimensionError(
                 f"representation width {top_repr.shape} != hidden dim {d}")
         w1 = model.params["head.w1"].value
-        self.a = top_repr @ w1[:, :d].T
-        self.b = top_repr @ w1[:, d:].T
-        self.b1 = model.params["head.b1"].value
-        self.w2 = model.params["head.w2"].value.ravel()
-        self.b2 = float(model.params["head.b2"].value[0])
+        w2 = model.params["head.w2"].value.ravel()
+        a = top_repr @ w1[:, :d].T
+        self.b = top_repr @ w1[:, d:].T + model.params["head.b1"].value
+        self.neg_a = -a
+        self.a_dot = a @ w2 + model.params["head.b2"].value
+        self.w2 = w2
         self.n_nodes = top_repr.shape[0]
 
     def scores_against(self, src: int, dsts: np.ndarray) -> np.ndarray:
         """Scores of (src, dst) for every candidate dst of one source.
 
         Builds a single (len(dsts), d) temporary: `np.take` always copies, so
-        the in-place adds never write into `self.b`.
+        the in-place max never writes into `self.b`. Score i depends only on
+        (src, dsts[i]), bit for bit.
         """
         dsts = np.asarray(dsts)
         if not 0 <= src < self.n_nodes or (
                 dsts.size and (dsts.min() < 0 or dsts.max() >= self.n_nodes)):
             raise BoundsError(f"pair id out of range [0, {self.n_nodes})")
         hidden = np.take(self.b, dsts, axis=0)
-        hidden += self.a[src]
-        hidden += self.b1
-        np.maximum(hidden, 0.0, out=hidden)
-        return hidden @ self.w2 + self.b2
+        np.maximum(hidden, self.neg_a[src], out=hidden)
+        return np.einsum("ij,j->i", hidden, self.w2) + self.a_dot[src]
 
 
 def _scores_var(top: dc.Var, pairs: np.ndarray, model: ModelParams) -> dc.Var:

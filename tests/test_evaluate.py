@@ -19,16 +19,20 @@ from snaplink.snapshots import LabelSet
 
 
 def reference_mrr(top_repr, labels, model):
-    """The per-positive loop over a four-temporary head that mrr replaced."""
+    """The per-positive loop that mrr replaced, scoring every pair as a
+    one-row block of the head relu(a + b) . w2 + b2 in its max form,
+    max(b, -a) . w2 + (a . w2 + b2)."""
     d = model.config.hidden_dim
     w1 = model.params["head.w1"].value
-    a, b = top_repr @ w1[:, :d].T, top_repr @ w1[:, d:].T
-    b1 = model.params["head.b1"].value
     w2 = model.params["head.w2"].value.ravel()
-    b2 = float(model.params["head.b2"].value[0])
+    a = top_repr @ w1[:, :d].T
+    b = top_repr @ w1[:, d:].T + model.params["head.b1"].value
+    a_dot = a @ w2 + model.params["head.b2"].value
 
     def head(src, dsts):
-        return np.maximum(a[src] + b[dsts] + b1, 0.0) @ w2 + b2
+        return np.array([
+            (np.einsum("ij,j->i", np.maximum(b[v:v + 1], -a[src]), w2) + a_dot[src])[0]
+            for v in dsts])
 
     positives = labels.positives
     srcs, starts = np.unique(positives[:, 0], return_index=True)
@@ -100,7 +104,7 @@ def test_mrr_source_without_negatives_ranks_first():
     assert ev.mrr(reps, labels, model) == (1.0 + 1.0 + 1.0 / 4) / 3
 
 
-def test_mrr_scores_each_source_once_for_positives_and_once_for_negatives(monkeypatch):
+def test_mrr_scores_each_source_in_one_call(monkeypatch):
     rng = np.random.default_rng(8)
     model = toy_model(update="moving_average", hidden=4, seed=8)
     labels = random_labels(rng, 40, 100, k=10, empty_sources=2)
@@ -108,24 +112,53 @@ def test_mrr_scores_each_source_once_for_positives_and_once_for_negatives(monkey
     real = md.PairScorer.scores_against
 
     def counting(self, src, dsts):
-        calls.append(src)
+        calls.append((src, dsts.tolist()))
         return real(self, src, dsts)
 
     monkeypatch.setattr(md.PairScorer, "scores_against", counting)
     ev.mrr(rng.normal(size=(40, 4)), labels, model)
-    n_src = len(labels.eval_negatives)
-    assert len(calls) == 2 * n_src - 2
+    positives = labels.positives
+    assert calls == [
+        (src, positives[positives[:, 0] == src, 1].tolist() + negs.tolist())
+        for src, negs in sorted(labels.eval_negatives.items())]
 
 
-@pytest.mark.parametrize("bad_node", ["positive", "negative"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_mrr_positive_ties_every_negative_with_its_row(dtype):
+    # rank = 1 + #higher + #tied, so a positive that shares its representation
+    # row with m negatives ranks m + 1 or worse, whatever block each sits in;
+    # the positive is the best candidate, so it ranks exactly m + 1
+    rng = np.random.default_rng(10)
+    model = toy_model(update="moving_average", hidden=128, seed=10, dtype=dtype)
+    n = 1200
+    for k in (1001, 1002, 1003):
+        for m in (1, 2, 3, 5, 8):
+            reps = rng.normal(size=(n, 128)).astype(dtype)
+            candidates = rng.choice(np.arange(1, n), size=k + 1, replace=False)
+            best = md.PairScorer(reps, model).scores_against(0, candidates).argmax()
+            v, negs = candidates[best], np.delete(candidates, best)
+            reps[negs[rng.choice(k, size=m, replace=False)]] = reps[v]
+            positives = np.array([[0, v]])
+            labels = LabelSet(step=0, positives=positives, train_pos=positives[:0],
+                              val_pos=positives[:0], eval_negatives={0: negs})
+            assert ev.mrr(reps, labels, model) == 1.0 / (m + 1), (k, m)
+
+
+@pytest.mark.parametrize("bad_node", ["positive", "negative", "source", "head.b1"])
 def test_mrr_non_finite_score_raises(bad_node):
+    # a NaN source row or first-layer bias reaches every score of the source,
+    # so the positives' check reports it
     model = toy_model(update="moving_average", hidden=4, seed=9)
     reps = np.random.default_rng(9).normal(size=(6, 4))
-    reps[2 if bad_node == "positive" else 4] = np.nan
+    if bad_node == "head.b1":
+        model.params["head.b1"].value[1] = np.nan
+    else:
+        reps[{"positive": 2, "negative": 4, "source": 0}[bad_node]] = np.nan
     positives = np.array([[0, 1], [0, 2] if bad_node == "positive" else [0, 3]])
     labels = LabelSet(step=0, positives=positives, train_pos=positives[:0],
                       val_pos=positives[:0], eval_negatives={0: np.array([4, 5])})
-    with pytest.raises(NumericError, match=f"non-finite {bad_node} score"):
+    reported = "negative" if bad_node == "negative" else "positive"
+    with pytest.raises(NumericError, match=f"non-finite {reported} score"):
         ev.mrr(reps, labels, model)
 
 

@@ -305,12 +305,49 @@ def test_scores_against_rejects_out_of_range_destinations():
 def test_scores_against_leaves_projections_unchanged():
     model = toy_model(seed=11)
     scorer = md.PairScorer(np.random.default_rng(11).normal(size=(6, 4)), model)
-    a, b = scorer.a.copy(), scorer.b.copy()
+    neg_a, b, a_dot = scorer.neg_a.copy(), scorer.b.copy(), scorer.a_dot.copy()
     for dsts in (np.array([3]), np.array([0, 5, 5, 2]), np.arange(6)):
         scorer.scores_against(2, dsts)
     assert scorer.scores_against(2, np.array([], dtype=np.int64)).shape == (0,)
-    np.testing.assert_array_equal(scorer.a, a)
+    np.testing.assert_array_equal(scorer.neg_a, neg_a)
     np.testing.assert_array_equal(scorer.b, b)
+    np.testing.assert_array_equal(scorer.a_dot, a_dot)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("hidden", [7, 128])
+def test_scores_against_is_row_stable(dtype, hidden):
+    # a candidate's score must not depend on the block it is scored in: a
+    # BLAS gemv over the block rounds a row differently by the block's length
+    model = toy_model(hidden=hidden, seed=12, dtype=dtype)
+    rng = np.random.default_rng(hidden)
+    scorer = md.PairScorer(rng.normal(size=(1100, hidden)).astype(dtype), model)
+    for k in [*range(1, 10), *range(1000, 1004)]:
+        dsts = rng.integers(0, 1100, size=k)
+        block = scorer.scores_against(3, dsts)
+        rows = np.concatenate([scorer.scores_against(3, dsts[i:i + 1]) for i in range(k)])
+        assert block.dtype == rows.dtype == np.dtype(dtype)
+        assert block.tobytes() == rows.tobytes(), k
+
+
+def test_scores_against_peaks_within_one_temporary():
+    # float32, the run default. In float64 numpy's buffer for the broadcast
+    # max alone is 64 KiB (8192 elements) plus the iterator's bookkeeping
+    import tracemalloc
+
+    k, d = 1000, 128
+    model = toy_model(hidden=d, seed=13, dtype="float32")
+    rng = np.random.default_rng(13)
+    scorer = md.PairScorer(rng.normal(size=(2000, d)).astype(np.float32), model)
+    dsts = rng.integers(0, 2000, size=k)
+    scorer.scores_against(0, dsts)  # warm-up
+    tracemalloc.start()
+    try:
+        scorer.scores_against(0, dsts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= k * d * 4 + 64 * 1024, peak
 
 
 def test_scores_var_matches_predict_scores():

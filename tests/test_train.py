@@ -188,7 +188,8 @@ def test_fine_tune_keeps_the_model_dtype(monkeypatch, update, dtype):
     (opt,) = optimizers
     assert opt.t == result.epochs_run > 0
     checked = [("state", layer) for layer in result.state.layers]
-    checked += [("scorer.a", scorer.a), ("scorer.b", scorer.b),
+    checked += [("scorer.neg_a", scorer.neg_a), ("scorer.b", scorer.b),
+                ("scorer.a_dot", scorer.a_dot),
                 ("scores", scorer.scores_against(0, np.arange(5)))]
     for owner in (result.model, meta):
         checked += [(p.name, p.value) for p in owner.params]
