@@ -279,8 +279,8 @@ class PairScorer:
 
         max(b[v], -a[u]) . w2 + (a[u] . w2 + b2),
 
-    whose second term is one number per source, computed once per scorer
-    with `-a`. Scoring a source's candidates is then one gather, one max and
+    whose second term is one number per source. It and -a are computed once
+    per scorer, so scoring a source's candidates is one gather, one max and
     one row-wise dot. Raw (pre-sigmoid) scores.
 
     Scoring is row-stable: `einsum` computes each row's dot product on its
@@ -296,10 +296,12 @@ class PairScorer:
                 f"representation width {top_repr.shape} != hidden dim {d}")
         w1 = model.params["head.w1"].value
         w2 = model.params["head.w2"].value.ravel()
+        # in place, so building a scorer holds no more than the two slabs
         a = top_repr @ w1[:, :d].T
-        self.b = top_repr @ w1[:, d:].T + model.params["head.b1"].value
-        self.neg_a = -a
         self.a_dot = a @ w2 + model.params["head.b2"].value
+        self.neg_a = np.negative(a, out=a)
+        self.b = top_repr @ w1[:, d:].T
+        self.b += model.params["head.b1"].value
         self.w2 = w2
         self.n_nodes = top_repr.shape[0]
 
