@@ -295,14 +295,13 @@ class PairScorer:
             raise DimensionError(
                 f"representation width {top_repr.shape} != hidden dim {d}")
         w1 = model.params["head.w1"].value
-        w2 = model.params["head.w2"].value.ravel()
+        self.w2 = model.params["head.w2"].value.ravel()
         # in place, so building a scorer holds no more than the two slabs
         a = top_repr @ w1[:, :d].T
-        self.a_dot = a @ w2 + model.params["head.b2"].value
+        self.a_dot = a @ self.w2 + model.params["head.b2"].value
         self.neg_a = np.negative(a, out=a)
         self.b = top_repr @ w1[:, d:].T
         self.b += model.params["head.b1"].value
-        self.w2 = w2
         self.n_nodes = top_repr.shape[0]
 
     def scores_against(self, src: int, dsts: np.ndarray) -> np.ndarray:

@@ -331,8 +331,9 @@ def test_scores_against_is_row_stable(dtype, hidden):
 
 
 def test_scores_against_peaks_within_one_temporary():
-    # float32, the run default. In float64 numpy's buffer for the broadcast
-    # max alone is 64 KiB (8192 elements) plus the iterator's bookkeeping
+    # float32, the run default: in float64 numpy's buffer for the broadcast
+    # max alone is 64 KiB (8192 elements), and its iterator's bookkeeping
+    # takes the peak past this bound
     import tracemalloc
 
     k, d = 1000, 128
