@@ -1,22 +1,23 @@
 """Command-line interface.
 
 Verbs: ingest, run-live, run-fixed, grid, report, synth. Run directories go
-under --run-root (or $SNAPLINK_RUN_ROOT, default ./runs). Invalid
-configurations exit with status 2 and a field-level message.
+under the run root: --run-root (or --set run_root=...) if given, else
+$SNAPLINK_RUN_ROOT if set, else the config file's `run_root`, else ./runs.
+Invalid configurations exit with status 2 and a field-level message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
 from .errors import SnaplinkError
-from .runner import (emit_report, grid_search, load_dataset, resolve_run_root,
-                     run_experiment)
+from .runner import emit_report, grid_search, load_dataset, run_experiment
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -32,7 +33,9 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--k-neg", dest="k_neg", type=int,
                    help="evaluation negatives per source")
-    p.add_argument("--run-root", dest="run_root", help="base directory for runs")
+    p.add_argument("--run-root", dest="run_root",
+                   help="base directory for runs; wins over $SNAPLINK_RUN_ROOT, "
+                        "which wins over the config file (default ./runs)")
     p.add_argument("--run-name", dest="run_name", help="run directory name")
     p.add_argument("--workers", type=int, help="parallel worker processes (grid)")
     p.add_argument("--force", action="store_true", help="re-run even if complete")
@@ -56,6 +59,8 @@ def _build_config(args: argparse.Namespace, protocol: str | None) -> ExperimentC
     overrides = _collect_overrides(args)
     if protocol is not None:
         overrides["protocol"] = protocol
+    if os.environ.get("SNAPLINK_RUN_ROOT"):  # below a flag, above the config file
+        overrides.setdefault("run_root", os.environ["SNAPLINK_RUN_ROOT"])
     return load_config(args.config, overrides)
 
 
@@ -64,7 +69,7 @@ def cmd_ingest(args) -> int:
     if not cfg.dataset:
         print("ingest: dataset: a dataset path is required", file=sys.stderr)
         return 2
-    cache_dir = Path(args.cache_dir) if args.cache_dir else resolve_run_root(cfg) / ".cache"
+    cache_dir = Path(args.cache_dir) if args.cache_dir else Path(cfg.run_root) / ".cache"
     g = load_dataset(cfg, cache_dir=cache_dir)
     print(f"dataset: {cfg.dataset}")
     print(f"nodes: {g.node_count}")

@@ -11,10 +11,8 @@ component that uses it: the architecture keys in `model.ModelConfig`, the
 fine-tuning keys in `train.TrainConfig`, and the protocol keys (`alpha`,
 `k_neg`, `val_fraction`, `test_fraction`) in `evaluate.RunConfig`.
 `ExperimentConfig` takes those keys flat, with their defaults, and declares
-only the data, protocol, seed and execution keys itself, plus `dtype`: runs
-default to float32, while `ModelConfig` keeps float64 for code that builds
-one directly. `to_run_config` projects the flat keys back onto the
-components.
+only the data, protocol, seed and execution keys itself. `to_run_config`
+projects the flat keys back onto the components.
 
 A fingerprint hash over the sorted flat `key=value` pairs of the semantic
 fields (everything except execution knobs like worker counts and directory
@@ -62,10 +60,6 @@ class ExperimentConfig(_ComponentKeys):
     # protocol
     protocol: str = "live_update"
     seeds: tuple[int, ...] = (0, 1, 2)
-    # float32 halves the bytes through every layer at MRR parity with
-    # float64; `dtype = float64` (or `--set dtype=float64`) opts out and
-    # keeps the float64 bits. ModelConfig keeps float64 as the library default.
-    dtype: str = "float32"
     # execution (non-semantic)
     run_name: str = ""
     run_root: str = "runs"
@@ -87,16 +81,10 @@ class ExperimentConfig(_ComponentKeys):
         return _project(self, RunConfig, model=_project(self, ModelConfig),
                         train=_project(self, TrainConfig), seed=seed)
 
-    def semantic_items(self) -> list[tuple[str, str]]:
-        out = []
-        for f in fields(self):
-            if f.name in NON_SEMANTIC:
-                continue
-            out.append((f.name, _format_value(getattr(self, f.name))))
-        return sorted(out)
-
     def fingerprint(self) -> str:
-        canonical = "\n".join(f"{k}={v}" for k, v in self.semantic_items())
+        canonical = "\n".join(f"{f.name}={_format_value(getattr(self, f.name))}"
+                              for f in sorted(fields(self), key=lambda f: f.name)
+                              if f.name not in NON_SEMANTIC)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def to_text(self) -> str:

@@ -3,8 +3,7 @@
 Everything the network needs is here: affine maps, a 2-layer MLP, a GRU
 cell, batch normalization, column concatenation, and indexed neighborhood
 aggregation. Gradients are produced by recording a small operation graph
-per forward pass and walking it backwards; `grad_check` verifies any
-scalar-valued composition against central finite differences.
+per forward pass and walking it backwards.
 
 A model's whole state is one `ParamSet`: the trainable weights and, as
 non-trainable entries, the batch-norm running statistics. A non-trainable
@@ -21,9 +20,8 @@ vjp has run, so a second `backward` through the same nodes raises.
 
 This is deliberately not a general autodiff framework: only the operations
 listed above are supported, and all values are dense 1-D/2-D float arrays.
-Every op keeps the dtype of its inputs. Runs default to float32
-(`ExperimentConfig.dtype`); `grad_check` is run on float64 values
-(`ModelConfig`'s default) so that finite-difference checks are meaningful.
+Every op keeps the dtype of its inputs; models default to float32
+(`ModelConfig.dtype`).
 """
 
 from __future__ import annotations
@@ -257,11 +255,6 @@ def gather_rows(x: Var, index: np.ndarray) -> Var:
         return (_scatter_sum(index, g, x.value.shape[0]),)
 
     return Var(out, (x,), vjp)
-
-
-def mean_all(x: Var) -> Var:
-    n = x.value.size
-    return Var(np.asarray(x.value.mean()), (x,), lambda g: (np.full_like(x.value, float(g) / n),))
 
 
 # ---------------------------------------------------------------------------
@@ -505,43 +498,3 @@ class ParamSet:
         for name, p in self._params.items():
             out.new(name, p.value.copy(), p.requires_grad)
         return out
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference verification
-# ---------------------------------------------------------------------------
-
-
-def grad_check(f, wrt: list[Var], eps: float = 1e-5) -> float:
-    """Compare analytic gradients of a scalar-valued `f` against central differences.
-
-    Returns the max over all checked entries of
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
-    `f` must rebuild its graph from the current `.value` of each leaf on
-    every call; leaves are perturbed in place and restored.
-    """
-    if not 1e-7 <= eps <= 1e-4:
-        raise ValueError(f"eps {eps} outside [1e-7, 1e-4]")
-    for v in wrt:
-        v.grad = None
-    out = f()
-    if not np.isfinite(out.value).all():
-        raise NumericError("non-finite value in forward pass")
-    backward(out)
-    analytic = [np.zeros_like(v.value) if v.grad is None else v.grad.copy() for v in wrt]
-
-    max_rel = 0.0
-    for v, ana in zip(wrt, analytic):
-        for idx in np.ndindex(v.value.shape):
-            orig = v.value[idx]
-            v.value[idx] = orig + eps
-            up = float(f().value)
-            v.value[idx] = orig - eps
-            down = float(f().value)
-            v.value[idx] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise NumericError("non-finite value during finite differencing")
-            numeric = (up - down) / (2.0 * eps)
-            denom = max(abs(ana[idx]), abs(numeric), 1e-8)
-            max_rel = max(max_rel, abs(ana[idx] - numeric) / denom)
-    return max_rel

@@ -13,12 +13,19 @@ a model trained only on strictly earlier labels; the reported figure is the
 mean over evaluated steps. Fixed-split trains, unscored, on the steps
 before a terminal test block, then scores the test steps with frozen
 parameters while the node state keeps rolling.
+
+The node universe is the file's whole node set at every step (a fixed node
+set): the state rows, the train-mode batch-norm batch, the eval negative
+pools and the training negatives all include nodes whose first edge comes
+after window s+1. Step s reads the edges of windows <= s+1 only, but knows
+every node that will ever exist; using only the nodes seen by window s+1
+instead would move MRR.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,12 +106,6 @@ class StepRecord:
     skipped: bool
     working_set_elements: int
     wall_seconds: float = 0.0
-
-    def summary_fields(self) -> dict:
-        """Everything except wall-clock time, for byte-stable summaries."""
-        d = asdict(self)
-        d.pop("wall_seconds")
-        return d
 
 
 @dataclass

@@ -25,28 +25,20 @@ from .errors import SnaplinkError
 from .model import save_checkpoint
 from .snapshots import (DAMAGED_ARCHIVE_ERRORS, EdgeSchema, cache_key, file_fingerprint,
                         load_edge_list, load_snapshot_cache, partition_snapshots,
-                        replacing, save_snapshot_cache, temp_path, v1_cache_key)
+                        replacing, save_snapshot_cache, temp_path)
 
 STEP_SCHEMA = {"schema_version": ev.REPORT_SCHEMA_VERSION}
 
 
-def resolve_run_root(cfg: ExperimentConfig) -> Path:
-    root = os.environ.get("SNAPLINK_RUN_ROOT", "") or cfg.run_root
-    return Path(root)
-
-
-def load_dataset(cfg: ExperimentConfig, cache_dir: Path | None = None):
+def load_dataset(cfg: ExperimentConfig, cache_dir: Path):
     """Ingest (or reuse a cached partition of) the configured dataset.
 
     A cached archive that cannot be read, or whose arrays `DynamicGraph`
     rejects, is a cache miss: the dataset is ingested again and the archive
-    overwritten. A save also removes the dataset's archive in the retired
-    v1 format, which no load opens.
+    overwritten.
     """
     schema = EdgeSchema.parse(cfg.schema)
     path = Path(cfg.dataset)
-    if cache_dir is None:
-        return partition_snapshots(load_edge_list(path, schema), cfg.frequency)
     fingerprint = file_fingerprint(path)
     cache_path = cache_dir / f"{cache_key(fingerprint, cfg.frequency, schema)}.npz"
     if cache_path.exists():
@@ -57,8 +49,6 @@ def load_dataset(cfg: ExperimentConfig, cache_dir: Path | None = None):
     g = partition_snapshots(load_edge_list(path, schema, fingerprint), cfg.frequency)
     cache_dir.mkdir(parents=True, exist_ok=True)
     save_snapshot_cache(cache_path, g)
-    (cache_dir / f"{v1_cache_key(fingerprint, cfg.frequency, schema)}.npz").unlink(
-        missing_ok=True)
     return g
 
 
@@ -88,10 +78,6 @@ def _keep_freed_heap() -> None:
     mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
 
 
-def run_is_complete(run_dir: Path, fingerprint: str) -> bool:
-    return (_read_run(run_dir) or {}).get("fingerprint") == fingerprint
-
-
 def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
     """Execute one configuration across its seeds; returns the run directory.
 
@@ -100,10 +86,10 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
     _keep_freed_heap()
     cfg.validate()
     fingerprint = cfg.fingerprint()
-    root = resolve_run_root(cfg)
+    root = Path(cfg.run_root)
     name = cfg.run_name or f"{cfg.protocol}-{cfg.update}-{fingerprint[:10]}"
     run_dir = root / name
-    if run_is_complete(run_dir, fingerprint) and not cfg.force:
+    if (_read_run(run_dir) or {}).get("fingerprint") == fingerprint and not cfg.force:
         return run_dir
     if graph is None:
         graph = load_dataset(cfg, cache_dir=root / ".cache")
@@ -162,14 +148,6 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
     return run_dir
 
 
-def _expand_grid(axes: dict[str, list[str]]) -> list[dict[str, str]]:
-    keys = list(axes)
-    cells = []
-    for combo in itertools.product(*(axes[k] for k in keys)):
-        cells.append(dict(zip(keys, combo)))
-    return cells
-
-
 def _run_cell(args):
     cfg, overrides, cell_name = args
     try:
@@ -196,15 +174,11 @@ def grid_search(base: ExperimentConfig, axes: dict[str, list[str]],
     <run_root>/<grid_name>/index.json.
     """
     base.validate()
-    root = resolve_run_root(base)
-    grid_dir = root / grid_name
+    grid_dir = Path(base.run_root) / grid_name
     grid_dir.mkdir(parents=True, exist_ok=True)
 
-    cells = _expand_grid(axes)
-    tasks = []
-    for i, overrides in enumerate(cells):
-        cell_name = f"{grid_name}/cell{i:03d}"
-        tasks.append((base, overrides, cell_name))
+    cells = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
+    tasks = [(base, overrides, f"{grid_name}/cell{i:03d}") for i, overrides in enumerate(cells)]
 
     if base.workers > 1:
         with ProcessPoolExecutor(max_workers=base.workers) as pool:
@@ -248,25 +222,29 @@ def _read_run(run_dir: Path) -> dict | None:
 def emit_report(run_dirs: list[Path], out_dir: Path) -> dict:
     """Summary tables, meta-learning gain tables, and per-step series files.
 
-    Reads only persisted records. Returns {"skipped": [...], "tables": [...]}.
+    Each run is labelled by its path under the common parent of `run_dirs`
+    (one directory: its name), and its series file by that label with `/`
+    as `_`. Reads only persisted records. Returns {"skipped": [...],
+    "tables": [...]}.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
+    run_dirs = [Path(d) for d in run_dirs]
+    parent = os.path.commonpath([os.path.abspath(d.parent) for d in run_dirs or [Path()]])
     rows = []
     skipped = []
     for run_dir in run_dirs:
-        run_dir = Path(run_dir)
         report = _read_run(run_dir)
         if report is None:
             skipped.append(str(run_dir))
             continue
-        rows.append((run_dir, report))
+        rows.append((run_dir, Path(os.path.relpath(run_dir, parent)).as_posix(), report))
 
     # main comparison table
     lines = [TABLE_HEADER,
              "run\tprotocol\tdataset\tupdate\talpha\tseeds\tmean_mrr\tstd_mrr\tmean_val_mrr"]
-    for run_dir, rep in rows:
+    for _, label, rep in rows:
         lines.append("\t".join([
-            run_dir.name, rep["protocol"], Path(rep["dataset"]).name, rep["update"],
+            label, rep["protocol"], Path(rep["dataset"]).name, rep["update"],
             f"{rep['alpha']:g}", ",".join(str(s) for s in rep["seeds"]),
             f"{rep['mean_mrr']:.6f}", f"{rep['std_mrr']:.6f}",
             f"{rep['mean_val_mrr']:.6f}",
@@ -275,7 +253,7 @@ def emit_report(run_dirs: list[Path], out_dir: Path) -> dict:
 
     # meta gain table: per (protocol, dataset, update) group with an alpha=1 row
     groups: dict[tuple, list[dict]] = {}
-    for _, rep in rows:
+    for _, _, rep in rows:
         groups.setdefault((rep["protocol"], rep["dataset"], rep["update"]), []).append(rep)
     gain_lines = [TABLE_HEADER,
                   "protocol\tdataset\tupdate\tbase_mrr(alpha=1)\tbest_alpha\tbest_mrr\tgain_pct"]
@@ -293,7 +271,7 @@ def emit_report(run_dirs: list[Path], out_dir: Path) -> dict:
     (out_dir / "meta_gain_table.tsv").write_text("\n".join(gain_lines) + "\n")
 
     # per-step series (plot data) per run, from the persisted ndjson records
-    for run_dir, rep in rows:
+    for run_dir, label, rep in rows:
         series = [TABLE_HEADER, "seed\tt\tmrr\tn_positives\tepochs_run"]
         for seed in rep["seeds"]:
             nd = run_dir / f"seed{seed}" / "steps.ndjson"
@@ -305,7 +283,7 @@ def emit_report(run_dirs: list[Path], out_dir: Path) -> dict:
                     continue
                 series.append(f"{seed}\t{row['t']}\t{row['mrr']:.6f}"
                               f"\t{row['n_positives']}\t{row['epochs_run']}")
-        (out_dir / f"{run_dir.name.replace('/', '_')}.steps.tsv").write_text(
+        (out_dir / f"{label.replace('/', '_')}.steps.tsv").write_text(
             "\n".join(series) + "\n")
 
     return {"skipped": skipped, "n_runs": len(rows),

@@ -638,18 +638,7 @@ def cache_key(source_fingerprint: str, frequency: str | int | float,
               schema: EdgeSchema | None = None) -> str:
     """Cache file stem for one (source, period, schema); the archive format
     is part of the key, so an archive of another format is never opened."""
-    return _key_stem(f"{CACHE_FORMAT}|", source_fingerprint, frequency, schema)
-
-
-def v1_cache_key(source_fingerprint: str, frequency: str | int | float,
-                 schema: EdgeSchema | None = None) -> str:
-    """Stem of the same dataset's archive in the retired v1 format, whose
-    key did not name the format. It is never opened, only removed."""
-    return _key_stem("", source_fingerprint, frequency, schema)
-
-
-def _key_stem(prefix, source_fingerprint, frequency, schema) -> str:
-    raw = (f"{prefix}{source_fingerprint}|{period_seconds(frequency):g}"
+    raw = (f"{CACHE_FORMAT}|{source_fingerprint}|{period_seconds(frequency):g}"
            f"|{schema.tag() if schema else ''}")
     return hashlib.sha256(raw.encode()).hexdigest()[:20]
 

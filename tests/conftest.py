@@ -38,9 +38,10 @@ def toy_snapshot():
     return make_snapshot(6, src, dst)
 
 
-def toy_model(update="gru", hidden=4, seed=0, **overrides):
+def toy_model(update="gru", hidden=4, seed=0, dtype="float64", **overrides):
+    """A small model; float64 unless asked, so gradient checks are meaningful."""
     cfg = ModelConfig(hidden_dim=hidden, n_pre=1, n_mp=2, n_post=1,
-                      update=update, **overrides)
+                      update=update, dtype=dtype, **overrides)
     return init_model(cfg, np.random.default_rng(seed))
 
 

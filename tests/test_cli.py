@@ -71,7 +71,9 @@ def test_ingest_rebuilds_a_damaged_cache_archive(twelve_window_file, tmp_path, c
     assert capsys.readouterr().out == first
 
 
-def test_every_named_flag_reaches_the_config():
+def test_every_named_flag_reaches_the_config(monkeypatch):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+
     def parse(*flags):
         return _build_config(build_parser().parse_args(["run-live", *flags]), "live_update")
 
@@ -102,3 +104,31 @@ def test_ingest_and_run_share_the_cache_under_the_env_run_root(twelve_window_fil
     archives = [p for p in tmp_path.rglob("*.npz") if p.parent.name == ".cache"]
     assert len(archives) == 1
     assert archives[0].parent == env_root / ".cache"
+
+
+def test_run_root_flag_wins_over_the_env_which_wins_over_the_config_file(
+        twelve_window_file, tmp_path, monkeypatch):
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"run_root = {tmp_path / 'from_file'}\n")
+    monkeypatch.setenv("SNAPLINK_RUN_ROOT", str(tmp_path / "from_env"))
+    flags = ["--dataset", str(twelve_window_file), "--frequency", "1000"]
+    assert main(["ingest", *flags, "--config", str(config),
+                 "--run-root", str(tmp_path / "from_flag")]) == 0
+    assert main(["ingest", *flags, "--set", f"run_root={tmp_path / 'from_set'}"]) == 0
+    assert main(["run-live", *flags, "--run-root", str(tmp_path / "from_flag"),
+                 "--seeds", "0", "--k-neg", "5", "--run-name", "r",
+                 "--set", "hidden_dim=4", "--set", "max_epochs=1"]) == 0
+    assert main(["ingest", *flags, "--config", str(config)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("from_")) == [
+        "from_env", "from_flag", "from_set"]
+    assert sorted(p.name for p in (tmp_path / "from_flag").iterdir()) == [".cache", "r"]
+
+    def run_root(*flags):
+        args = build_parser().parse_args(["run-live", "--config", str(config), *flags])
+        return _build_config(args, "live_update").run_root
+
+    assert run_root("--run-root", "flag") == "flag"
+    assert run_root() == str(tmp_path / "from_env")
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT")
+    assert run_root() == str(tmp_path / "from_file")
+    assert build_parser().parse_args(["run-live"]).run_root is None  # no flag, no default

@@ -114,5 +114,4 @@ def class_fields(module: str, name: str) -> set[str]:
 def test_experiment_config_declares_no_component_key_again():
     components = (class_fields("model", "ModelConfig") | class_fields("train", "TrainConfig")
                   | class_fields("evaluate", "RunConfig"))
-    # dtype is the one deliberate difference: float32 for runs, float64 in ModelConfig
-    assert class_fields("config", "ExperimentConfig") & components == {"dtype"}
+    assert class_fields("config", "ExperimentConfig") & components == set()

@@ -1,7 +1,10 @@
 """Every top-level function and class in the package is named somewhere
-else, and one that only tests name is listed in TEST_ONLY."""
+else, every method and property is named in `src/` code, and one that only
+tests name is listed in TEST_ONLY."""
 
 import ast
+import importlib
+import importlib.util
 import io
 import re
 import tokenize
@@ -12,11 +15,10 @@ PACKAGE = ROOT / "src" / "snaplink"
 SEARCHED = ("src", "tests", "bench")
 
 
-# top-level names that only tests use, each on purpose
+# top-level names that only tests use, and methods ("Class.name") that no
+# src/ code names, each on purpose
 TEST_ONLY = {
-    "mean_all",         # the scalar loss that diffcore's gradient checks reduce to
     "load_checkpoint",  # reads what runs write; resume will call it
-    "grad_check",       # the finite-difference reference the gradient tests compare against
 }
 
 
@@ -56,6 +58,28 @@ def name_uses(sources: dict[str, str], modules: list[str]) -> list[tuple[str, st
     return out
 
 
+def methods_src_does_not_name(sources: dict[str, str], modules: list[str]) -> list[str]:
+    """"Class.name" for each method or property of a top-level class of
+    `modules` that no `src/` source names apart from its own definition
+    line. Dunder methods are called by the language, not by name."""
+    seen: dict[str, set[tuple[str, int]]] = {}
+    for label, text in sources.items():
+        if label.startswith("src/"):
+            for word, lineno in words(label, text):
+                seen.setdefault(word, set()).add((label, lineno))
+    out = []
+    for label in modules:
+        for cls in ast.parse(sources[label]).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef) \
+                        and not node.name.startswith("__") \
+                        and not seen.get(node.name, set()) - {(label, node.lineno)}:
+                    out.append(f"{cls.name}.{node.name}")
+    return out
+
+
 def dead_names(sources: dict[str, str], modules: list[str]) -> list[str]:
     """Top-level names that nothing names, as "label:line: name"."""
     return [f"{where}: {name}" for where, name, uses in name_uses(sources, modules)
@@ -81,8 +105,11 @@ def test_package_has_no_dead_top_level_names():
 
 
 def test_every_test_only_name_is_listed():
-    """A name in src/ that only tests use is kept on purpose, or deleted."""
-    assert sorted(names_only_tests_use(*package_sources())) == sorted(TEST_ONLY)
+    """A name in src/ that only tests use, or a method that src/ never
+    names, is kept on purpose, or deleted."""
+    sources, modules = package_sources()
+    assert sorted(names_only_tests_use(sources, modules)
+                  + methods_src_does_not_name(sources, modules)) == sorted(TEST_ONLY)
 
 
 def test_dead_name_detector():
@@ -121,3 +148,46 @@ def test_dead_name_detector():
     # outside src/ the match stays textual: a comment there is a use
     sources["bench/notes.py"] = "# named_in_a_comment\n"
     assert "src/mod.py:18: named_in_a_comment" not in dead_names(sources, ["src/mod.py"])
+
+
+def test_method_detector():
+    module = ("class Record:\n"
+              "    def __len__(self):\n"
+              "        return 0\n"
+              "    def used(self):\n"
+              "        return self.helper()\n"
+              "    def helper(self):\n"
+              "        return 1\n"
+              "    @property\n"
+              "    def only_tests(self):\n"
+              "        return 2\n"
+              "    def only_a_comment(self):\n"
+              "        return 3\n"
+              "    # only_a_comment is not a use under src/\n"
+              "def caller(r):\n"
+              "    return r.used()\n")
+    sources = {"src/mod.py": module,
+               "tests/test_mod.py": "def test(r):\n    assert r.only_tests == 2\n",
+               "bench/notes.py": "r.only_a_comment()\n"}
+    assert methods_src_does_not_name(sources, ["src/mod.py"]) == [
+        "Record.only_tests", "Record.only_a_comment"]
+    # a call from another src/ module is a use
+    sources["src/other.py"] = "def f(r):\n    return r.only_tests\n"
+    assert methods_src_does_not_name(sources, ["src/mod.py"]) == ["Record.only_a_comment"]
+
+
+def test_the_benchmark_tracer_still_finds_every_target():
+    """`bench/tracer.py` wraps its targets by name when a run is traced; one
+    that a change in src/ removed or renamed would crash the benchmark."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = {m: importlib.import_module(f"{tracer.PACKAGE}.{m}") for m in tracer.MODULES}
+    for module, attr, _ in tracer.TARGETS:
+        if "." in attr:  # patched on the class that defines it
+            cls_name, meth = attr.split(".")
+            assert callable(vars(getattr(modules[module], cls_name)).get(meth)), attr
+        else:
+            assert callable(getattr(modules[module], attr, None)), f"{module}.{attr}"
+    for helper in tracer.DIFFCORE_HELPERS:
+        assert callable(getattr(modules["diffcore"], helper, None)), helper

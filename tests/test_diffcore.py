@@ -9,6 +9,7 @@ gradient path.
 import numpy as np
 import pytest
 
+from helpers import grad_check, mean_all
 from snaplink import diffcore as dc
 from snaplink.errors import BoundsError, DimensionError, NumericError
 
@@ -105,7 +106,7 @@ def test_relu_propagates_nan_and_masks_gradient():
     out = dc.relu(x)
     assert np.isnan(out.value[0, 0])
     np.testing.assert_array_equal(out.value[0, 1:], [0.0, 0.0, 2.0])
-    loss = dc.mean_all(out)
+    loss = mean_all(out)
     assert np.isnan(loss.value)  # NaN reaches the loss instead of vanishing
     dc.backward(loss)
     np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 0.0, 0.25]])
@@ -137,7 +138,7 @@ def test_mlp2_gradient_vs_finite_differences():
     b1 = dc.Param("b1", rng.normal(size=4))
     w2 = dc.Param("w2", rng.normal(size=(2, 4)))
     b2 = dc.Param("b2", rng.normal(size=2))
-    err = dc.grad_check(lambda: dc.mean_all(dc.mlp2(x, w1, b1, w2, b2)),
+    err = grad_check(lambda: mean_all(dc.mlp2(x, w1, b1, w2, b2)),
                         [x, w1, b1, w2, b2])
     assert err < 1e-4
 
@@ -183,7 +184,7 @@ def test_gru_gradient_vs_finite_differences():
     h = dc.Param("h", rng.normal(size=(4, d)))
     x = dc.Param("x", rng.normal(size=(4, d)))
     wrt = [h, x] + list(p.values())
-    err = dc.grad_check(lambda: dc.mean_all(dc.gru_cell(h, x, p)), wrt)
+    err = grad_check(lambda: mean_all(dc.gru_cell(h, x, p)), wrt)
     assert err < 1e-4
 
 
@@ -281,9 +282,9 @@ def test_batch_norm_gradient_both_modes():
         def f():
             # keep running stats fixed so repeated calls see the same function
             out = dc.batch_norm(x, g, b, frozen_mean.copy(), frozen_var.copy(), mode)
-            return dc.mean_all(dc.mul(out, weights))
+            return mean_all(dc.mul(out, weights))
 
-        err = dc.grad_check(f, [x, g, b])
+        err = grad_check(f, [x, g, b])
         assert err < 1e-4, mode
 
 
@@ -336,7 +337,7 @@ def test_aggregate_out_of_range_index():
 def test_aggregate_max_tie_gradient_routes_to_first():
     msgs = dc.Param("m", np.array([[2.0], [2.0], [1.0]]))
     out = dc.aggregate(msgs, np.array([0, 0, 0]), 1, "max")
-    dc.backward(dc.mean_all(out))
+    dc.backward(mean_all(out))
     np.testing.assert_array_equal(msgs.grad, np.array([[1.0], [0.0], [0.0]]))
 
 
@@ -345,7 +346,7 @@ def test_aggregate_gradients_vs_finite_differences():
     for mode in dc.AGGREGATION_MODES:
         msgs = dc.Param("m", rng.normal(size=(12, 3)))
         dst = rng.integers(0, 5, size=12)
-        err = dc.grad_check(lambda: dc.mean_all(dc.aggregate(msgs, dst, 5, mode)), [msgs])
+        err = grad_check(lambda: mean_all(dc.aggregate(msgs, dst, 5, mode)), [msgs])
         assert err < 1e-4, mode
 
 
@@ -520,7 +521,7 @@ def test_bce_gradient():
     rng = rng_for(17)
     s = dc.Param("s", rng.normal(size=8))
     labels = (rng.uniform(size=8) < 0.5).astype(float)
-    err = dc.grad_check(lambda: dc.bce_with_logits(s, labels), [s])
+    err = grad_check(lambda: dc.bce_with_logits(s, labels), [s])
     assert err < 1e-4
 
 
@@ -531,7 +532,7 @@ def test_bce_gradient():
 
 def test_grad_check_square_function():
     x = dc.Param("x", np.array([3.0]))
-    err = dc.grad_check(lambda: dc.mean_all(dc.mul(x, x)), [x])
+    err = grad_check(lambda: mean_all(dc.mul(x, x)), [x])
     # analytic 6 vs numeric 6
     assert err < 1e-9
 
@@ -539,7 +540,7 @@ def test_grad_check_square_function():
 def test_grad_check_rejects_bad_eps():
     x = dc.Param("x", np.array([1.0]))
     with pytest.raises(ValueError):
-        dc.grad_check(lambda: dc.mean_all(x), [x], eps=1e-2)
+        grad_check(lambda: mean_all(x), [x], eps=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +579,7 @@ def test_leaves_made_inside_no_tape_are_unchanged():
         leaf = dc.Var(np.ones(3), requires_grad=True)
         c = dc.constant(np.ones(3))
     assert p.requires_grad and leaf.requires_grad and not c.requires_grad
-    loss = dc.mean_all(dc.mul(p, leaf))
+    loss = mean_all(dc.mul(p, leaf))
     dc.backward(loss)
     np.testing.assert_array_equal(p.grad, np.full(3, 1.0 / 3))
     np.testing.assert_array_equal(leaf.grad, np.full(3, 1.0 / 3))
@@ -590,7 +591,7 @@ def test_backward_consumes_interior_nodes_and_keeps_leaf_grads():
     w = dc.Param("w", rng.normal(size=(2, 3)))
     b = dc.Param("b", np.zeros(2))
     hidden = dc.relu(dc.affine(x, w, b))
-    loss = dc.mean_all(dc.sigmoid(hidden))
+    loss = mean_all(dc.sigmoid(hidden))
     dc.backward(loss)
     for node in (hidden, loss):
         assert node.grad is None and node._parents == ()
@@ -602,11 +603,11 @@ def test_backward_consumes_interior_nodes_and_keeps_leaf_grads():
 def test_backward_through_a_consumed_graph_raises(second):
     x = dc.Param("x", np.array([[1.0, -2.0, 3.0]]))
     hidden = dc.tanh(x)
-    first = dc.mean_all(dc.mul(hidden, hidden))
+    first = mean_all(dc.mul(hidden, hidden))
     dc.backward(first)
     # without the guard the second walk would stop at the consumed nodes
     # and silently leave no gradient
-    root = first if second == "same_root" else dc.mean_all(dc.relu(hidden))
+    root = first if second == "same_root" else mean_all(dc.relu(hidden))
     x.grad = None
     with pytest.raises(RuntimeError, match="consumed"):
         dc.backward(root)
@@ -630,7 +631,7 @@ def test_property_random_instances_gradients():
             x = dc.Param("x", rng.normal(size=(n, d_in)))
             w = dc.Param("w", rng.normal(size=(d_out, d_in)))
             b = dc.Param("b", rng.normal(size=d_out))
-            err = dc.grad_check(lambda: dc.mean_all(dc.affine(x, w, b)), [x, w, b])
+            err = grad_check(lambda: mean_all(dc.affine(x, w, b)), [x, w, b])
         elif kind == 1:
             h = int(rng.integers(1, 5))
             x = dc.Param("x", rng.normal(size=(n, d_in)))
@@ -638,20 +639,20 @@ def test_property_random_instances_gradients():
             b1 = dc.Param("b1", rng.normal(size=h))
             w2 = dc.Param("w2", rng.normal(size=(d_out, h)))
             b2 = dc.Param("b2", rng.normal(size=d_out))
-            err = dc.grad_check(lambda: dc.mean_all(dc.mlp2(x, w1, b1, w2, b2)),
+            err = grad_check(lambda: mean_all(dc.mlp2(x, w1, b1, w2, b2)),
                                 [x, w1, b1, w2, b2])
         elif kind == 2:
             d = int(rng.integers(1, 4))
             p = gru_params(rng, d, scale=0.6)
             h = dc.Param("h", rng.normal(size=(n, d)))
             x = dc.Param("x", rng.normal(size=(n, d)))
-            err = dc.grad_check(lambda: dc.mean_all(dc.gru_cell(h, x, p)),
+            err = grad_check(lambda: mean_all(dc.gru_cell(h, x, p)),
                                 [h, x] + list(p.values()))
         elif kind == 3:
             mode = dc.AGGREGATION_MODES[trial % 3]
             m = dc.Param("m", rng.normal(size=(2 * n, d_in)))
             dst = rng.integers(0, n, size=2 * n)
-            err = dc.grad_check(lambda: dc.mean_all(dc.aggregate(m, dst, n, mode)), [m])
+            err = grad_check(lambda: mean_all(dc.aggregate(m, dst, n, mode)), [m])
         else:
             rows = max(n, 2)
             x = dc.Param("x", rng.normal(size=(rows, d_in)))
@@ -660,11 +661,11 @@ def test_property_random_instances_gradients():
             weights = dc.constant(rng.normal(size=(rows, d_in)))
 
             def f():
-                return dc.mean_all(
+                return mean_all(
                     dc.mul(dc.batch_norm(x, g, b, *initial_stats(d_in), "train"), weights)
                 )
 
-            err = dc.grad_check(f, [x, g, b])
+            err = grad_check(f, [x, g, b])
         assert err < 1e-4, f"trial {trial} kind {kind}: rel err {err}"
         checked += 1
     assert checked == 50
@@ -695,6 +696,6 @@ def test_paramset_non_trainable_entries_get_no_grad():
     assert w.requires_grad and not stat.requires_grad
     assert ps.n_elements() == 9 and ps.n_elements(trainable_only=True) == 6
     assert [p.requires_grad for p in ps.clone()] == [True, False]
-    dc.backward(dc.mean_all(dc.add(w, stat)))
+    dc.backward(mean_all(dc.add(w, stat)))
     assert stat.grad is None
     np.testing.assert_array_equal(w.grad, np.full((2, 3), 1 / 6))

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import toy_model
+from helpers import summary_fields
 from test_golden import run_config, small_graph
 from snaplink import evaluate as ev
 from snaplink import model as md
+from snaplink import synthetic
 from snaplink import train as tr
 from snaplink.errors import ConfigError, NumericError
 from snaplink.model import ModelConfig
-from snaplink.snapshots import LabelSet
+from snaplink.snapshots import LabelSet, edges_from_arrays, partition_snapshots
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +264,8 @@ def test_fixed_split_same_seed_same_report(synth_graph):
     a = ev.fixed_split_run(synth_graph, fixed_config(seed=4))
     b = ev.fixed_split_run(synth_graph, fixed_config(seed=4))
     assert a.summary_dict() == b.summary_dict()
-    assert [r.summary_fields() for r in a.per_step + a.train_records] == \
-        [r.summary_fields() for r in b.per_step + b.train_records]
+    assert [summary_fields(r) for r in a.per_step + a.train_records] == \
+        [summary_fields(r) for r in b.per_step + b.train_records]
     assert np.isfinite(a.mean_mrr)
 
 
@@ -359,3 +361,88 @@ def test_carried_history_counts_every_rolled_snapshot(synth_graph, run, per_node
     history = out["state"].history
     assert history.dtype == np.float64 and history.shape == expected.shape
     assert np.array_equal(history, expected)
+
+
+# ---------------------------------------------------------------------------
+# what a step may see
+# ---------------------------------------------------------------------------
+
+
+def synth_edges():
+    """The `synth_graph` fixture's edges, before partitioning."""
+    return synthetic.generate_edges(n_nodes=40, n_steps=10, edges_per_step=150,
+                                    n_communities=4, recurrence=0.6, seed=11)
+
+
+def with_windows_after_replaced(g, k):
+    """`g`'s edges with those of windows > k rewired, reweighted and thinned;
+    the windows, T and node_count stay."""
+    e = synth_edges()
+    window = np.floor((e.timestamp - e.timestamp.min()) / g.period_seconds)
+    later = window > k
+    perm = np.random.default_rng(0).permutation(e.node_count)
+    src, dst = np.where(later, perm[e.src], e.src), np.where(later, perm[e.dst], e.dst)
+    keep = ~later | (np.arange(len(e)) % 3 != 0) | (np.arange(len(e)) == len(e) - 1)
+    other = partition_snapshots(edges_from_arrays(
+        src[keep], dst[keep], e.timestamp[keep], np.where(later, 2.0, e.weight)[keep],
+        node_count=e.node_count), g.period_seconds)
+    assert (len(other), other.node_count) == (len(g), g.node_count)
+    assert all(a.window == b.window for a, b in zip(g.snapshots, other.snapshots))
+    for a, b in zip(g.snapshots[:k + 1], other.snapshots[:k + 1]):
+        assert a.edge_src.tobytes() == b.edge_src.tobytes()
+        assert a.edge_features.tobytes() == b.edge_features.tobytes()
+    for a, b in zip(g.snapshots[k + 1:], other.snapshots[k + 1:]):
+        assert a.n_edges != b.n_edges or not np.array_equal(a.edge_src, b.edge_src)
+    return other
+
+
+@pytest.mark.parametrize("bn_reset", [False, True])
+@pytest.mark.parametrize("update", ["moving_average", "mlp", "gru"])
+@pytest.mark.parametrize("run", [ev.live_update_run, ev.fixed_split_run])
+def test_no_future_window_leaks_into_earlier_records(synth_graph, run, update, bn_reset):
+    """Step s ranks and trains on windows <= s+1 only, so replacing every
+    window after k leaves the records of steps < k bitwise equal."""
+    k = 6
+    cfg = ev.RunConfig(model=ModelConfig(hidden_dim=6, update=update,
+                                         bn_reset_per_snapshot=bn_reset),
+                       train=tr.TrainConfig(max_epochs=2, patience=1),
+                       alpha=0.5, k_neg=8, test_fraction=0.5, seed=3)
+    reports = [run(g, cfg) for g in (synth_graph, with_windows_after_replaced(synth_graph, k))]
+    early = [[summary_fields(r) for r in rep.train_records + rep.per_step if r.t < k]
+             for rep in reports]
+    assert [r["t"] for r in early[0]] == list(range(k))
+    assert [r["mrr"] is not None for r in early[0]].count(True) >= 2  # scored steps too
+    assert early[0] == early[1]
+    later = [[summary_fields(r) for r in rep.per_step if r.t > k] for rep in reports]
+    assert later[0] != later[1]  # the replaced windows do reach the later steps
+
+
+def test_a_node_first_seen_later_is_an_earlier_eval_negative(monkeypatch):
+    """The node universe is the file's node set: node 7, whose first edge is
+    in window k=3, is among the eval negatives of every step s < k."""
+    k, n = 3, 8
+    rng = np.random.default_rng(4)
+    src, dst, ts = [], [], []
+    for w in range(6):
+        nodes = 7 if w < k else n
+        s = rng.integers(0, nodes, 12)
+        src += s.tolist()
+        dst += ((s + 1 + rng.integers(0, nodes - 1, 12)) % nodes).tolist()
+        ts += (w * 100.0 + np.arange(12)).tolist()
+    g = partition_snapshots(edges_from_arrays(src, dst, ts, node_count=n), 100.0)
+    first_window = min(i for i, snap in enumerate(g.snapshots)
+                       if 7 in snap.edge_src or 7 in snap.edge_dst)
+    assert first_window == k
+
+    seen = []
+    real = ev.build_labels
+    monkeypatch.setattr(ev, "build_labels", lambda *a: seen.append(real(*a)) or seen[-1])
+    cfg = ev.RunConfig(model=ModelConfig(hidden_dim=4, update="moving_average"),
+                       train=tr.TrainConfig(max_epochs=1, patience=1), k_neg=n, seed=1)
+    ev.live_update_run(g, cfg)
+    for labels in seen[:k]:
+        for src_node, negs in labels.eval_negatives.items():
+            pos = labels.positives[labels.positives[:, 0] == src_node, 1]
+            # a pool of every node but the source's positives, drawn whole
+            assert sorted(negs) == sorted(set(range(n)) - set(pos))
+        assert any(7 in negs for negs in labels.eval_negatives.values())

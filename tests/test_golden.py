@@ -332,7 +332,7 @@ def assert_close_in_float32(actual, desired):
 
 @pytest.mark.parametrize("update", UPDATES)
 def test_float32_forward_matches_float64(synth_graph, update):
-    cfg = ModelConfig(hidden_dim=16, update=update)
+    cfg = ModelConfig(hidden_dim=16, update=update, dtype="float64")
     model = init_model(cfg, np.random.default_rng(7))
     state = fresh_state(model, synth_graph.node_count)
     # a train forward moves the BN statistics off their initial values and an

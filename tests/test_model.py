@@ -2,12 +2,14 @@
 prediction head, and the full forward pass."""
 
 import ast
+import copy
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import fresh_state, make_snapshot, toy_model, toy_snapshot
+from helpers import grad_check
 from snaplink import diffcore as dc
 from snaplink import model as md
 from snaplink.errors import BoundsError, ConfigError, DimensionError
@@ -418,7 +420,7 @@ def test_forward_hierarchical_persistence():
     snap = toy_snapshot()
     state = fresh_state(model, 6)
     base = md.forward(snap, state, model, pairs=[(0, 1)]).scores.value.copy()
-    state2 = state.clone()
+    state2 = copy.deepcopy(state)
     state2.layers[0][3, 2] += 0.37
     bumped = md.forward(snap, state2, model, pairs=[(0, 1)]).scores.value
     assert not np.array_equal(base, bumped)
@@ -434,7 +436,7 @@ def test_forward_state_layer_count_mismatch():
 
 def test_forward_end_to_end_gradient():
     # BCE through the full network (gru) vs finite differences
-    model = toy_model(update="gru", hidden=3, seed=13)
+    model = toy_model(update="gru", hidden=3, seed=13, dtype="float64")
     snap = toy_snapshot()
     state = fresh_state(model, 6)
     rng = np.random.default_rng(13)
@@ -448,7 +450,7 @@ def test_forward_end_to_end_gradient():
         return dc.bce_with_logits(res.scores, labels)
 
     wrt = list(model.params)
-    err = dc.grad_check(loss, wrt, eps=1e-5)
+    err = grad_check(loss, wrt, eps=1e-5)
     assert err < 1e-4
 
 
@@ -481,7 +483,7 @@ def test_every_forward_call_in_src_passes_pairs_and_mode_by_keyword():
 
 def _tape_case(synth_graph, update, hidden=32):
     """Window 3 of synth_graph with a random prior state and one positive
-    plus one random negative per edge; float64, the ModelConfig default."""
+    plus one random negative per edge; float64, `toy_model`'s default."""
     snap = synth_graph[3]
     n = snap.n_nodes
     model = toy_model(update=update, hidden=hidden, seed=3)

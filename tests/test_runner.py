@@ -1,6 +1,5 @@
 """Contract tests for run directories written by the runner."""
 
-import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -9,13 +8,13 @@ import numpy as np
 import pytest
 
 from snaplink import evaluate as ev
-from snaplink import runner, synthetic
+from snaplink import runner, snapshots, synthetic
 from snaplink.config import ExperimentConfig, load_config
 from snaplink.errors import ConfigError, ParseError
 from snaplink.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
 from snaplink.runner import grid_search, load_dataset, run_experiment
-from snaplink.snapshots import (EdgeSchema, cache_key, edges_from_arrays,
-                                file_fingerprint, period_seconds, temp_path)
+from snaplink.snapshots import (EdgeSchema, cache_key, edges_from_arrays, file_fingerprint,
+                                load_edge_list, partition_snapshots, temp_path)
 
 
 def test_seed_report_keeps_wall_seconds(synth_graph, tmp_path, monkeypatch):
@@ -48,7 +47,7 @@ def test_runs_default_to_float32_and_a_config_file_opts_out(synth_graph, tmp_pat
         assert model.config.dtype == np.dtype(dtype).name
         arrays = [p.value for p in model.params] + state.layers  # running stats too
         assert {a.dtype for a in arrays} == {np.dtype(dtype)}
-    assert ModelConfig().dtype == "float64"  # the library default grad_check relies on
+    assert ModelConfig().dtype == "float32"  # one default, for runs and for the library
 
 
 def test_completed_run_is_skipped_unless_forced(synth_graph, tmp_path, monkeypatch):
@@ -72,56 +71,41 @@ def test_completed_run_is_skipped_unless_forced(synth_graph, tmp_path, monkeypat
     assert calls == [1, 1]
 
 
-def _v1_archive(cache, path, cfg):
-    """Write a v1-format archive of `path` where a v1 load would look for it."""
-    # the key of a v1 archive did not include the format
-    raw = (f"{file_fingerprint(path)}|{period_seconds(cfg.frequency):g}"
-           f"|{EdgeSchema.parse(cfg.schema).tag()}")
-    old = cache / f"{hashlib.sha256(raw.encode()).hexdigest()[:20]}.npz"
-    cache.mkdir(exist_ok=True)
-    meta = json.dumps({"format": "snaplink-snapshots-v1"}).encode()
-    np.savez_compressed(old, __meta__=np.frombuffer(meta, np.uint8),
-                        node_features=np.zeros((5, 30, 2)))
-    return old
+def fresh_graph(cfg):
+    """The configured dataset ingested without a cache."""
+    return partition_snapshots(load_edge_list(Path(cfg.dataset), EdgeSchema.parse(cfg.schema)),
+                               cfg.frequency)
 
 
-def test_load_dataset_never_opens_an_archive_of_the_old_format(tmp_path):
+def test_load_dataset_never_opens_an_archive_of_the_old_format(tmp_path, monkeypatch):
     path = tmp_path / "edges.csv"
     synthetic.write_edge_file(path, synthetic.generate_edges(
         n_nodes=30, n_steps=5, edges_per_step=40, period=1000.0, seed=4))
     cfg = ExperimentConfig(dataset=str(path), frequency="1000")
+    schema = EdgeSchema.parse(cfg.schema)
     cache = tmp_path / ".cache"
-    old = _v1_archive(cache, path, cfg)
+    cache.mkdir()
+    key = cache_key(file_fingerprint(path), cfg.frequency, schema)
+    # cache_key hashes CACHE_FORMAT, so another format's archive has another stem
+    monkeypatch.setattr(snapshots, "CACHE_FORMAT", "snaplink-snapshots-v1")
+    old = cache / f"{cache_key(file_fingerprint(path), cfg.frequency, schema)}.npz"
+    monkeypatch.undo()
+    old.write_bytes(b"an archive in another format")
 
-    g = load_dataset(cfg, cache_dir=cache)  # the v1 archive would raise
-    # the save replaced the dead v1 archive
-    assert [p.name for p in cache.iterdir()] == [
-        f"{cache_key(file_fingerprint(path), cfg.frequency, EdgeSchema.parse(cfg.schema))}.npz"]
-    assert not old.exists()
+    opened = []
+    real = runner.load_snapshot_cache
+    monkeypatch.setattr(runner, "load_snapshot_cache",
+                        lambda p: opened.append(Path(p).name) or real(p))
+    g = load_dataset(cfg, cache_dir=cache)
+    assert opened == []
+    assert sorted(p.name for p in cache.iterdir()) == sorted([f"{key}.npz", old.name])
+    assert old.read_bytes() == b"an archive in another format"
     warm = load_dataset(cfg, cache_dir=cache)
+    assert opened == [f"{key}.npz"]
     assert len(g) == len(warm) == 5
-    fresh = load_dataset(cfg)
+    fresh = fresh_graph(cfg)
     assert_same_graph(fresh, g)
     assert_same_graph(fresh, warm)
-
-
-def test_load_dataset_keeps_other_datasets_archives(tmp_path):
-    cache = tmp_path / ".cache"
-    cfgs = []
-    for seed in (4, 5):
-        path = tmp_path / f"edges{seed}.csv"
-        synthetic.write_edge_file(path, synthetic.generate_edges(
-            n_nodes=30, n_steps=5, edges_per_step=40, period=1000.0, seed=seed))
-        cfgs.append(ExperimentConfig(dataset=str(path), frequency="1000"))
-    other_v1 = _v1_archive(cache, Path(cfgs[1].dataset), cfgs[1])
-    # the same file at another period is another dataset
-    load_dataset(replace(cfgs[1], frequency="2000"), cache_dir=cache)
-    before = {p.name for p in cache.iterdir()}
-    assert other_v1.name in before and len(before) == 2
-
-    load_dataset(cfgs[0], cache_dir=cache)
-    after = {p.name for p in cache.iterdir()}
-    assert before < after and len(after) == 3
 
 
 def assert_same_graph(a, b):
@@ -175,7 +159,7 @@ def test_damaged_archive_is_a_cache_miss_and_is_rewritten(tmp_path, monkeypatch,
     assert [p.name for p in cache.iterdir()] == [archive.name]
     warm = load_dataset(cfg, cache_dir=cache)
     assert len(ingests) == 1  # the rewritten archive is a cache hit
-    fresh = load_dataset(cfg)
+    fresh = fresh_graph(cfg)
     assert_same_graph(fresh, g)
     assert_same_graph(fresh, warm)
 
@@ -356,3 +340,37 @@ def test_heap_setting_is_a_no_op_without_mallopt(monkeypatch):
     monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: object())
     runner._keep_freed_heap()  # a C library without mallopt
     assert len(calls) == 2
+
+
+def _fake_run(run_dir: Path, mrr: float) -> Path:
+    """A run directory holding only what `emit_report` reads."""
+    (run_dir / "seed0").mkdir(parents=True)
+    report = {"protocol": "live_update", "dataset": "d.csv", "update": "gru", "alpha": 1.0,
+              "seeds": [0], "mean_mrr": mrr, "std_mrr": 0.0, "mean_val_mrr": mrr}
+    (run_dir / "report.json").write_text(json.dumps(report))
+    step = {"record": "step", "t": 0, "mrr": mrr, "n_positives": 3, "epochs_run": 1}
+    (run_dir / "seed0" / "steps.ndjson").write_text(json.dumps(step) + "\n")
+    return run_dir
+
+
+def _reported(run_dirs, out):
+    runner.emit_report(run_dirs, out)
+    table = (out / "summary_table.tsv").read_text().splitlines()[2:]
+    series = {p.name: p.read_text().splitlines()[2].split("\t")[2]
+              for p in out.glob("*.steps.tsv")}
+    return [line.split("\t")[0] for line in table], series
+
+
+def test_report_labels_runs_by_their_path_under_the_common_parent(tmp_path):
+    a = _fake_run(tmp_path / "gridA" / "cell000", 0.25)
+    b = _fake_run(tmp_path / "gridB" / "cell000", 0.5)
+    c = _fake_run(tmp_path / "gridA" / "cell001", 0.125)
+    assert _reported([a, b], tmp_path / "two_grids") == (
+        ["gridA/cell000", "gridB/cell000"],
+        {"gridA_cell000.steps.tsv": "0.250000", "gridB_cell000.steps.tsv": "0.500000"})
+    # runs under one grid (or one run root) keep their directory names
+    assert _reported([a, c], tmp_path / "one_grid") == (
+        ["cell000", "cell001"],
+        {"cell000.steps.tsv": "0.250000", "cell001.steps.tsv": "0.125000"})
+    assert _reported([b], tmp_path / "one_run") == (
+        ["cell000"], {"cell000.steps.tsv": "0.500000"})

@@ -585,3 +585,8 @@ def test_cache_key_depends_on_inputs():
     k2 = sn.cache_key("abc", "daily")
     k3 = sn.cache_key("abd", "weekly")
     assert len({k1, k2, k3}) == 3
+
+
+def test_cache_key_is_pinned():
+    """Archives already on disk stay cache hits only while their stem does."""
+    assert sn.cache_key("0123456789abcdef", "1000", sn.EdgeSchema()) == "24262c1daf94a3054f2b"

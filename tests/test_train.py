@@ -1,5 +1,7 @@
 """Tests for per-snapshot fine-tuning and the meta blend."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ def test_fine_tune_does_not_mutate_prev_state_or_labels():
     rng = np.random.default_rng(4)
     for layer in state.layers:
         layer[:] = rng.normal(size=layer.shape)
-    state_before = state.clone()
+    state_before = copy.deepcopy(state)
     labels_pos_before = labels.positives.copy()
     tr.fine_tune(model, snap, state, labels,
                  tr.TrainConfig(learning_rate=0.05, max_epochs=10, patience=3),
