@@ -272,7 +272,8 @@ def affine(x: Var, w: Var, b: Var) -> Var:
         raise DimensionError(
             f"affine input width {x.value.shape} does not match weight {w.value.shape}"
         )
-    out = x.value @ w.value.T + b.value
+    out = x.value @ w.value.T
+    out += b.value  # in place: one (n, out_dim) allocation
 
     def vjp(g):
         return (g @ w.value, g.T @ x.value, g.sum(axis=0))

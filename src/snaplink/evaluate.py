@@ -19,7 +19,8 @@ set): the state rows, the train-mode batch-norm batch, the eval negative
 pools and the training negatives all include nodes whose first edge comes
 after window s+1. Step s reads the edges of windows <= s+1 only, but knows
 every node that will ever exist; using only the nodes seen by window s+1
-instead would move MRR.
+instead would move MRR. A source is in its own eval negative pool, so the
+self-pair (u, u) is ranked against u's positives.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ def mrr(top_repr: np.ndarray, labels: LabelSet, model: ModelParams) -> float:
     win. A positive whose source has no negatives ranks first.
 
     A source's positives and negatives are scored in one `scores_against`
-    call. The head computes relu(a[u] + b[v]) . w2 + b2 as
-    max(b[v], -a[u]) . w2 + (a[u] . w2 + b2) and is row-stable, so a
+    call, through the head training uses. That scoring is row-stable, so a
     negative whose representation row equals the positive's scores bitwise
     equal and ties: the tie rule holds by construction.
     """

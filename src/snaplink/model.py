@@ -8,11 +8,9 @@ pairs. All per-layer states are carried across time, not just the top one.
 The carried state, `HierarchicalNodeState`, also holds the history: the edge
 counts already folded in, which set the moving-average keep ratio.
 
-Ranking scores many candidates per source through `PairScorer`, which uses
-the identity relu(x + y) . w = max(x, -y) . w + y . w to score a source's
-candidates with one gather, one max and one row-wise dot. That scoring is
-row-stable, so equal representation rows get equal scores and tie; the
-training head, `_scores_var`, computes relu(x + y) . w directly on the tape.
+The head exists once: `_head_slabs` projects node rows through the source
+and destination slabs of its first layer, and both the taped training scores
+(`_scores_var`) and the off-tape ranking scores (`PairScorer`) start there.
 
 A forward pass consumes exactly one snapshot plus the previous state and
 returns the next state without mutating its inputs, so nothing later than
@@ -185,7 +183,9 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
         ps.new(f"post.{j}.w", _xavier(rng, (d, d), dt))
         ps.new(f"post.{j}.b", np.zeros(d, dtype=dt))
 
-    ps.new("head.w1", _xavier(rng, (d, 2 * d), dt))
+    w_src, w_dst = np.hsplit(_xavier(rng, (d, 2 * d), dt), 2)  # one draw, two slabs
+    ps.new("head.w_src", w_src.copy())
+    ps.new("head.w_dst", w_dst.copy())
     ps.new("head.b1", np.zeros(d, dtype=dt))
     ps.new("head.w2", _xavier(rng, (1, d), dt))
     ps.new("head.b2", np.zeros(1, dtype=dt))
@@ -265,13 +265,21 @@ def update_state(h_prev: dc.Var, h_tilde: dc.Var, kind: str,
 # ---------------------------------------------------------------------------
 
 
+def _head_slabs(rows: dc.Var, model: ModelParams) -> tuple[dc.Var, dc.Var]:
+    """The head's first layer split by endpoint: a = rows . w_src^T and
+    b = rows . w_dst^T + b1, so a pair (u, v) has the hidden layer
+    relu(a[u] + b[v]). Both scoring paths project through here."""
+    p = model.params
+    zero = dc.constant(np.zeros_like(p["head.b1"].value))
+    return (dc.affine(rows, p["head.w_src"], zero),
+            dc.affine(rows, p["head.w_dst"], p["head.b1"]))
+
+
 class PairScorer:
     """Scores (src, dst) pairs against fixed node representations.
 
-    The first head layer is split into source and destination slabs, so with
-    a = top @ w1_src.T and b = top @ w1_dst.T + b1 (b1 folded in) the score is
-    relu(a[u] + b[v]) . w2 + b2. The identity relu(x + y) = max(x, -y) + y
-    turns it into
+    With the slabs a, b of `_head_slabs` over every node, the score
+    relu(a[u] + b[v]) . w2 + b2 becomes, by relu(x + y) = max(x, -y) + y,
 
         max(b[v], -a[u]) . w2 + (a[u] . w2 + b2),
 
@@ -286,18 +294,12 @@ class PairScorer:
     """
 
     def __init__(self, top_repr: np.ndarray, model: ModelParams):
-        d = model.config.hidden_dim
-        if top_repr.shape[1] != d:
-            raise DimensionError(
-                f"representation width {top_repr.shape} != hidden dim {d}")
-        w1 = model.params["head.w1"].value
+        with dc.no_tape():  # a representation of the wrong width raises DimensionError
+            a, self.b = (v.value for v in _head_slabs(dc.constant(top_repr), model))
         self.w2 = model.params["head.w2"].value.ravel()
-        # in place, so building a scorer holds no more than the two slabs
-        a = top_repr @ w1[:, :d].T
+        # in place, so a scorer holds no more than the two slabs
         self.a_dot = a @ self.w2 + model.params["head.b2"].value
         self.neg_a = np.negative(a, out=a)
-        self.b = top_repr @ w1[:, d:].T
-        self.b += model.params["head.b1"].value
         self.n_nodes = top_repr.shape[0]
 
     def scores_against(self, src: int, dsts: np.ndarray) -> np.ndarray:
@@ -317,16 +319,14 @@ class PairScorer:
 
 
 def _scores_var(top: dc.Var, pairs: np.ndarray, model: ModelParams) -> dc.Var:
-    """Differentiable pair scoring for the training path."""
-    n = top.value.shape[0]
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-        raise BoundsError(f"pair id out of range [0, {n})")
-    hu = dc.gather_rows(top, pairs[:, 0])
-    hv = dc.gather_rows(top, pairs[:, 1])
-    out = dc.mlp2(dc.concat_cols([hu, hv]),
-                  model.params["head.w1"], model.params["head.b1"],
-                  model.params["head.w2"], model.params["head.b2"])
-    return out
+    """Differentiable pair scores relu(a[u] + b[v]) . w2 + b2 for the
+    training path, from the slabs of `_head_slabs` over the batch's distinct
+    nodes, each projected once."""
+    nodes, inv = np.unique(np.asarray(pairs, dtype=np.int64), return_inverse=True)
+    inv = inv.reshape(-1, 2)
+    a, b = _head_slabs(dc.gather_rows(top, nodes), model)
+    hidden = dc.relu(dc.add(dc.gather_rows(a, inv[:, 0]), dc.gather_rows(b, inv[:, 1])))
+    return dc.affine(hidden, model.params["head.w2"], model.params["head.b2"])
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +384,7 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
 
         state = HierarchicalNodeState([v.value for v in new_layers], h_prev.step + 1,
                                       h_prev.history + counts)
-        scores = None
-        if pairs is not None:
-            pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-            scores = _scores_var(h, pairs, model)
+        scores = None if pairs is None else _scores_var(h, pairs, model)
         return ForwardResult(state=state, top_repr=h.value, scores=scores)
 
 
@@ -395,7 +392,7 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
 # Checkpointing
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = "snaplink-params-v1"
+CHECKPOINT_FORMAT = "snaplink-params-v2"
 
 
 def save_checkpoint(path, model: ModelParams,

@@ -202,7 +202,8 @@ class LabelSet:
 
     eval_negatives maps each distinct positive source to dst candidates
     sampled without replacement from the node universe, rejecting this
-    step's positives (historical edges may appear as negatives).
+    step's positives (historical edges may appear as negatives, and so may
+    the source itself: the self-pair (u, u) is ranked).
     """
 
     step: int
@@ -499,12 +500,13 @@ def build_labels(g: DynamicGraph, t: int, val_fraction: float, k_neg: int,
     train/val split, and per-source negative dst lists.
 
     Each source's negatives are drawn uniformly without replacement from the
-    complement of its positive dsts in this step (the pool), truncated to
-    the pool when it holds fewer than k_neg nodes. The draw picks k ranks in
-    the sorted pool and maps each rank to its node by counting the
-    positives at or below it, so it costs O(c + k log c) for c positives
-    instead of a set difference over all nodes. It consumes the generator
-    exactly as `rng.choice(pool, k, replace=False)` would.
+    complement of its positive dsts in this step (the pool, which holds the
+    source itself unless (u, u) is a positive), truncated to the pool when
+    it holds fewer than k_neg nodes. The draw picks k ranks in the sorted
+    pool and maps each rank to its node by counting the positives at or
+    below it, so it costs O(c + k log c) for c positives instead of a set
+    difference over all nodes. It consumes the generator exactly as
+    `rng.choice(pool, k, replace=False)` would.
     """
     if not 0 <= t < len(g) - 1:
         raise ValueError(f"step {t} out of range for {len(g)} snapshots")

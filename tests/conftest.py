@@ -49,12 +49,16 @@ def fresh_state(model, n_nodes):
     return HierarchicalNodeState.zeros(n_nodes, model.config)
 
 
-@pytest.fixture(scope="session")
-def synth_graph():
+def make_synth_graph():
     """A 10-window synthetic dynamic graph with strong recurrence."""
     edges = synthetic.generate_edges(n_nodes=40, n_steps=10, edges_per_step=150,
                                      n_communities=4, recurrence=0.6, seed=11)
     return partition_snapshots(edges, 1000.0)
+
+
+@pytest.fixture(scope="session")
+def synth_graph():
+    return make_synth_graph()
 
 
 def dataset_path(name: str) -> Path | None:

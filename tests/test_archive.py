@@ -166,7 +166,7 @@ def test_checkpoint_entries_and_format_are_pinned(tmp_path):
         {"__meta__", "arr:hstate:0", "arr:hstate:1", "arr:hstate:history"}
         | {f"arr:{name}" for name in model.params.names()})
     meta = meta_of(path)
-    assert meta == {"format": "snaplink-params-v1", "config": asdict(model.config),
+    assert meta == {"format": "snaplink-params-v2", "config": asdict(model.config),
                     "state_step": 3}
     with np.load(path) as data:
         # every entry C-contiguous, and at least 1-d: a scalar history too
@@ -193,7 +193,7 @@ def test_cache_entries_and_format_are_pinned(tmp_path):
 
 def test_a_checkpoint_written_by_hand_loads_bit_exactly(tmp_path):
     model, state = trained_model_and_state()
-    meta = {"config": asdict(model.config), "format": "snaplink-params-v1",
+    meta = {"config": asdict(model.config), "format": "snaplink-params-v2",
             "state_step": state.step}
     arrays = {f"arr:{name}": value for name, value in model.params.state_dict().items()}
     arrays.update({f"arr:hstate:{i}": layer for i, layer in enumerate(state.layers)})
@@ -254,5 +254,19 @@ def test_load_snapshot_cache_rejects_a_checkpoint(tmp_path):
     model, state = trained_model_and_state()
     path = tmp_path / "model.npz"
     md.save_checkpoint(path, model, state)
-    with pytest.raises(ValueError, match="snaplink-params-v1"):
+    with pytest.raises(ValueError, match="snaplink-params-v2"):
         sn.load_snapshot_cache(path)
+
+
+def test_a_v1_checkpoint_is_rejected_by_its_format(tmp_path):
+    # v1 stored the head's first layer as one (d, 2d) `head.w1`: its format
+    # tag, not a parameter-name mismatch, is what refuses it
+    model, _ = trained_model_and_state()
+    arrays = model.params.state_dict()
+    arrays["head.w1"] = np.hstack([arrays.pop("head.w_src"), arrays.pop("head.w_dst")])
+    path = tmp_path / "v1.npz"
+    sn.save_archive(path, "snaplink-params-v1",
+                    {"arr:" + k: v for k, v in arrays.items()},
+                    {"config": asdict(model.config)})
+    with pytest.raises(ValueError, match="archive format 'snaplink-params-v1'"):
+        md.load_checkpoint(path)

@@ -96,6 +96,30 @@ def test_affine_shape_mismatch_names_both_shapes():
         dc.affine(dc.constant(np.zeros((3, 4))), w, b)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_affine_adds_the_bias_in_place_with_the_same_bits(dtype):
+    import tracemalloc
+
+    rng = rng_for(3)
+    n, d_in, d_out = 2000, 64, 128
+    x = dc.constant(rng.normal(size=(n, d_in)).astype(dtype))
+    w = dc.Param("w", rng.normal(size=(d_out, d_in)).astype(dtype))
+    b = dc.Param("b", rng.normal(size=d_out).astype(dtype))
+    expected = x.value @ w.value.T + b.value
+    dc.affine(x, w, b)  # warm-up
+    tracemalloc.start()
+    try:
+        out = dc.affine(x, w, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (n, d_out) output, not a product and then a sum beside it; the
+    # slack covers numpy's iterator buffers (64 KiB in float64)
+    assert peak <= n * d_out * np.dtype(dtype).itemsize + 256 * 1024, peak
+    assert out.value.dtype == dtype
+    assert out.value.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # mlp2
 # ---------------------------------------------------------------------------

@@ -24,11 +24,9 @@ def reference_mrr(top_repr, labels, model):
     """The per-positive loop that mrr replaced, scoring every pair as a
     one-row block of the head relu(a + b) . w2 + b2 in its max form,
     max(b, -a) . w2 + (a . w2 + b2)."""
-    d = model.config.hidden_dim
-    w1 = model.params["head.w1"].value
     w2 = model.params["head.w2"].value.ravel()
-    a = top_repr @ w1[:, :d].T
-    b = top_repr @ w1[:, d:].T + model.params["head.b1"].value
+    a = top_repr @ model.params["head.w_src"].value.T
+    b = top_repr @ model.params["head.w_dst"].value.T + model.params["head.b1"].value
     a_dot = a @ w2 + model.params["head.b2"].value
 
     def head(src, dsts):
@@ -78,7 +76,7 @@ def test_mrr_equals_reference_loop(seed):
 def test_mrr_equals_reference_loop_with_many_ties():
     rng = np.random.default_rng(5)
     model = toy_model(update="moving_average", hidden=4, seed=5)
-    for name in ("head.w1", "head.b1", "head.w2"):
+    for name in ("head.w_src", "head.w_dst", "head.b1", "head.w2"):
         p = model.params[name]
         p.value = rng.integers(-2, 3, size=p.value.shape) * 0.25
     reps = rng.integers(0, 2, size=(30, 4)).astype(np.float64)
@@ -169,7 +167,8 @@ def test_mrr_float32_head_overflow_raises(bad_node):
     # a representation row of 1e38 is finite in float32, but with an all-ones
     # first head layer its slab sums to 4e38, which only float64 can hold
     model = toy_model(update="moving_average", hidden=4, seed=9, dtype="float32")
-    model.params["head.w1"].value[:] = 1.0
+    model.params["head.w_src"].value[:] = 1.0
+    model.params["head.w_dst"].value[:] = 1.0
     reps = np.random.default_rng(9).normal(size=(6, 4)).astype(np.float32)
     reps[2 if bad_node == "positive" else 4] = 1e38
     assert np.isfinite(reps).all()
@@ -180,7 +179,8 @@ def test_mrr_float32_head_overflow_raises(bad_node):
         with pytest.raises(NumericError, match=f"non-finite {bad_node} score"):
             ev.mrr(reps, labels, model)
     model64 = toy_model(update="moving_average", hidden=4, seed=9)
-    model64.params["head.w1"].value[:] = 1.0
+    model64.params["head.w_src"].value[:] = 1.0
+    model64.params["head.w_dst"].value[:] = 1.0
     assert np.isfinite(ev.mrr(reps.astype(np.float64), labels, model64))
 
 
@@ -245,7 +245,7 @@ def test_fixed_split_parameters_frozen_in_test_block(synth_graph, monkeypatch):
     assert set(seen) == {ev.params_checksum(out["model"])}
 
 
-@pytest.mark.parametrize("name", ["head.w1", "mp.0.running_mean"])
+@pytest.mark.parametrize("name", ["head.w_src", "mp.0.running_mean"])
 def test_fixed_split_raises_when_parameters_move(synth_graph, monkeypatch, name):
     first_test_step = len(synth_graph) - 2 - 1
     real_mrr = ev.mrr

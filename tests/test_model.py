@@ -242,7 +242,8 @@ def predict_scores(reps, pairs, model):
 
 def test_predict_scores_zero_head_gives_zero():
     model = toy_model()
-    model.params["head.w1"].value[:] = 0.0
+    model.params["head.w_src"].value[:] = 0.0
+    model.params["head.w_dst"].value[:] = 0.0
     model.params["head.w2"].value[:] = 0.0
     model.params["head.b1"].value[:] = 0.0
     model.params["head.b2"].value[:] = 0.0
@@ -260,7 +261,8 @@ def test_predict_scores_duplicate_pairs_identical():
 
 def test_predict_scores_scalar_hand_computed():
     model = toy_model(hidden=1)
-    model.params["head.w1"].value = np.array([[0.5, 1.0]])
+    model.params["head.w_src"].value = np.array([[0.5]])
+    model.params["head.w_dst"].value = np.array([[1.0]])
     model.params["head.b1"].value = np.array([0.2])
     model.params["head.w2"].value = np.array([[2.0]])
     model.params["head.b2"].value = np.array([0.3])
@@ -283,7 +285,7 @@ def test_pair_scorer_matches_naive_concat():
     reps = rng.normal(size=(7, 4))
     pairs = rng.integers(0, 7, size=(20, 2))
     fast = predict_scores(reps, pairs, model)
-    w1 = model.params["head.w1"].value
+    w1 = np.hstack([model.params["head.w_src"].value, model.params["head.w_dst"].value])
     b1 = model.params["head.b1"].value
     w2 = model.params["head.w2"].value
     b2 = model.params["head.b2"].value
@@ -292,6 +294,11 @@ def test_pair_scorer_matches_naive_concat():
         for u, v in pairs
     ])
     np.testing.assert_allclose(fast, naive, rtol=1e-12, atol=1e-12)
+
+
+def test_pair_scorer_rejects_a_representation_of_the_wrong_width():
+    with pytest.raises(DimensionError):
+        md.PairScorer(np.zeros((5, 3)), toy_model(hidden=4))
 
 
 def test_scores_against_rejects_out_of_range_destinations():
@@ -351,6 +358,26 @@ def test_scores_against_peaks_within_one_temporary():
     finally:
         tracemalloc.stop()
     assert peak <= k * d * 4 + 64 * 1024, peak
+
+
+@pytest.mark.parametrize("dtype,halves,w2", [
+    ("float64", "97f39346c3e88f86", "d1115cda07d0dcf8"),
+    ("float32", "97300744555df731", "97b525ceff1a7a96"),
+])
+def test_head_slabs_are_the_column_halves_of_one_draw(dtype, halves, w2):
+    # sha256 prefixes of the (d, 2d) first head layer and of w2 that the
+    # single-matrix head drew at this seed: the split keeps the draw and
+    # the RNG stream after it bit for bit
+    import hashlib
+
+    model = toy_model(update="gru", hidden=4, seed=3, dtype=dtype)
+    w_src, w_dst = model.params["head.w_src"].value, model.params["head.w_dst"].value
+    assert w_src.shape == w_dst.shape == (4, 4)
+    assert w_src.flags.c_contiguous and w_dst.flags.c_contiguous
+    digest = hashlib.sha256(np.hstack([w_src, w_dst]).tobytes()).hexdigest()
+    assert digest[:16] == halves
+    digest = hashlib.sha256(model.params["head.w2"].value.tobytes()).hexdigest()
+    assert digest[:16] == w2
 
 
 def test_scores_var_matches_predict_scores():
@@ -442,8 +469,10 @@ def test_forward_end_to_end_gradient():
     rng = np.random.default_rng(13)
     for layer in state.layers:
         layer[:] = 0.3 * rng.normal(size=layer.shape)
-    pairs = np.array([(0, 1), (2, 3), (4, 5), (1, 0)])
-    labels = np.array([[1.0], [0.0], [1.0], [0.0]])
+    # (2, 2) reaches node 2 through both head slabs, and the repeated (0, 1)
+    # reaches nodes 0 and 1 more than once
+    pairs = np.array([(0, 1), (2, 3), (4, 5), (1, 0), (2, 2), (0, 1)])
+    labels = np.array([[1.0], [0.0], [1.0], [0.0], [1.0], [0.0]])
 
     def loss():
         res = md.forward(snap, state, model, pairs=pairs, mode="train")

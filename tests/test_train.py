@@ -144,11 +144,11 @@ OVERFLOWS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarni
 
 
 @pytest.mark.parametrize("dtype,name,scale", [
-    pytest.param("float64", "head.w1", 1.0, id="head.w1-1.0"),
+    pytest.param("float64", "head.w_src", 1.0, id="head.w_src-1.0"),
     pytest.param("float64", "pre.0.w", 1e150, id="pre.0.w-1e+150"),
     pytest.param("float64", "pre.0.w", 1e308, id="pre.0.w-1e+308", marks=OVERFLOWS),
     pytest.param("float64", "mp.0.w", 1e200, id="mp.0.w-1e+200"),
-    pytest.param("float32", "head.w1", 1.0, id="float32-head.w1-1.0"),
+    pytest.param("float32", "head.w_src", 1.0, id="float32-head.w_src-1.0"),
     pytest.param("float32", "pre.0.w", 1e19, id="float32-pre.0.w-1e+19"),
     pytest.param("float32", "pre.0.w", 1e38, id="float32-pre.0.w-1e+38", marks=OVERFLOWS),
     pytest.param("float32", "mp.0.w", 1e25, id="float32-mp.0.w-1e+25"),
@@ -257,9 +257,9 @@ def test_meta_alpha_one_copies_trained():
         np.testing.assert_array_equal(meta.params[name].value,
                                       trained.params[name].value)
     # it is a copy, not a reference
-    trained.params["head.w1"].value[0, 0] += 1.0
-    assert meta.params["head.w1"].value[0, 0] != \
-        trained.params["head.w1"].value[0, 0]
+    trained.params["head.w_src"].value[0, 0] += 1.0
+    assert meta.params["head.w_src"].value[0, 0] != \
+        trained.params["head.w_src"].value[0, 0]
 
 
 def test_meta_alpha_zero_is_identity():
