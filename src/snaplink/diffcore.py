@@ -199,7 +199,11 @@ def relu(x: Var) -> Var:
 def _stable_sigmoid(v: np.ndarray) -> np.ndarray:
     """1/(1+e^-v) for v >= 0 and e^v/(1+e^v) below, without overflow."""
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+    # max(e, 1) = 1 where v >= 0 and max(e, 0) = e below, without a branch
+    num = np.maximum(e, v >= 0)
+    e += 1.0
+    num /= e
+    return num
 
 
 def sigmoid(x: Var) -> Var:
@@ -237,10 +241,19 @@ def _scatter_sum(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarr
     and rounded once, so it equals `np.add.at` on a float64 copy cast to
     float32, not float32 `np.add.at`; and the flat index is a transient of
     len(index) * d int64 values.
+    When no index repeats, as when `gnn_layer` places one row per receiving
+    node, each row is copied into place instead; adding 0.0 keeps the bits
+    of a sum from 0.0 (-0.0 becomes 0.0).
     `index` must lie in [0, n_rows).
     """
     d = values.shape[1]
-    flat = (np.asarray(index, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
+    index = np.asarray(index, dtype=np.int64)
+    if np.bincount(index, minlength=n_rows).max(initial=0) <= 1:
+        out = np.zeros((n_rows, d), dtype=values.dtype)
+        out[index] = values
+        out += 0.0
+        return out
+    flat = (index[:, None] * d + np.arange(d)).ravel()
     out = np.bincount(flat, weights=values.ravel(), minlength=n_rows * d)
     return out.reshape(n_rows, d).astype(values.dtype, copy=False)
 

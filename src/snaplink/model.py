@@ -8,6 +8,13 @@ pairs. All per-layer states are carried across time, not just the top one.
 The carried state, `HierarchicalNodeState`, also holds the history: the edge
 counts already folded in, which set the moving-average keep ratio.
 
+A message is the affine map W·[h_u; h_v; f_e] + b of its source's and
+destination's embeddings and its edge features. For the sum and mean
+aggregations the message layer aggregates first and transforms once per
+receiving node: the mean of affine maps is the affine map of the mean input,
+and a sum is that mean times the in-degree. A max of affine maps is not an
+affine map of a max, so `max` keeps one message per edge.
+
 The head exists once: `_head_slabs` projects node rows through the source
 and destination slabs of its first layer, and both the taped training scores
 (`_scores_var`) and the off-tape ranking scores (`PairScorer`) start there.
@@ -207,6 +214,13 @@ def gnn_layer(h: dc.Var, snapshot: GraphSnapshot, model: ModelParams,
     bidirectional mode also sends each edge backwards through the same
     weights. Order after aggregation: skip term, batch norm, ReLU. A
     train-mode batch norm updates the layer's running statistics in place.
+
+    Sum and mean are computed aggregate-first. The messages into v share
+    h_v, and the mean of W·x_i + b is W·mean(x_i) + b, so v's mean message
+    is one affine map of [mean h_u; h_v; mean f_e] and its sum that times
+    v's in-degree: one GEMM row per receiving node, not per message. Max
+    maps each message and then reduces, since max_i(W·x_i + b) is not an
+    affine map of any per-node input.
     """
     cfg = model.config
     n = snapshot.n_nodes
@@ -224,11 +238,22 @@ def gnn_layer(h: dc.Var, snapshot: GraphSnapshot, model: ModelParams,
         msrc, mdst = src, dst
 
     mp = model.params.group(f"mp.{layer}")
-    if len(msrc):
+    if len(msrc) and cfg.aggregation == "max":
         hu = dc.gather_rows(h, msrc)
         hv = dc.gather_rows(h, mdst)
         msgs = dc.affine(dc.concat_cols([hu, hv, dc.constant(feats)]), mp["w"], mp["b"])
-        agg = dc.aggregate(msgs, mdst, n, cfg.aggregation)
+        agg = dc.aggregate(msgs, mdst, n, "max")
+    elif len(msrc):
+        nodes, inv = np.unique(mdst, return_inverse=True)
+        m = len(nodes)
+        x = dc.concat_cols([dc.aggregate(dc.gather_rows(h, msrc), inv, m, "mean"),
+                            dc.gather_rows(h, nodes),
+                            dc.aggregate(dc.constant(feats), inv, m, "mean")])
+        out = dc.affine(x, mp["w"], mp["b"])
+        if cfg.aggregation == "sum":
+            deg = np.bincount(inv, minlength=m).astype(cfg.np_dtype)
+            out = dc.mul(out, dc.constant(deg[:, None]))
+        agg = dc.aggregate(out, nodes, n, "sum")  # row i to node nodes[i]
     else:
         agg = dc.constant(np.zeros((n, d), dtype=cfg.np_dtype))
 

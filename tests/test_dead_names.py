@@ -1,14 +1,23 @@
 """Every top-level function and class in the package is named somewhere
 else, every method and property is named in `src/` code, and one that only
-tests name is listed in TEST_ONLY."""
+tests name is listed in TEST_ONLY. The benchmark's tracer finds every name
+it wraps, and a train step calls every tape op it expects to time."""
 
 import ast
 import importlib
 import importlib.util
 import io
 import re
+import sys
 import tokenize
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import fresh_state, toy_model, toy_snapshot
+from snaplink import diffcore as dc
+from snaplink import model as md
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "snaplink"
@@ -176,12 +185,20 @@ def test_method_detector():
     assert methods_src_does_not_name(sources, ["src/mod.py"]) == ["Record.only_a_comment"]
 
 
-def test_the_benchmark_tracer_still_finds_every_target():
+def load_bench(name: str, monkeypatch):
+    """`bench/<name>.py` as a module, read and never written; registered in
+    `sys.modules` for the test's duration, as its dataclasses need."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_tracer_still_finds_every_target(monkeypatch):
     """`bench/tracer.py` wraps its targets by name when a run is traced; one
     that a change in src/ removed or renamed would crash the benchmark."""
-    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_bench("tracer", monkeypatch)
     modules = {m: importlib.import_module(f"{tracer.PACKAGE}.{m}") for m in tracer.MODULES}
     for module, attr, _ in tracer.TARGETS:
         if "." in attr:  # patched on the class that defines it
@@ -191,3 +208,25 @@ def test_the_benchmark_tracer_still_finds_every_target():
             assert callable(getattr(modules[module], attr, None)), f"{module}.{attr}"
     for helper in tracer.DIFFCORE_HELPERS:
         assert callable(getattr(modules["diffcore"], helper, None)), helper
+
+
+@pytest.mark.parametrize("update", ["moving_average", "gru"])
+def test_a_train_step_calls_every_tape_op_the_benchmark_expects(monkeypatch, update):
+    """A traced benchmark run fails when a tape op it expects records no
+    span, forward or backward; a refactor that stops calling one fails here
+    first. One train-mode forward and backward of each update kind a model
+    workload runs, under the program's default aggregation."""
+    tracer = load_bench("tracer", monkeypatch)
+    workloads = load_bench("workloads", monkeypatch)
+    expected = {span for w in workloads.WORKLOADS.values()
+                if w.kind == "model" and w.config["update"] == update
+                for span in w.expected_spans if span.startswith("diffcore.")}
+    assert expected
+    model = toy_model(update=update, aggregation="sum")
+    snap = toy_snapshot()
+    pairs = np.column_stack([snap.edge_src, snap.edge_dst])
+    with tracer.Tracer() as t:
+        result = md.forward(snap, fresh_state(model, snap.n_nodes), model,
+                            pairs=pairs, mode="train")
+        dc.backward(dc.bce_with_logits(result.scores, np.ones((len(pairs), 1))))
+    assert expected - {span[0] for span in t.spans} == set()

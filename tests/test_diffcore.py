@@ -401,6 +401,10 @@ def scatter_case(name):
         return index, rng.normal(scale=1e8, size=(500, 5)) ** 3, 9
     if name == "empty":
         return np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 6
+    if name == "no_repeats":  # placed row by row; -0.0 still sums to +0.0
+        values = rng.normal(size=(30, 4))
+        values[rng.uniform(size=values.shape) < 0.3] = -0.0
+        return rng.permutation(45)[:30], values, 45
     # -0.0 entries: a row fed only -0.0 sums to +0.0, as with np.add.at
     values = rng.normal(size=(60, 3))
     values[rng.uniform(size=values.shape) < 0.5] = -0.0
@@ -409,7 +413,7 @@ def scatter_case(name):
     return index, values, 12
 
 
-SCATTER_CASES = ("random", "duplicates", "empty", "negative_zero")
+SCATTER_CASES = ("random", "duplicates", "empty", "negative_zero", "no_repeats")
 
 
 @pytest.mark.parametrize("case", SCATTER_CASES)
@@ -443,12 +447,14 @@ def test_gather_rows_backward_noncontiguous_gradient():
 
 
 def test_scatter_float32_sums_in_float64_and_rounds_once():
-    index, values, n = scatter_case("duplicates")
-    v32 = values.astype(np.float32)
-    ref = add_at_reference(index, v32.astype(np.float64), n).astype(np.float32)
-    assert_bitwise(dc.aggregate(dc.constant(v32), index, n, "sum").value, ref)
-    (gx,) = dc.gather_rows(dc.Param("x", np.zeros((n, 5), np.float32)), index)._vjp(v32)
-    assert_bitwise(gx, ref)
+    for case in ("duplicates", "no_repeats"):
+        index, values, n = scatter_case(case)
+        v32 = values.astype(np.float32)
+        ref = add_at_reference(index, v32.astype(np.float64), n).astype(np.float32)
+        assert_bitwise(dc.aggregate(dc.constant(v32), index, n, "sum").value, ref)
+        x = dc.Param("x", np.zeros((n, v32.shape[1]), np.float32))
+        (gx,) = dc.gather_rows(x, index)._vjp(v32)
+        assert_bitwise(gx, ref)
 
 
 def test_scatter_propagates_inf_and_nan():

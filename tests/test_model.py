@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import fresh_state, make_snapshot, toy_model, toy_snapshot
-from helpers import grad_check
+from helpers import grad_check, mean_all
 from snaplink import diffcore as dc
 from snaplink import model as md
 from snaplink.errors import BoundsError, ConfigError, DimensionError
@@ -164,6 +164,83 @@ def test_gnn_layer_bidirectional_sends_reverse_messages():
     # forward message to node1 = 1.3 (as unidirectional case)
     # reverse message to node0 = .1*3 + .2*2 + .3 + .2 = 1.2
     np.testing.assert_allclose(out.value, [[3.2], [4.3]], rtol=0, atol=1e-15)
+
+
+def per_message_layer(h, snap, model, layer, mode):
+    """`gnn_layer` written one message per edge: the affine map of each
+    concat(source, destination, edge features), then the aggregation."""
+    cfg = model.config
+    src, dst, feats = snap.edge_src, snap.edge_dst, snap.edge_features
+    if cfg.bidirectional:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        feats = np.concatenate([feats, feats])
+    mp = model.params.group(f"mp.{layer}")
+    msgs = dc.affine(dc.concat_cols([dc.gather_rows(h, src), dc.gather_rows(h, dst),
+                                     dc.constant(feats)]), mp["w"], mp["b"])
+    out = dc.add(dc.aggregate(msgs, dst, snap.n_nodes, cfg.aggregation), h)
+    out = dc.batch_norm(out, mp["gamma"], mp["beta"], mp["running_mean"].value,
+                        mp["running_var"].value, mode)
+    return dc.relu(out)
+
+
+def layer_case(aggregation, bidirectional):
+    """Six nodes with a double edge 0->1, a self-loop at 2 and node 5 without
+    any edge, so it receives no message in either direction; float64, with
+    batch-norm parameters and running statistics away from their defaults."""
+    snap = make_snapshot(6, [0, 0, 2, 1, 3, 4], [1, 1, 2, 3, 0, 3],
+                         edge_features=[[1.0, 0.1], [1.0, 0.7], [0.5, 0.2],
+                                        [1.0, 0.4], [0.3, 0.9], [1.0, 0.0]])
+    model = toy_model(update="moving_average", aggregation=aggregation,
+                      bidirectional=bidirectional, seed=8)
+    rng = np.random.default_rng(9)
+    for name in ("mp.0.b", "mp.0.gamma", "mp.0.beta", "mp.0.running_mean"):
+        model.params[name].value = rng.normal(size=4)
+    model.params["mp.0.running_var"].value = rng.uniform(0.5, 2.0, size=4)
+    h = dc.Param("h", rng.normal(size=(6, 4)))
+    return snap, model, h
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("aggregation", ["sum", "mean"])
+def test_gnn_layer_aggregates_first_like_the_per_message_layer(aggregation, bidirectional):
+    snap, model, h = layer_case(aggregation, bidirectional)
+    for mode in ("eval", "train"):
+        ref_model = model.clone()
+        out = md.gnn_layer(h, snap, model, 0, mode).value
+        ref = per_message_layer(h, snap, ref_model, 0, mode).value
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0)
+        for stat in ("running_mean", "running_var"):
+            np.testing.assert_allclose(model.params[f"mp.0.{stat}"].value,
+                                       ref_model.params[f"mp.0.{stat}"].value, rtol=1e-12)
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("aggregation", ["sum", "mean"])
+def test_gnn_layer_gradients_aggregate_first(aggregation, bidirectional):
+    snap, model, h = layer_case(aggregation, bidirectional)
+    weights = dc.constant(np.random.default_rng(10).normal(size=(6, 4)))
+    mp = model.params.group("mp.0")
+
+    def f():
+        return mean_all(dc.mul(md.gnn_layer(h, snap, model, 0, "train"), weights))
+
+    assert grad_check(f, [h, mp["w"], mp["b"], mp["gamma"], mp["beta"]]) < 1e-6
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_gnn_layer_max_is_the_per_message_layer_bit_for_bit(bidirectional):
+    snap, model, h = layer_case("max", bidirectional)
+    weights = dc.constant(np.random.default_rng(10).normal(size=(6, 4)))
+    grads = []
+    for layer_fn in (md.gnn_layer, per_message_layer):
+        model.params.zero_grad()
+        h.grad = None
+        out = layer_fn(h, snap, model, 0, "eval")
+        dc.backward(mean_all(dc.mul(out, weights)))
+        grads.append([out.value, h.grad, model.params["mp.0.w"].grad,
+                      model.params["mp.0.b"].grad])
+    for a, b in zip(*grads):
+        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -558,14 +635,18 @@ def test_eval_forward_records_no_graph_and_matches_the_taped_forward(
 
 
 # Bounds in units of N*d*itemsize, the size of one node-state matrix. On
-# synth_graph's window 3 (N=40, 149 edges, so the bidirectional per-edge
-# message tensors, not the node matrices, are the largest arrays), at d=32:
-#   backward peak above what the forward keeps: 164 (moving average) and
-#   201 (GRU) units when the graph is held until backward returns, 22 and 23
-#   when each node is freed once its vjp has run;
-#   eval forward peak: 109 and 127 units with a recorded graph, 55 without.
+# synth_graph's window 3 (N=40, 149 edges, 298 bidirectional messages onto
+# 40 receiving nodes), at d=32, measured with the aggregate-first message
+# layer (per-message layer in brackets):
+#   train forward tape kept for the backward: 86 (134) units with moving
+#   average, 113 (161) with GRU;
+#   backward peak above what the forward keeps: 28 units with either update,
+#   as each node is freed once its vjp has run;
+#   eval forward peak: 32 (47) units without a recorded graph; with one,
+#   55 (109) with moving average and 78 (126) with GRU.
+FORWARD_KEPT_UNITS = 125
 BACKWARD_EXTRA_UNITS = 60
-EVAL_FORWARD_UNITS = 80
+EVAL_FORWARD_UNITS = 40
 
 
 @pytest.mark.parametrize("update", ["moving_average", "gru"])
@@ -592,6 +673,7 @@ def test_tape_memory_follows_what_the_backward_needs(synth_graph, update):
         eval_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    assert kept <= FORWARD_KEPT_UNITS * unit, kept / unit
     assert backward_extra <= BACKWARD_EXTRA_UNITS * unit, backward_extra / unit
     assert eval_peak <= EVAL_FORWARD_UNITS * unit, eval_peak / unit
 
