@@ -12,11 +12,15 @@ but it is cloned, blended, hashed and saved with the rest. This module
 reads and writes no files: `model.save_checkpoint` stores a `ParamSet`'s
 `state_dict()` through `snapshots.save_archive`.
 
-Tape memory follows what the backward still needs. Inside `no_tape()` no
-graph is recorded at all, so a forward that is never differentiated keeps
-only the values its caller holds. `backward` consumes the graph it walks:
-each node's closure, parent links and gradient are released as soon as its
-vjp has run, so a second `backward` through the same nodes raises.
+Tape memory follows what the backward reads. A Var holds its value and a
+`_Node`; nodes link to their parents' nodes, and each vjp closes over the
+arrays and shapes it reads, never a Var. So an activation is freed once the
+forward drops its Var, unless a vjp reads it: an `add` output that feeds
+only a `relu` goes, an `affine` input (its weight gradient reads it) stays.
+An op whose parents need no grad, and any op inside `no_tape()`, records no
+graph. `backward` consumes the graph it walks: each node's closure, parent
+links and gradient are released as soon as its vjp has run, so a second
+`backward` through the same nodes raises.
 
 This is deliberately not a general autodiff framework: only the operations
 listed above are supported, and all values are dense 1-D/2-D float arrays.
@@ -41,7 +45,7 @@ AGGREGATION_MODES = ("sum", "mean", "max")
 
 
 _recording = True
-# `Var._vjp` of a node whose gradient a `backward` has already propagated
+# `_Node.vjp` of a node whose gradient a `backward` has already propagated
 _CONSUMED = object()
 
 
@@ -60,27 +64,60 @@ def no_tape():
         _recording = previous
 
 
-class Var:
-    """A node in the differentiation graph: an ndarray plus backward plumbing.
+class _Node:
+    """A Var's place in the graph: `vjp` maps the output gradient to one
+    gradient (or None) per parent node. A leaf has no parents and no vjp."""
 
-    `parents` are the Vars this node was computed from and `vjp` maps the
-    output gradient to gradients for each parent (None for non-differentiable
-    slots). Leaves created directly from data have no parents, and neither
-    has any Var made inside `no_tape()`.
+    __slots__ = ("parents", "vjp", "grad", "requires_grad")
+
+    def __init__(self, parents: tuple, vjp, requires_grad: bool):
+        self.parents = parents
+        self.vjp = vjp
+        self.grad = None
+        self.requires_grad = requires_grad
+
+
+class Var:
+    """An ndarray and its graph node.
+
+    An op passes its input Vars as `parents`; only their nodes are kept,
+    and only when one of them requires grad and the tape is recording.
+    Leaves created directly from data pass `requires_grad` instead.
+    `_vjp` reads and replaces the node's closure. It exists for
+    `bench/tracer.py`, which wraps it to time each op's backward, until the
+    package records its own spans.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("value", "_node")
 
     def __init__(self, value, parents=(), vjp=None, requires_grad=None):
         self.value = np.asarray(value)
-        self.grad = None
-        if not _recording:
-            parents, vjp = (), None
-        self._parents = tuple(parents)
-        self._vjp = vjp
+        nodes = ()
         if requires_grad is None:
-            requires_grad = any(p.requires_grad for p in self._parents)
-        self.requires_grad = requires_grad
+            requires_grad = _recording and any(p.requires_grad for p in parents)
+            if requires_grad:
+                nodes = tuple(p._node for p in parents)
+        self._node = _Node(nodes, vjp if nodes else None, requires_grad)
+
+    @property
+    def grad(self):
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self._node.grad = g
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @property
+    def _vjp(self):
+        return self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        self._node.vjp = vjp
 
     @property
     def shape(self):
@@ -121,9 +158,9 @@ def backward(root: Var) -> None:
     """
     if root.value.size != 1:
         raise DimensionError(f"backward needs a scalar root, got shape {root.value.shape}")
-    order: list[Var] = []
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Var, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -131,20 +168,20 @@ def backward(root: Var) -> None:
             continue
         if id(node) in seen or not node.requires_grad:
             continue
-        if node._vjp is _CONSUMED:
+        if node.vjp is _CONSUMED:
             raise RuntimeError("backward reached a node an earlier backward consumed")
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in node.parents:
             stack.append((p, False))
 
     root.grad = np.ones_like(root.value)
     while order:
         node = order.pop()
-        if node._vjp is None:  # a leaf keeps its gradient
+        if node.vjp is None:  # a leaf keeps its gradient
             continue
         if node.grad is not None:
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
+            for parent, g in zip(node.parents, node.vjp(node.grad)):
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
@@ -152,8 +189,8 @@ def backward(root: Var) -> None:
                 else:
                     parent.grad = parent.grad + g
         node.grad = None
-        node._vjp = _CONSUMED
-        node._parents = ()
+        node.vjp = _CONSUMED
+        node.parents = ()
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -167,27 +204,32 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Elementwise and linear-algebra operations
+# Elementwise and linear-algebra operations. Each vjp closes over the arrays
+# and shapes it reads, and computes only the gradients its parents require.
 # ---------------------------------------------------------------------------
 
 
 def add(a: Var, b: Var) -> Var:
-    out = a.value + b.value
-    return Var(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return Var(a.value + b.value, (a, b),
+               lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Var, b: Var) -> Var:
-    out = a.value - b.value
-    return Var(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    sa, sb = a.shape, b.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
+    return Var(a.value - b.value, (a, b),
+               lambda g: (_unbroadcast(g, sa) if need_a else None,
+                          _unbroadcast(-g, sb) if need_b else None))
 
 
 def mul(a: Var, b: Var) -> Var:
-    out = a.value * b.value
-    return Var(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.value, a.shape), _unbroadcast(g * a.value, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    av = a.value if b.requires_grad else None  # only db reads a
+    bv = b.value if a.requires_grad else None
+    return Var(a.value * b.value, (a, b),
+               lambda g: (None if bv is None else _unbroadcast(g * bv, sa),
+                          None if av is None else _unbroadcast(g * av, sb)))
 
 
 def relu(x: Var) -> Var:
@@ -260,14 +302,10 @@ def _scatter_sum(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarr
 
 def gather_rows(x: Var, index: np.ndarray) -> Var:
     index = np.asarray(index)
-    if index.size and (index.min() < 0 or index.max() >= x.value.shape[0]):
-        raise BoundsError(f"row index out of range [0, {x.value.shape[0]})")
-    out = x.value[index]
-
-    def vjp(g):
-        return (_scatter_sum(index, g, x.value.shape[0]),)
-
-    return Var(out, (x,), vjp)
+    n_rows = x.value.shape[0]
+    if index.size and (index.min() < 0 or index.max() >= n_rows):
+        raise BoundsError(f"row index out of range [0, {n_rows})")
+    return Var(x.value[index], (x,), lambda g: (_scatter_sum(index, g, n_rows),))
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +325,13 @@ def affine(x: Var, w: Var, b: Var) -> Var:
         )
     out = x.value @ w.value.T
     out += b.value  # in place: one (n, out_dim) allocation
+    xv = x.value if w.requires_grad else None  # only dw reads x
+    wv = w.value if x.requires_grad else None
+    need_b = b.requires_grad
 
     def vjp(g):
-        return (g @ w.value, g.T @ x.value, g.sum(axis=0))
+        return (None if wv is None else g @ wv, None if xv is None else g.T @ xv,
+                g.sum(axis=0) if need_b else None)
 
     return Var(out, (x, w, b), vjp)
 
@@ -317,7 +359,7 @@ def gru_cell(h_prev: Var, x: Var, params: dict[str, Var]) -> Var:
     z = sigmoid(affine(xh, params["wz"], params["bz"]))
     r = sigmoid(affine(xh, params["wr"], params["br"]))
     n = tanh(affine(concat_cols([x, mul(r, h_prev)]), params["wn"], params["bn"]))
-    one = constant(np.ones_like(z.value))
+    one = constant(np.ones((), dtype=z.value.dtype))
     return add(mul(sub(one, z), n), mul(z, h_prev))
 
 
@@ -335,12 +377,13 @@ def batch_norm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown batch_norm mode {mode!r}")
     n = x.value.shape[0]
+    gv = gamma.value
     if mode == "train" and n >= 2:
         mu = x.value.mean(axis=0)
         var = x.value.var(axis=0)
         inv_std = 1.0 / np.sqrt(var + eps)
         xhat = (x.value - mu) * inv_std
-        out = xhat * gamma.value + beta.value
+        out = xhat * gv + beta.value
 
         m = momentum
         running_mean[:] = (1.0 - m) * running_mean + m * mu
@@ -349,7 +392,7 @@ def batch_norm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
         def vjp(g):
             dgamma = (g * xhat).sum(axis=0)
             dbeta = g.sum(axis=0)
-            dxhat = g * gamma.value
+            dxhat = g * gv
             dx = (inv_std / n) * (
                 n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
             )
@@ -359,10 +402,10 @@ def batch_norm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
 
     inv_std = 1.0 / np.sqrt(running_var + eps)
     xhat = (x.value - running_mean) * inv_std
-    out = xhat * gamma.value + beta.value
+    out = xhat * gv + beta.value
 
     def vjp(g):
-        return (g * gamma.value * inv_std, (g * xhat).sum(axis=0), g.sum(axis=0))
+        return (g * gv * inv_std, (g * xhat).sum(axis=0), g.sum(axis=0))
 
     return Var(out, (x, gamma, beta), vjp)
 
@@ -404,7 +447,8 @@ def aggregate(messages: Var, dst_index: np.ndarray, n_nodes: int, mode: str) -> 
         return Var(out, (messages,), vjp)
 
     # max: -inf init so every real message wins, then zero out empty rows
-    out = np.full((n_nodes, dim), -np.inf, dtype=messages.value.dtype)
+    dtype = messages.value.dtype
+    out = np.full((n_nodes, dim), -np.inf, dtype=dtype)
     if n_msgs:
         np.maximum.at(out, dst_index, messages.value)
     empty = np.bincount(dst_index, minlength=n_nodes) == 0
@@ -418,7 +462,7 @@ def aggregate(messages: Var, dst_index: np.ndarray, n_nodes: int, mode: str) -> 
         np.minimum.at(first, dst_index, edge_ids)
 
     def vjp(g):
-        gm = np.zeros_like(messages.value)
+        gm = np.zeros((n_msgs, dim), dtype=dtype)
         rows, cols = np.nonzero(first < n_msgs)
         gm[first[rows, cols], cols] += g[rows, cols]
         return (gm,)

@@ -127,8 +127,10 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
             y = np.zeros((n_pos + len(negatives), 1), dtype=np.float64)
             y[:n_pos] = 1.0
             model.params.zero_grad()
-            result = forward(snapshot, h_prev, model, pairs=pairs, mode="train")
-            loss = dc.bce_with_logits(result.scores, y)
+            # only the scores: the backward reads neither the state nor the
+            # top representation, so they are freed before it runs
+            scores = forward(snapshot, h_prev, model, pairs=pairs, mode="train").scores
+            loss = dc.bce_with_logits(scores, y)
             if not np.isfinite(loss.value):
                 raise TrainingDiverged(epoch, cfg.learning_rate)
             dc.backward(loss)
@@ -137,7 +139,7 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
                 raise TrainingDiverged(epoch, cfg.learning_rate)
             opt.step()
             final_train_loss = float(loss.value)
-            del result, loss  # the train graph is gone before the validation forward
+            del scores, loss  # the train graph is gone before the validation forward
             epochs_run = epoch
 
             if val_labels.skip:

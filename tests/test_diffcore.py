@@ -6,6 +6,8 @@ direct statistics for batch norm, and central finite differences for every
 gradient path.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -586,10 +588,10 @@ def test_no_tape_records_no_graph_and_keeps_values():
     taped = dc.relu(dc.affine(x, w, b))
     with dc.no_tape():
         bare = dc.relu(dc.affine(x, w, b))
-    assert taped._parents and taped.requires_grad
-    assert bare._parents == () and bare._vjp is None and not bare.requires_grad
+    assert taped._node.parents and taped.requires_grad
+    assert bare._node.parents == () and bare._vjp is None and not bare.requires_grad
     assert np.array_equal(bare.value, taped.value)
-    assert dc.relu(x)._parents == (x,)  # recording is back on after the context
+    assert dc.relu(x)._node.parents == (x._node,)  # recording is back on after the context
 
 
 def test_no_tape_restores_the_previous_setting_on_an_exception():
@@ -598,9 +600,9 @@ def test_no_tape_restores_the_previous_setting_on_an_exception():
         with dc.no_tape():
             with dc.no_tape():
                 pass
-            assert dc.relu(x)._parents == ()  # the inner exit keeps the outer off
+            assert dc.relu(x)._node.parents == ()  # the inner exit keeps the outer off
             raise KeyError("body failed")
-    assert dc.relu(x)._parents == (x,)
+    assert dc.relu(x)._node.parents == (x._node,)
 
 
 def test_leaves_made_inside_no_tape_are_unchanged():
@@ -624,7 +626,7 @@ def test_backward_consumes_interior_nodes_and_keeps_leaf_grads():
     loss = mean_all(dc.sigmoid(hidden))
     dc.backward(loss)
     for node in (hidden, loss):
-        assert node.grad is None and node._parents == ()
+        assert node.grad is None and node._node.parents == ()
     assert x.grad.shape == x.shape and w.grad.shape == w.shape
     assert b.grad.shape == b.shape
 
@@ -642,6 +644,68 @@ def test_backward_through_a_consumed_graph_raises(second):
     with pytest.raises(RuntimeError, match="consumed"):
         dc.backward(root)
     assert x.grad is None
+
+
+def test_an_activation_no_vjp_reads_is_freed_with_its_var():
+    rng = rng_for(44)
+    x = dc.Param("x", rng.normal(size=(6, 3)))
+    w = dc.Param("w", rng.normal(size=(4, 3)))
+    b = dc.Param("b", rng.normal(size=4))
+    shift = rng.normal(size=(6, 4))
+    pre = dc.affine(x, w, b)  # affine's vjp reads x and w, not its output
+    summed = dc.add(pre, dc.constant(shift))  # feeds only a relu, which keeps a mask
+    hidden = dc.relu(summed)  # sigmoid's vjp reads its own output
+    out = dc.sigmoid(hidden)
+    freed = [weakref.ref(v.value) for v in (pre, summed, hidden)]
+    kept = weakref.ref(out.value)
+    loss = mean_all(out)
+    del pre, summed, hidden, out
+    assert [ref() for ref in freed] == [None, None, None]
+    assert kept() is not None
+    dc.backward(loss)
+
+    z = x.value @ w.value.T + b.value + shift
+    s = 1.0 / (1.0 + np.exp(-np.maximum(z, 0.0)))
+    gz = s * (1.0 - s) * (z > 0) / z.size
+    np.testing.assert_allclose(x.grad, gz @ w.value, rtol=1e-12)
+    np.testing.assert_allclose(w.grad, gz.T @ x.value, rtol=1e-12)
+    np.testing.assert_allclose(b.grad, gz.sum(axis=0), rtol=1e-12)
+
+
+def test_only_the_gradients_parents_require_are_computed():
+    rng = rng_for(45)
+    p = dc.Param("p", rng.normal(size=(3, 2)))
+    c = dc.constant(rng.normal(size=(3, 2)))
+    g = rng.normal(size=(3, 2))
+    h = dc.add(p, p)
+    prod = dc.mul(h, c)
+    ref = weakref.ref(h.value)
+    del h  # only the constant's gradient would read h
+    assert ref() is None
+    dh, dconst = prod._vjp(g)
+    assert dconst is None and np.array_equal(dh, g * c.value)
+    assert dc.sub(c, p)._vjp(g)[0] is None and dc.sub(p, c)._vjp(g)[1] is None
+    w = dc.Param("w", rng.normal(size=(4, 2)))
+    gx, gw, gb = dc.affine(c, w, dc.constant(np.zeros(4)))._vjp(rng.normal(size=(3, 4)))
+    assert gx is None and gb is None and gw.shape == (4, 2)
+
+
+def test_an_op_on_constants_only_records_no_graph():
+    rng = rng_for(46)
+    a = dc.constant(rng.normal(size=(4, 2)))
+    b = dc.constant(rng.normal(size=(4, 2)))
+    gru = {f"{kind}{gate}": dc.constant(rng.normal(size=(2, 4) if kind == "w" else 2))
+           for kind in "wb" for gate in "zrn"}
+    outputs = [
+        dc.add(a, b), dc.sub(a, b), dc.mul(a, b), dc.relu(a), dc.sigmoid(a), dc.tanh(a),
+        dc.concat_cols([a, b]), dc.gather_rows(a, [0, 0, 3]),
+        dc.affine(a, dc.constant(rng.normal(size=(3, 2))), dc.constant(np.zeros(3))),
+        dc.batch_norm(a, dc.constant(np.ones(2)), dc.constant(np.zeros(2)),
+                      np.zeros(2), np.ones(2), "train"),
+        dc.gru_cell(a, b, gru), dc.bce_with_logits(a, np.ones((4, 2))),
+    ] + [dc.aggregate(a, [0, 1, 1, 0], 2, mode) for mode in dc.AGGREGATION_MODES]
+    for out in outputs:
+        assert out._node.parents == () and out._vjp is None and not out.requires_grad
 
 
 # ---------------------------------------------------------------------------
