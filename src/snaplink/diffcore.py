@@ -1,9 +1,9 @@
 """Differentiable numeric primitives with a minimal reverse-mode tape.
 
-Everything the network needs is here: affine maps, a 2-layer MLP, a GRU
-cell, batch normalization, column concatenation, and indexed neighborhood
-aggregation. Gradients are produced by recording a small operation graph
-per forward pass and walking it backwards.
+Everything the network needs is here: affine maps, a GRU cell, batch
+normalization, column concatenation, and indexed neighborhood aggregation.
+Gradients are produced by recording a small operation graph per forward
+pass and walking it backwards.
 
 A model's whole state is one `ParamSet`: the trainable weights and, as
 non-trainable entries, the batch-norm running statistics. A non-trainable
@@ -336,11 +336,6 @@ def affine(x: Var, w: Var, b: Var) -> Var:
     return Var(out, (x, w, b), vjp)
 
 
-def mlp2(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
-    """Two affine layers with a ReLU between them."""
-    return affine(relu(affine(x, w1, b1)), w2, b2)
-
-
 def gru_cell(h_prev: Var, x: Var, params: dict[str, Var]) -> Var:
     """Standard GRU gates merging a previous state with a fresh input.
 
@@ -531,9 +526,6 @@ class ParamSet:
     def zero_grad(self) -> None:
         for p in self:
             p.grad = None
-
-    def n_elements(self, trainable_only: bool = False) -> int:
-        return sum(p.value.size for p in self if p.requires_grad or not trainable_only)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self._params.items()}

@@ -92,7 +92,7 @@ def mrr(top_repr: np.ndarray, labels: LabelSet, model: ModelParams) -> float:
 # Reports
 # ---------------------------------------------------------------------------
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -104,7 +104,6 @@ class StepRecord:
     best_val_mrr: float | None
     final_train_loss: float | None
     skipped: bool
-    working_set_elements: int
     wall_seconds: float = 0.0
 
 
@@ -172,17 +171,6 @@ class RunConfig:
             raise ConfigError("test_fraction", f"must be in (0, 1), got {self.test_fraction}")
         self.model.validate()
         self.train.validate()
-
-
-def working_set_elements(deploy: ModelParams, meta: ModelParams,
-                         snapshot, state: HierarchicalNodeState) -> int:
-    """Element count of the step's live large objects: the deployed and meta
-    parameters (running statistics included), the current snapshot, the
-    carried state (with its history), and the optimizer moment budget (two
-    moments per trainable element)."""
-    return (deploy.params.n_elements() + meta.params.n_elements()
-            + snapshot.n_elements() + state.n_elements()
-            + 2 * deploy.params.n_elements(trainable_only=True))
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +252,7 @@ def _run_steps(g: DynamicGraph, cfg: RunConfig, protocol: str, n_train: int,
         record = StepRecord(
             t=s, mrr=mrr_s, n_positives=labels.n_positives, epochs_run=epochs,
             best_val_mrr=best_val, final_train_loss=train_loss,
-            skipped=labels.skip,
-            working_set_elements=working_set_elements(deploy, meta, snapshot, state),
-            wall_seconds=time.perf_counter() - t0,
+            skipped=labels.skip, wall_seconds=time.perf_counter() - t0,
         )
         (report.per_step if scored else report.train_records).append(record)
         if step_callback is not None:

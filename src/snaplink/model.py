@@ -5,8 +5,9 @@ outputs are merged with the previous snapshot's per-layer states by an
 update module (moving average, 2-layer MLP, or GRU), per-node
 post-processing layers, and an MLP head scoring (source, destination)
 pairs. All per-layer states are carried across time, not just the top one.
-The carried state, `HierarchicalNodeState`, also holds the history: the edge
-counts already folded in, which set the moving-average keep ratio.
+The carried state, `HierarchicalNodeState`, also holds the history: each
+node's incident edge count already folded in, which sets the moving-average
+keep ratio.
 
 A message is the affine map W·[h_u; h_v; f_e] + b of its source's and
 destination's embeddings and its edge features. For the sum and mean
@@ -27,7 +28,7 @@ the current snapshot can influence a prediction.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -83,14 +84,15 @@ class HierarchicalNodeState:
     """Everything carried from one snapshot to the next.
 
     `layers` are the per-layer node embedding matrices, `step` the index of
-    the last snapshot folded in, and `history` the edge counts folded in so
-    far, which set the moving-average keep ratio: float64, a scalar total by
-    default or per-node incident counts when `per_node_keep_ratio` is set.
+    the last snapshot folded in, and `history` each node's incident edge
+    count folded in so far, float64 of shape (n_nodes,). The moving-average
+    keep ratio reads either each node's count or their total, as the model's
+    config says.
     """
 
     layers: list[np.ndarray]
-    step: int = -1
-    history: np.ndarray = field(default_factory=lambda: np.zeros((), dtype=np.float64))
+    step: int
+    history: np.ndarray
 
     @classmethod
     def zeros(cls, n_nodes: int, cfg: ModelConfig) -> "HierarchicalNodeState":
@@ -98,11 +100,8 @@ class HierarchicalNodeState:
             [np.zeros((n_nodes, cfg.hidden_dim), dtype=cfg.np_dtype)
              for _ in range(cfg.n_mp)],
             step=-1,
-            history=np.zeros((n_nodes,) if cfg.per_node_keep_ratio else (), dtype=np.float64),
+            history=np.zeros(n_nodes, dtype=np.float64),
         )
-
-    def n_elements(self) -> int:
-        return sum(m.size for m in self.layers) + self.history.size
 
 
 def keep_ratio(history, new):
@@ -278,8 +277,9 @@ def update_state(h_prev: dc.Var, h_tilde: dc.Var, kind: str,
                                            dtype=h_prev.value.dtype))
         return dc.add(dc.mul(k, h_prev), dc.mul(one_minus, h_tilde))
     if kind == "mlp":
-        return dc.mlp2(dc.concat_cols([h_prev, h_tilde]),
-                       params["w1"], params["b1"], params["w2"], params["b2"])
+        hidden = dc.relu(dc.affine(dc.concat_cols([h_prev, h_tilde]),
+                                   params["w1"], params["b1"]))
+        return dc.affine(hidden, params["w2"], params["b2"])
     if kind == "gru":
         return dc.gru_cell(h_prev, h_tilde, params)
     raise ConfigError("update", f"unknown update kind {kind!r}")
@@ -382,11 +382,8 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
     if len(h_prev.layers) != cfg.n_mp:
         raise DimensionError(
             f"state has {len(h_prev.layers)} layers, model expects {cfg.n_mp}")
-    if h_prev.history.ndim:
-        counts = np.bincount(np.concatenate([snapshot.edge_src, snapshot.edge_dst]),
-                             minlength=h_prev.history.shape[0]).astype(np.float64)
-    else:
-        counts = float(snapshot.n_edges)
+    counts = np.bincount(np.concatenate([snapshot.edge_src, snapshot.edge_dst]),
+                         minlength=snapshot.n_nodes).astype(np.float64)
 
     # an eval forward without pairs is never differentiated: record no graph
     with dc.no_tape() if mode == "eval" and pairs is None else nullcontext():
@@ -394,7 +391,10 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
         for i in range(cfg.n_pre):
             h = dc.relu(dc.affine(h, model.params[f"pre.{i}.w"], model.params[f"pre.{i}.b"]))
 
-        kappa = keep_ratio(h_prev.history, counts) if cfg.update == "moving_average" else None
+        kappa = None
+        if cfg.update == "moving_average":
+            kappa = (keep_ratio(h_prev.history, counts) if cfg.per_node_keep_ratio
+                     else keep_ratio(h_prev.history.sum(), counts.sum()))
         new_layers: list[dc.Var] = []
         for l in range(cfg.n_mp):
             tilde = gnn_layer(h, snapshot, model, l, mode)
@@ -417,7 +417,7 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
 # Checkpointing
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = "snaplink-params-v2"
+CHECKPOINT_FORMAT = "snaplink-params-v3"
 
 
 def save_checkpoint(path, model: ModelParams,
@@ -448,10 +448,10 @@ def load_checkpoint(path):
     state = None
     if "state_step" in meta:
         layers = [arrays.pop(f"hstate:{i}") for i in range(cfg.n_mp)]
-        history = arrays.pop("hstate:history")  # stored 1-d, also when a scalar
-        state = HierarchicalNodeState(layers, meta["state_step"],
-                                      history if cfg.per_node_keep_ratio
-                                      else history.reshape(()))
+        history = arrays.pop("hstate:history")
+        if history.shape != (layers[0].shape[0],):
+            raise ValueError(f"history shape {history.shape} != ({layers[0].shape[0]},)")
+        state = HierarchicalNodeState(layers, meta["state_step"], history)
     model = init_model(cfg, np.random.default_rng(0))
     model.params.load_state_dict(arrays)
     return model, state

@@ -125,10 +125,6 @@ class GraphSnapshot:
     def n_nodes(self) -> int:
         return self.node_features.shape[0]
 
-    def n_elements(self) -> int:
-        return (self.edge_src.size + self.edge_dst.size
-                + self.edge_features.size + self.node_features.size)
-
 
 @dataclass
 class DynamicGraph:

@@ -40,36 +40,38 @@ class TrainConfig:
                               f"must be >= 1, got {self.train_neg_per_pos}")
 
 
-class Adam:
-    """Adam over the trainable entries of a ParamSet. Moment state is fresh
-    per fine-tune call."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, params: dc.ParamSet, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Adam over the trainable entries of a ParamSet, with the usual decay
+    rates and epsilon (`ADAM_BETA1`, `ADAM_BETA2`, `ADAM_EPS`). Moment state
+    is fresh per fine-tune call."""
+
+    def __init__(self, params: dc.ParamSet, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {p.name: np.zeros_like(p.value) for p in params if p.requires_grad}
         self.v = {p.name: np.zeros_like(p.value) for p in params if p.requires_grad}
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for p in self.params:
             if p.grad is None:
                 continue
             g = p.grad
             m = self.m[p.name]
             v = self.v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.value = p.value - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p.value = p.value - self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass

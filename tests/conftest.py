@@ -49,6 +49,13 @@ def fresh_state(model, n_nodes):
     return HierarchicalNodeState.zeros(n_nodes, model.config)
 
 
+def incident_counts(snapshots, n_nodes):
+    """Each node's incident edge count over `snapshots`, as float64: the
+    history a carried state holds once it has folded them in."""
+    ends = np.concatenate([np.concatenate([s.edge_src, s.edge_dst]) for s in snapshots])
+    return np.bincount(ends, minlength=n_nodes).astype(np.float64)
+
+
 def make_synth_graph():
     """A 10-window synthetic dynamic graph with strong recurrence."""
     edges = synthetic.generate_edges(n_nodes=40, n_steps=10, edges_per_step=150,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fresh_state, toy_model, toy_snapshot
+from conftest import fresh_state, incident_counts, toy_model, toy_snapshot
 from snaplink import model as md
 from snaplink import snapshots as sn
 
@@ -39,7 +39,7 @@ def trained_model_and_state():
     rng = np.random.default_rng(21)
     for layer in state.layers:
         layer[:] = rng.normal(size=layer.shape)
-    state.history = np.asarray(3.0 * snap.n_edges)
+    state.history = 3.0 * incident_counts([snap], snap.n_nodes)
     state.step = 3
     md.forward(snap, state, model, pairs=[(0, 1), (2, 5)], mode="train")
     return model, state
@@ -166,11 +166,11 @@ def test_checkpoint_entries_and_format_are_pinned(tmp_path):
         {"__meta__", "arr:hstate:0", "arr:hstate:1", "arr:hstate:history"}
         | {f"arr:{name}" for name in model.params.names()})
     meta = meta_of(path)
-    assert meta == {"format": "snaplink-params-v2", "config": asdict(model.config),
+    assert meta == {"format": "snaplink-params-v3", "config": asdict(model.config),
                     "state_step": 3}
     with np.load(path) as data:
-        # every entry C-contiguous, and at least 1-d: a scalar history too
-        assert data["arr:hstate:history"].shape == (1,)
+        # every entry C-contiguous, and the history one count per node
+        assert data["arr:hstate:history"].shape == (state.layers[0].shape[0],)
         assert all(data[k].flags.c_contiguous for k in data.files)
     # without a state the archive holds only the parameters
     md.save_checkpoint(tmp_path / "bare.npz", model)
@@ -193,11 +193,11 @@ def test_cache_entries_and_format_are_pinned(tmp_path):
 
 def test_a_checkpoint_written_by_hand_loads_bit_exactly(tmp_path):
     model, state = trained_model_and_state()
-    meta = {"config": asdict(model.config), "format": "snaplink-params-v2",
+    meta = {"config": asdict(model.config), "format": "snaplink-params-v3",
             "state_step": state.step}
     arrays = {f"arr:{name}": value for name, value in model.params.state_dict().items()}
     arrays.update({f"arr:hstate:{i}": layer for i, layer in enumerate(state.layers)})
-    arrays["arr:hstate:history"] = state.history.reshape(1)
+    arrays["arr:hstate:history"] = state.history
     path = tmp_path / "model.npz"
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
                                           np.uint8), **arrays)
@@ -254,7 +254,7 @@ def test_load_snapshot_cache_rejects_a_checkpoint(tmp_path):
     model, state = trained_model_and_state()
     path = tmp_path / "model.npz"
     md.save_checkpoint(path, model, state)
-    with pytest.raises(ValueError, match="snaplink-params-v2"):
+    with pytest.raises(ValueError, match="snaplink-params-v3"):
         sn.load_snapshot_cache(path)
 
 
@@ -269,4 +269,27 @@ def test_a_v1_checkpoint_is_rejected_by_its_format(tmp_path):
                     {"arr:" + k: v for k, v in arrays.items()},
                     {"config": asdict(model.config)})
     with pytest.raises(ValueError, match="archive format 'snaplink-params-v1'"):
+        md.load_checkpoint(path)
+
+
+def test_a_v2_checkpoint_is_rejected_by_its_format(tmp_path):
+    # v2 stored a scalar history total as a (1,) entry unless the config
+    # asked for per-node counts
+    model, state = trained_model_and_state()
+    arrays = {"arr:" + k: v for k, v in model.params.state_dict().items()}
+    arrays.update({f"arr:hstate:{i}": layer for i, layer in enumerate(state.layers)})
+    arrays["arr:hstate:history"] = np.array([state.history.sum() / 2])
+    path = tmp_path / "v2.npz"
+    sn.save_archive(path, "snaplink-params-v2", arrays,
+                    {"config": asdict(model.config), "state_step": state.step})
+    with pytest.raises(ValueError, match="archive format 'snaplink-params-v2'"):
+        md.load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_a_history_not_one_count_per_node(tmp_path):
+    model, state = trained_model_and_state()
+    state.history = state.history[:-1]
+    path = tmp_path / "model.npz"
+    md.save_checkpoint(path, model, state)
+    with pytest.raises(ValueError, match=r"history shape \(5,\) != \(6,\)"):
         md.load_checkpoint(path)

@@ -1,7 +1,8 @@
 """Every top-level function and class in the package is named somewhere
 else, every method and property is named in `src/` code, and one that only
 tests name is listed in TEST_ONLY. The benchmark's tracer finds every name
-it wraps, and a train step calls every tape op it expects to time."""
+it wraps, a train step calls every tape op it expects to time, and its graph
+size and cache check still read a graph."""
 
 import ast
 import importlib
@@ -15,9 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fresh_state, toy_model, toy_snapshot
+from conftest import fresh_state, make_synth_graph, toy_model, toy_snapshot
 from snaplink import diffcore as dc
 from snaplink import model as md
+from snaplink import snapshots as sn
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "snaplink"
@@ -230,3 +232,19 @@ def test_a_train_step_calls_every_tape_op_the_benchmark_expects(monkeypatch, upd
                             pairs=pairs, mode="train")
         dc.backward(dc.bce_with_logits(result.scores, np.ones((len(pairs), 1))))
     assert expected - {span[0] for span in t.spans} == set()
+
+
+def test_the_benchmark_still_reads_a_graph(monkeypatch, tmp_path):
+    """`bench/measure.py:graph_mb` sizes every ingest-long graph and
+    `bench/checks.py:check_same_graph` compares each cache load with the
+    cold ingest; both read snapshot attributes by name, so a change in src/
+    that drops one would fail every ingest-long run."""
+    checks = load_bench("checks", monkeypatch)
+    monkeypatch.setitem(sys.modules, "checks", checks)  # measure imports both by name
+    monkeypatch.setitem(sys.modules, "tracer", load_bench("tracer", monkeypatch))
+    measure = load_bench("measure", monkeypatch)
+    cold = make_synth_graph()
+    cold.source_fingerprint = "f" * 64
+    sn.save_snapshot_cache(tmp_path / "cache.npz", cold)
+    assert measure.graph_mb(cold) > 0
+    assert checks.check_same_graph(cold, sn.load_snapshot_cache(tmp_path / "cache.npz")) == []

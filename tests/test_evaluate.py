@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import toy_model
+from conftest import incident_counts, toy_model
 from helpers import summary_fields
 from test_golden import run_config, small_graph
 from snaplink import evaluate as ev
@@ -352,14 +352,10 @@ def test_carried_history_counts_every_rolled_snapshot(synth_graph, run, per_node
     cfg.model.per_node_keep_ratio = per_node
     out = {}
     run(synth_graph, cfg, artifacts_out=out)
-    rolled = synth_graph.snapshots[:-1]  # label steps 0..T-2
-    if per_node:
-        ends = np.concatenate([np.concatenate([s.edge_src, s.edge_dst]) for s in rolled])
-        expected = np.bincount(ends, minlength=synth_graph.node_count).astype(np.float64)
-    else:
-        expected = np.asarray(float(sum(s.n_edges for s in rolled)))
+    # label steps 0..T-2; per-node counts whichever keep ratio reads them
+    expected = incident_counts(synth_graph.snapshots[:-1], synth_graph.node_count)
     history = out["state"].history
-    assert history.dtype == np.float64 and history.shape == expected.shape
+    assert history.dtype == np.float64 and history.shape == (synth_graph.node_count,)
     assert np.array_equal(history, expected)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fresh_state, make_snapshot, toy_model, toy_snapshot
+from conftest import fresh_state, incident_counts, make_snapshot, toy_model, toy_snapshot
 from helpers import grad_check, mean_all
 from snaplink import diffcore as dc
 from snaplink import model as md
@@ -60,14 +60,16 @@ def test_forward_adds_the_snapshot_edge_count_to_the_history(monkeypatch):
     kappas = spy_keep_ratio(monkeypatch)
     model = toy_model(update="moving_average")
     state = fresh_state(model, 4)
-    assert state.history.shape == () and state.history.dtype == np.float64
+    assert state.history.shape == (4,) and state.history.dtype == np.float64
     s1 = make_snapshot(4, [0, 1, 2], [1, 2, 3])
     s2 = make_snapshot(4, [0], [1])
     r1 = md.forward(s1, state, model)
     r2 = md.forward(s2, r1.state, model)
+    # the scalar keep ratio reads the totals, twice the edge counts: 6 / (6 + 2)
     assert kappas == [0.0, 3 / 4]
-    assert float(r1.state.history) == 3.0 and float(r2.state.history) == 4.0
-    assert float(state.history) == 0.0
+    np.testing.assert_array_equal(r1.state.history, [1.0, 2.0, 2.0, 1.0])
+    np.testing.assert_array_equal(r2.state.history, [2.0, 3.0, 2.0, 1.0])
+    assert not state.history.any()
 
 
 def test_forward_per_node_history_and_keep_ratio(monkeypatch):
@@ -112,7 +114,7 @@ def test_eval_forward_on_an_empty_first_snapshot_is_pure(monkeypatch):
                for a, b in zip(first.state.layers, second.state.layers))
     assert first.state.history.tobytes() == second.state.history.tobytes()
     # both counts are zero: the keep ratio is zero and the history stays zero
-    assert kappas == [0.0, 0.0] and float(first.state.history) == 0.0
+    assert kappas == [0.0, 0.0] and not first.state.history.any()
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +283,54 @@ def test_update_gru_carry_gate_returns_prev():
     np.testing.assert_array_equal(out.value, prev)
 
 
-def test_update_mlp_matches_mlp2():
-    model = toy_model(update="mlp")
-    group = model.params.group("upd.0")
-    rng = np.random.default_rng(5)
-    prev = dc.constant(rng.normal(size=(3, 4)))
-    tilde = dc.constant(rng.normal(size=(3, 4)))
-    out = md.update_state(prev, tilde, "mlp", params=group)
-    direct = dc.mlp2(dc.concat_cols([prev, tilde]), group["w1"], group["b1"],
-                     group["w2"], group["b2"])
-    np.testing.assert_array_equal(out.value, direct.value)
+def mlp_params(rng, d_in, hidden, d_out):
+    """An MLP update's w1/b1/w2/b2 for a (2 * d_in)-wide input, standard
+    normal."""
+    shapes = {"w1": (hidden, 2 * d_in), "b1": hidden, "w2": (d_out, hidden), "b2": d_out}
+    return {name: dc.Param(name, rng.normal(size=shape)) for name, shape in shapes.items()}
+
+
+def test_update_mlp_zero_params_zero_output():
+    rng = np.random.default_rng(3)
+    params = mlp_params(rng, 3, 4, 2)
+    for p in params.values():
+        p.value[:] = 0.0
+    out = md.update_state(dc.constant(rng.normal(size=(5, 3))),
+                          dc.constant(rng.normal(size=(5, 3))), "mlp", params=params)
+    assert np.array_equal(out.value, np.zeros((5, 2)))
+
+
+def test_update_mlp_scalar_hand_computation():
+    # [prev, tilde] = [2, 1]: first layer 2*3 + 1*2 - 1 = 7, relu keeps 7,
+    # second layer 7*0.5 + 0.25 = 3.75
+    params = {"w1": dc.Param("w1", [[3.0, 2.0]]), "b1": dc.Param("b1", [-1.0]),
+              "w2": dc.Param("w2", [[0.5]]), "b2": dc.Param("b2", [0.25])}
+    out = md.update_state(dc.constant([[2.0]]), dc.constant([[1.0]]), "mlp", params=params)
+    assert out.value[0, 0] == pytest.approx(3.75, abs=0)
+
+
+def test_update_mlp_gradient_vs_finite_differences():
+    rng = np.random.default_rng(4)
+    prev = dc.Param("prev", rng.normal(size=(3, 2)))
+    tilde = dc.Param("tilde", rng.normal(size=(3, 2)))
+    params = mlp_params(rng, 2, 4, 2)
+    err = grad_check(lambda: mean_all(md.update_state(prev, tilde, "mlp", params=params)),
+                     [prev, tilde, *params.values()])
+    assert err < 1e-4
+
+
+def test_update_mlp_random_instances_gradients():
+    rng = np.random.default_rng(18)
+    for trial in range(10):
+        n = int(rng.integers(2, 6))
+        d_in, hidden, d_out = (int(v) for v in rng.integers(1, 5, size=3))
+        prev = dc.Param("prev", rng.normal(size=(n, d_in)))
+        tilde = dc.Param("tilde", rng.normal(size=(n, d_in)))
+        params = mlp_params(rng, d_in, hidden, d_out)
+        err = grad_check(
+            lambda: mean_all(md.update_state(prev, tilde, "mlp", params=params)),
+            [prev, tilde, *params.values()])
+        assert err < 1e-4, f"trial {trial}: rel err {err}"
 
 
 def test_update_unknown_kind():
@@ -508,7 +548,7 @@ def test_forward_deterministic():
 def test_forward_moving_average_full_keep_on_empty_snapshot():
     model = toy_model(update="moving_average")
     state = fresh_state(model, 6)
-    state.history = np.asarray(8.0)  # 8 edges folded in, so an empty step keeps kappa=1
+    state.history[:] = 2.0  # edges folded in at every node, so an empty step keeps kappa=1
     rng = np.random.default_rng(11)
     for layer in state.layers:
         layer[:] = rng.normal(size=layer.shape)
@@ -533,7 +573,7 @@ def test_forward_hierarchical_persistence():
 def test_forward_state_layer_count_mismatch():
     model = toy_model()
     snap = toy_snapshot()
-    bad = md.HierarchicalNodeState([np.zeros((6, 4))], step=-1)
+    bad = md.HierarchicalNodeState([np.zeros((6, 4))], step=-1, history=np.zeros(6))
     with pytest.raises(DimensionError):
         md.forward(snap, bad, model)
 
@@ -597,7 +637,7 @@ def _tape_case(synth_graph, update, hidden=32, n_nodes=None):
     n = snap.n_nodes
     model = toy_model(update=update, hidden=hidden, seed=3)
     state = fresh_state(model, n)
-    state.history = np.asarray(float(synth_graph[2].n_edges))
+    state.history = incident_counts([synth_graph[2]], n)
     rng = np.random.default_rng(30)
     for layer in state.layers:
         layer[:] = rng.normal(size=layer.shape)
@@ -696,7 +736,7 @@ def test_checkpoint_roundtrip_reproduces_forward(tmp_path):
     model = toy_model(update="gru", seed=14)
     snap = toy_snapshot()
     state = fresh_state(model, 6)
-    state.history = np.asarray(float(snap.n_edges))
+    state.history = incident_counts([snap], 6)
     rng = np.random.default_rng(14)
     for layer in state.layers:
         layer[:] = rng.normal(size=layer.shape)
@@ -720,7 +760,7 @@ def test_checkpoint_roundtrip_reproduces_forward(tmp_path):
     np.testing.assert_array_equal(r1.scores.value, r2.scores.value)
     for a, b in zip(r1.state.layers, r2.state.layers):
         np.testing.assert_array_equal(a, b)
-    assert state2.history.shape == () and state2.history.tobytes() == state.history.tobytes()
+    assert state2.history.shape == (6,) and state2.history.tobytes() == state.history.tobytes()
     assert state2.step == state.step
 
 
