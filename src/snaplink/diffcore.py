@@ -18,9 +18,10 @@ arrays and shapes it reads, never a Var. So an activation is freed once the
 forward drops its Var, unless a vjp reads it: an `add` output that feeds
 only a `relu` goes, an `affine` input (its weight gradient reads it) stays.
 An op whose parents need no grad, and any op inside `no_tape()`, records no
-graph. `backward` consumes the graph it walks: each node's closure, parent
-links and gradient are released as soon as its vjp has run, so a second
-`backward` through the same nodes raises.
+graph and builds none of the data only a backward reads (`relu`'s mask,
+`aggregate` max's tie index). `backward` consumes the graph it walks: each
+node's closure, parent links and gradient are released as soon as its vjp
+has run, so a second `backward` through the same nodes raises.
 
 This is deliberately not a general autodiff framework: only the operations
 listed above are supported, and all values are dense 1-D/2-D float arrays.
@@ -64,6 +65,12 @@ def no_tape():
         _recording = previous
 
 
+def _records(parents) -> bool:
+    """Whether an op over `parents` is recorded: the tape is on and one of
+    them requires grad. Only then does an op build what its backward reads."""
+    return _recording and any(p.requires_grad for p in parents)
+
+
 class _Node:
     """A Var's place in the graph: `vjp` maps the output gradient to one
     gradient (or None) per parent node. A leaf has no parents and no vjp."""
@@ -94,7 +101,7 @@ class Var:
         self.value = np.asarray(value)
         nodes = ()
         if requires_grad is None:
-            requires_grad = _recording and any(p.requires_grad for p in parents)
+            requires_grad = _records(parents)
             if requires_grad:
                 nodes = tuple(p._node for p in parents)
         self._node = _Node(nodes, vjp if nodes else None, requires_grad)
@@ -233,7 +240,7 @@ def mul(a: Var, b: Var) -> Var:
 
 
 def relu(x: Var) -> Var:
-    mask = x.value > 0
+    mask = x.value > 0 if _records((x,)) else None
     # np.maximum propagates NaN, so a non-finite input stays visible downstream
     return Var(np.maximum(x.value, 0.0), (x,), lambda g: (g * mask,))
 
@@ -448,6 +455,8 @@ def aggregate(messages: Var, dst_index: np.ndarray, n_nodes: int, mode: str) -> 
         np.maximum.at(out, dst_index, messages.value)
     empty = np.bincount(dst_index, minlength=n_nodes) == 0
     out[empty] = 0.0
+    if not _records((messages,)):
+        return Var(out, (messages,))
 
     # first maximal message per (node, column): smallest edge id among ties
     first = np.full((n_nodes, dim), n_msgs, dtype=np.int64)

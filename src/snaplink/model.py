@@ -6,8 +6,10 @@ update module (moving average, 2-layer MLP, or GRU), per-node
 post-processing layers, and an MLP head scoring (source, destination)
 pairs. All per-layer states are carried across time, not just the top one.
 The carried state, `HierarchicalNodeState`, also holds the history: each
-node's incident edge count already folded in, which sets the moving-average
-keep ratio.
+node's incident edge count already folded in. It sets the moving-average
+keep ratio and is the source of the network's input: the node features are
+`snapshots.degree_features` of the history with the current snapshot's
+counts added. A graph stores no node features.
 
 A message is the affine map W·[h_u; h_v; f_e] + b of its source's and
 destination's embeddings and its edge features. For the sum and mean
@@ -34,8 +36,8 @@ import numpy as np
 
 from . import diffcore as dc
 from .errors import BoundsError, ConfigError, DimensionError
-from .snapshots import (EDGE_FEATURE_DIM, NODE_FEATURE_DIM, GraphSnapshot, load_archive,
-                        save_archive)
+from .snapshots import (EDGE_FEATURE_DIM, NODE_FEATURE_DIM, GraphSnapshot, degree_features,
+                        load_archive, save_archive)
 
 UPDATE_KINDS = ("moving_average", "mlp", "gru")
 
@@ -88,6 +90,10 @@ class HierarchicalNodeState:
     count folded in so far, float64 of shape (n_nodes,). The moving-average
     keep ratio reads either each node's count or their total, as the model's
     config says.
+
+    The history is also the source of the next forward's input features, so
+    a state must have every earlier snapshot folded in: `load_checkpoint`
+    restores it, and a state reset (for a diagnostic) must keep it.
     """
 
     layers: list[np.ndarray]
@@ -372,11 +378,14 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
     """Run the network on one snapshot.
 
     The previous state enters as data (no gradients flow into past steps)
-    and is not mutated. Returns the updated state (per-layer embeddings and
-    the history with this snapshot's edge counts added), the post-processed
-    top representation, and, when pairs are given, their differentiable
-    scores. An eval-mode forward without pairs runs under `dc.no_tape()`: it
-    records no graph and computes bitwise the same state and representation.
+    and is not mutated. The input is `degree_features` of the history with
+    this snapshot's edge counts added, which is also the returned state's
+    history; from a zero state rolled through every earlier snapshot these
+    are the cumulative degrees through this one. Returns the updated state
+    (per-layer embeddings and that history), the post-processed top
+    representation, and, when pairs are given, their differentiable scores.
+    An eval-mode forward without pairs runs under `dc.no_tape()`: it records
+    no graph and computes bitwise the same state and representation.
     """
     cfg = model.config
     if len(h_prev.layers) != cfg.n_mp:
@@ -384,10 +393,11 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
             f"state has {len(h_prev.layers)} layers, model expects {cfg.n_mp}")
     counts = np.bincount(np.concatenate([snapshot.edge_src, snapshot.edge_dst]),
                          minlength=snapshot.n_nodes).astype(np.float64)
+    history = h_prev.history + counts
 
     # an eval forward without pairs is never differentiated: record no graph
     with dc.no_tape() if mode == "eval" and pairs is None else nullcontext():
-        h = dc.constant(snapshot.node_features.astype(cfg.np_dtype, copy=False))
+        h = dc.constant(degree_features(history).astype(cfg.np_dtype, copy=False))
         for i in range(cfg.n_pre):
             h = dc.relu(dc.affine(h, model.params[f"pre.{i}.w"], model.params[f"pre.{i}.b"]))
 
@@ -408,7 +418,7 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
             h = dc.relu(dc.affine(h, model.params[f"post.{j}.w"], model.params[f"post.{j}.b"]))
 
         state = HierarchicalNodeState([v.value for v in new_layers], h_prev.step + 1,
-                                      h_prev.history + counts)
+                                      history)
         scores = None if pairs is None else _scores_var(h, pairs, model)
         return ForwardResult(state=state, top_repr=h.value, scores=scores)
 

@@ -8,7 +8,10 @@ has no incident edges simply contribute no messages for it.
 A `DynamicGraph` holds every edge once, in window order, with per-window
 offsets (a time-CSR layout). Partitioning, the snapshot cache and the
 snapshots themselves all share that layout, and `DynamicGraph` alone checks
-it and slices it into windows.
+it and slices it into windows. A graph holds its edges only: node features
+are `degree_features` of the cumulative degree that `model` carries in its
+state. `GraphSnapshot.node_features` remains for the benchmark, and builds
+every window's features of its graph when one of them is first read.
 
 This module also owns the one archive format of the snapshot cache and of
 `model`'s checkpoints: an uncompressed `.npz` whose JSON `__meta__` entry
@@ -44,6 +47,12 @@ EDGE_COLUMNS = ("src", "dst", "weight", "timestamp")
 NODE_FEATURE_DIM = 2
 # edge features: (weight, position of the timestamp inside its window)
 EDGE_FEATURE_DIM = 2
+
+
+def degree_features(history: np.ndarray) -> np.ndarray:
+    """The (N, NODE_FEATURE_DIM) float64 node features [1, log1p(history)]
+    of each node's cumulative incident edge count, float64 of shape (N,)."""
+    return np.column_stack([np.ones(history.size, dtype=np.float64), np.log1p(history)])
 
 
 @dataclass(frozen=True)
@@ -99,31 +108,59 @@ class TemporalEdgeList:
         return len(self.src)
 
 
+class _WindowFeatures:
+    """Every window's node features of one time-CSR graph, built on first
+    read: the degree is accumulated window by window, as a carried state's
+    history is. It holds the graph's arrays, never the graph, so a snapshot
+    does not point back to its graph and a dropped graph is freed at once."""
+
+    __slots__ = ("offsets", "src", "dst", "n_nodes", "arrays")
+
+    def __init__(self, offsets: np.ndarray, src: np.ndarray, dst: np.ndarray, n_nodes: int):
+        self.offsets, self.src, self.dst, self.n_nodes = offsets, src, dst, n_nodes
+        self.arrays: list[np.ndarray] | None = None
+
+    def window(self, t: int) -> np.ndarray:
+        if self.arrays is None:
+            history = np.zeros(self.n_nodes, dtype=np.float64)
+            self.arrays = []
+            for lo, hi in zip(self.offsets[:-1], self.offsets[1:]):
+                history += np.bincount(np.concatenate([self.src[lo:hi], self.dst[lo:hi]]),
+                                       minlength=self.n_nodes)
+                self.arrays.append(degree_features(history))
+        return self.arrays[t]
+
+
 @dataclass
 class GraphSnapshot:
-    """One static graph over the global node universe.
+    """One static graph over the global node universe: its edges and window.
 
     edge_features columns are (weight, position of the timestamp inside the
-    window scaled to [0, 1)). node_features are derived from the edges, not
-    stored: (1, log1p(cumulative incident degree through this snapshot)).
-    In a `DynamicGraph` the edge arrays are read-only views of the graph's
-    arrays and each snapshot owns its node_features array.
+    window scaled to [0, 1)). A snapshot holds no node features: the model
+    builds them from its carried degree history. In a `DynamicGraph` the
+    edge arrays are read-only views of the graph's arrays.
     """
 
     index: int
     edge_src: np.ndarray
     edge_dst: np.ndarray
     edge_features: np.ndarray  # (n_edges, EDGE_FEATURE_DIM)
-    node_features: np.ndarray  # (node_count, NODE_FEATURE_DIM)
     window: tuple[float, float]
+    n_nodes: int
+    _features: _WindowFeatures | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_edges(self) -> int:
         return len(self.edge_src)
 
     @property
-    def n_nodes(self) -> int:
-        return self.node_features.shape[0]
+    def node_features(self) -> np.ndarray:
+        """(n_nodes, NODE_FEATURE_DIM) `degree_features` of the cumulative
+        degree through this window of a `DynamicGraph`, for the benchmark
+        only. The first read on any snapshot of the graph builds every
+        window's array; each snapshot then owns its array, and a write to
+        it persists."""
+        return self._features.window(self.index)
 
 
 @dataclass
@@ -135,7 +172,8 @@ class DynamicGraph:
     Construction checks the arrays (ValueError on a bad layout, an endpoint
     outside [0, node_count), a non-finite feature or a window position
     outside [0, 1)), makes them read-only and builds `snapshots`, whose
-    edges are views and which each own their node features.
+    edges are views. The graph holds its edges only: no per-window node
+    features are built unless `GraphSnapshot.node_features` is read.
     """
 
     offsets: np.ndarray        # (T + 1,) int64
@@ -168,21 +206,19 @@ class DynamicGraph:
         for a in (offsets, self.src, self.dst, self.edge_features):
             a.flags.writeable = False
 
-        cum_degree = np.zeros(n, dtype=np.float64)
+        features = _WindowFeatures(offsets, self.src, self.dst, n)
         self.snapshots = []
         for t in range(offsets.size - 1):
             lo, hi = offsets[t], offsets[t + 1]
-            src, dst = self.src[lo:hi], self.dst[lo:hi]
-            cum_degree += np.bincount(np.concatenate([src, dst]), minlength=n)
             w_start = self.start + t * self.period_seconds
             self.snapshots.append(GraphSnapshot(
                 index=t,
-                edge_src=src,
-                edge_dst=dst,
+                edge_src=self.src[lo:hi],
+                edge_dst=self.dst[lo:hi],
                 edge_features=self.edge_features[lo:hi],
-                node_features=np.column_stack([np.ones(n, dtype=np.float64),
-                                               np.log1p(cum_degree)]),
                 window=(w_start, w_start + self.period_seconds),
+                n_nodes=n,
+                _features=features,
             ))
 
     def __len__(self) -> int:
@@ -644,8 +680,7 @@ def cache_key(source_fingerprint: str, frequency: str | int | float,
 def save_snapshot_cache(path, g: DynamicGraph) -> None:
     """Persist a DynamicGraph as a `CACHE_FORMAT` archive: its time-CSR
     arrays (`CACHE_ARRAYS`) as they are, and the scalars and the window
-    bounds in the meta. Node features are not stored; `DynamicGraph`
-    derives them from the edges."""
+    bounds in the meta. A graph holds no node features to store."""
     meta = {"period_seconds": g.period_seconds, "node_count": g.node_count,
             "frequency": g.frequency, "source_fingerprint": g.source_fingerprint,
             "n_snapshots": len(g), "windows": [list(s.window) for s in g.snapshots]}
@@ -654,8 +689,8 @@ def save_snapshot_cache(path, g: DynamicGraph) -> None:
 
 def load_snapshot_cache(path) -> DynamicGraph:
     """Read an archive written by `save_snapshot_cache` into a DynamicGraph,
-    which checks the arrays (a damaged archive raises ValueError) and
-    rebuilds the node features. Windows start at the first stored window.
+    which checks the arrays (a damaged archive raises ValueError). Windows
+    start at the first stored window.
     A missing entry of `CACHE_ARRAYS` raises KeyError; others are ignored."""
     arrays, meta = load_archive(path, CACHE_FORMAT)
     return DynamicGraph(*(arrays[k] for k in CACHE_ARRAYS), start=meta["windows"][0][0],

@@ -12,7 +12,7 @@ from snaplink.snapshots import GraphSnapshot, partition_snapshots
 
 
 def make_snapshot(n_nodes, src, dst, edge_features=None, index=0,
-                  node_features=None, window=(0.0, 100.0)):
+                  window=(0.0, 100.0)):
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     if len(src) == 0:
@@ -22,13 +22,8 @@ def make_snapshot(n_nodes, src, dst, edge_features=None, index=0,
             edge_features = np.column_stack([np.ones(len(src)),
                                              np.linspace(0.0, 0.9, len(src))])
         edge_features = np.asarray(edge_features, dtype=np.float64).reshape(len(src), -1)
-    if node_features is None:
-        degree = np.bincount(np.concatenate([src, dst]), minlength=n_nodes)
-        node_features = np.column_stack([np.ones(n_nodes), np.log1p(degree)])
     return GraphSnapshot(index=index, edge_src=src, edge_dst=dst,
-                         edge_features=edge_features,
-                         node_features=np.asarray(node_features, dtype=np.float64),
-                         window=window)
+                         edge_features=edge_features, window=window, n_nodes=n_nodes)
 
 
 def toy_snapshot():

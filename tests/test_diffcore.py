@@ -6,6 +6,7 @@ direct statistics for batch norm, and central finite differences for every
 gradient path.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -561,6 +562,24 @@ def test_no_tape_records_no_graph_and_keeps_values():
     assert bare._node.parents == () and bare._vjp is None and not bare.requires_grad
     assert np.array_equal(bare.value, taped.value)
     assert dc.relu(x)._node.parents == (x._node,)  # recording is back on after the context
+
+
+def test_off_tape_relu_builds_no_mask():
+    """Under no_tape() relu computes its output and nothing else: the taped
+    output's bits, and no N x d boolean mask (a quarter of the float32
+    output's bytes) only a backward would read."""
+    x = dc.Param("x", rng_for(45).normal(size=(1000, 128)).astype(np.float32))
+    taped = dc.relu(x)
+    tracemalloc.start()
+    try:
+        with dc.no_tape():
+            bare = dc.relu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bare.value.dtype == np.float32
+    assert bare.value.tobytes() == taped.value.tobytes()
+    assert peak <= bare.value.nbytes + 8 * 1024, peak
 
 
 def test_no_tape_restores_the_previous_setting_on_an_exception():

@@ -13,6 +13,7 @@ from helpers import grad_check, mean_all
 from snaplink import diffcore as dc
 from snaplink import model as md
 from snaplink.errors import BoundsError, ConfigError, DimensionError
+from test_golden import small_graph
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +116,34 @@ def test_eval_forward_on_an_empty_first_snapshot_is_pure(monkeypatch):
     assert first.state.history.tobytes() == second.state.history.tobytes()
     # both counts are zero: the keep ratio is zero and the history stays zero
     assert kappas == [0.0, 0.0] and not first.state.history.any()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("graph", ["synth_graph", "empty_window"])
+def test_forward_input_is_the_cumulative_degree_of_a_rolled_state(synth_graph, monkeypatch,
+                                                                  graph, dtype):
+    """A zero state rolled through every window gives each forward the input
+    the graph's per-window features hold: bitwise, in float64 and after the
+    cast to float32. The input is what the first pre-layer multiplies."""
+    g = synth_graph if graph == "synth_graph" else small_graph()
+    model = toy_model(dtype=dtype)
+    inputs = []
+    real = dc.affine
+
+    def spy(x, w, b):
+        if w is model.params["pre.0.w"]:
+            inputs.append(x.value)
+        return real(x, w, b)
+
+    monkeypatch.setattr(dc, "affine", spy)
+    state = fresh_state(model, g.node_count)
+    for t in range(len(g)):
+        state = md.forward(g[t], state, model).state
+    assert any(g[t].n_edges == 0 for t in range(len(g))) == (graph == "empty_window")
+    assert len(inputs) == len(g)
+    for t, x in enumerate(inputs):
+        assert x.dtype == np.dtype(dtype)
+        assert x.tobytes() == g[t].node_features.astype(dtype).tobytes(), t
 
 
 # ---------------------------------------------------------------------------
