@@ -3,7 +3,8 @@
 Verbs: ingest, run-live, run-fixed, grid, report, synth. Run directories go
 under the run root: --run-root (or --set run_root=...) if given, else
 $SNAPLINK_RUN_ROOT if set, else the config file's `run_root`, else ./runs.
-Invalid configurations exit with status 2 and a field-level message.
+Invalid configurations and unreadable datasets exit with status 2 and one
+line naming the field or the parse error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from .config import ExperimentConfig, load_config
 from .errors import SnaplinkError
+from .evaluate import PROTOCOLS
 from .runner import emit_report, grid_search, load_dataset, run_experiment
 
 
@@ -80,9 +82,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_run(args, protocol: str) -> int:
-    cfg = _build_config(args, protocol)
-    cfg.validate()
-    run_dir = run_experiment(cfg)
+    run_dir = run_experiment(_build_config(args, protocol))
     report = json.loads((run_dir / "report.json").read_text())
     print(f"run: {run_dir}")
     print(f"mean MRR over seeds {report['seeds']}: "
@@ -153,8 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", action="append", default=[],
                    metavar="KEY=V1,V2,...", help="one grid axis (repeatable)")
     p.add_argument("--grid-name", default="grid")
-    p.add_argument("--protocol", choices=("live_update", "fixed_split"),
-                   default="live_update")
+    p.add_argument("--protocol", choices=PROTOCOLS, default="live_update")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("report", help="emit summary tables and plot data")

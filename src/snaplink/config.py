@@ -8,11 +8,11 @@ typed and validated.
 
 Each key, its default and its range check are declared once, in the
 component that uses it: the architecture keys in `model.ModelConfig`, the
-fine-tuning keys in `train.TrainConfig`, and the protocol keys (`alpha`,
-`k_neg`, `val_fraction`, `test_fraction`) in `evaluate.RunConfig`.
-`ExperimentConfig` takes those keys flat, with their defaults, and declares
-only the data, protocol, seed and execution keys itself. `to_run_config`
-projects the flat keys back onto the components.
+fine-tuning keys in `train.TrainConfig`, and the protocol keys
+(`protocol`, `alpha`, `k_neg`, `val_fraction`, `test_fraction`) in
+`evaluate.RunConfig`. `ExperimentConfig` takes those keys flat, with their
+defaults, and declares only the data, seeds and execution keys itself.
+`to_run_config` projects the flat keys back onto the components.
 
 A fingerprint hash over the sorted flat `key=value` pairs of the semantic
 fields (everything except execution knobs like worker counts and directory
@@ -31,8 +31,6 @@ from .errors import ConfigError
 from .evaluate import RunConfig
 from .model import ModelConfig
 from .train import TrainConfig
-
-PROTOCOLS = ("live_update", "fixed_split")
 
 # fields that steer execution, not semantics: excluded from the fingerprint
 NON_SEMANTIC = {"run_name", "run_root", "workers", "force"}
@@ -57,8 +55,7 @@ class ExperimentConfig(_ComponentKeys):
     dataset: str = ""
     schema: str = ",:src,dst,weight,timestamp"
     frequency: str = "weekly"
-    # protocol
-    protocol: str = "live_update"
+    # one protocol run per seed
     seeds: tuple[int, ...] = (0, 1, 2)
     # execution (non-semantic)
     run_name: str = ""
@@ -69,8 +66,6 @@ class ExperimentConfig(_ComponentKeys):
     def validate(self) -> None:
         if not self.dataset:
             raise ConfigError("dataset", "a dataset path is required")
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError("protocol", f"must be one of {PROTOCOLS}, got {self.protocol!r}")
         if not self.seeds:
             raise ConfigError("seeds", "at least one seed is required")
         if self.workers < 1:

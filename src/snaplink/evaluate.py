@@ -1,12 +1,12 @@
-"""Ranking metrics and the two evaluation protocols.
+"""Ranking metrics and `run_protocol`, the one entry point of both protocols.
 
-Both protocols run one rolling loop over the label steps s = 0..T-2. Each
-step builds the labels for snapshot s+1 and, when the step is scored,
-ranks them from (G_s, H_{s-1}) with the deployed model. A training step
-then fine-tunes a copy of the meta model on those labels, deploys it and
-blends it into the meta model; any other step keeps the parameters and
-rolls the node state forward with one eval forward, reusing the scoring
-forward when there was one.
+`RunConfig.protocol` is one of `PROTOCOLS`. Both protocols run one rolling
+loop over the label steps s = 0..T-2. Each step builds the labels for
+snapshot s+1 and, when the step is scored, ranks them from (G_s, H_{s-1})
+with the deployed model. A training step then fine-tunes a copy of the meta
+model on those labels, deploys it and blends it into the meta model; any
+other step keeps the parameters and rolls the node state forward with one
+eval forward, reusing the scoring forward if there was one.
 
 Live-update trains and scores every step, so each step's score comes from
 a model trained only on strictly earlier labels; the reported figure is the
@@ -57,7 +57,7 @@ def mrr(top_repr: np.ndarray, labels: LabelSet, model: ModelParams) -> float:
     negative whose representation row equals the positive's scores bitwise
     equal and ties: the tie rule holds by construction.
     """
-    if labels.skip or labels.positives.shape[0] == 0:
+    if labels.skip:
         raise EmptyInputError(f"step {labels.step}: no positives to evaluate")
     scorer = PairScorer(top_repr, model)
     positives = labels.positives
@@ -114,6 +114,9 @@ class EvalReport:
     per_step: list[StepRecord] = field(default_factory=list)
     train_records: list[StepRecord] = field(default_factory=list)  # fixed-split only
     fingerprint: str = ""
+    # the final deployed model and rolled node state, for the checkpoint
+    model: ModelParams | None = field(default=None, repr=False, compare=False)
+    state: HierarchicalNodeState | None = field(default=None, repr=False, compare=False)
 
     @property
     def evaluated_steps(self) -> list[StepRecord]:
@@ -148,12 +151,16 @@ class EvalReport:
         }
 
 
+PROTOCOLS = ("live_update", "fixed_split")
+
+
 @dataclass
 class RunConfig:
     """Everything one protocol run needs besides the data."""
 
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
+    protocol: str = "live_update"
     alpha: float = 1.0
     k_neg: int = 1000
     val_fraction: float = 0.1
@@ -161,6 +168,8 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.protocol not in PROTOCOLS:
+            raise ConfigError("protocol", f"must be one of {PROTOCOLS}, got {self.protocol!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha", f"must be in [0, 1], got {self.alpha}")
         if self.k_neg < 1:
@@ -179,8 +188,8 @@ class RunConfig:
 
 
 def n_train_steps(protocol: str, n_snapshots: int, test_fraction: float) -> int:
-    """How many leading label steps fine-tune under `protocol` ("live_update"
-    or "fixed_split") on a graph of n_snapshots windows.
+    """How many leading label steps fine-tune under `protocol` (one of
+    PROTOCOLS) on a graph of n_snapshots windows.
 
     Live-update trains every label step (T-1). Fixed-split trains the steps
     before the terminal test block of round(T * test_fraction) snapshots (at
@@ -200,21 +209,23 @@ def n_train_steps(protocol: str, n_snapshots: int, test_fraction: float) -> int:
     return T - n_test - 1
 
 
-def _run_steps(g: DynamicGraph, cfg: RunConfig, protocol: str, n_train: int,
-               step_callback, artifacts_out: dict | None) -> EvalReport:
-    """The rolling step loop of both protocols, over label steps 0..T-2.
+def run_protocol(g: DynamicGraph, cfg: RunConfig, step_callback=None) -> EvalReport:
+    """Run `cfg.protocol` over label steps 0..T-2, passing each step's record
+    to `step_callback` as it ends.
 
-    Steps s < n_train fine-tune; later steps keep the parameters frozen,
-    which is checked at the end. Live-update scores every step, fixed-split
-    only the frozen ones; unscored records go to `train_records`.
+    The first `n_train_steps` steps fine-tune; later steps keep the
+    parameters frozen, which is checked at the end. Live-update scores every
+    step, fixed-split only the frozen ones; unscored records go to
+    `train_records`. The report carries the final deployed model and state.
     """
     cfg.validate()
+    n_train = n_train_steps(cfg.protocol, len(g), cfg.test_fraction)
 
     deploy = init_model(cfg.model, derive_rng(cfg.seed, "init"))
     meta = deploy.clone()
     state = HierarchicalNodeState.zeros(g.node_count, cfg.model)
 
-    report = EvalReport(protocol=protocol, seed=cfg.seed)
+    report = EvalReport(protocol=cfg.protocol, seed=cfg.seed)
     frozen_checksum = None
     for s in range(len(g) - 1):
         if s == n_train:
@@ -223,7 +234,7 @@ def _run_steps(g: DynamicGraph, cfg: RunConfig, protocol: str, n_train: int,
         snapshot = g[s]
         labels = build_labels(g, s, cfg.val_fraction, cfg.k_neg,
                               derive_rng(cfg.seed, "labels", s))
-        scored = protocol == "live_update" or s >= n_train
+        scored = cfg.protocol == "live_update" or s >= n_train
 
         mrr_s = eres = None
         if scored and not labels.skip:
@@ -259,22 +270,8 @@ def _run_steps(g: DynamicGraph, cfg: RunConfig, protocol: str, n_train: int,
             step_callback(record)
     if frozen_checksum is not None and params_checksum(deploy) != frozen_checksum:
         raise NumericError("parameters moved in the frozen test block")
-    if artifacts_out is not None:
-        artifacts_out.update(model=deploy, state=state)
+    report.model, report.state = deploy, state
     return report
-
-
-def live_update_run(g: DynamicGraph, cfg: RunConfig, step_callback=None,
-                    artifacts_out: dict | None = None) -> EvalReport:
-    """Rolling evaluate-then-train over every step (T-1 records).
-
-    At step t the deployed model has seen labels of steps < t only; it is
-    scored on step t's labels from (G_t, H_{t-1}), then fine-tuned on those
-    labels starting from the meta model, and the meta model is blended
-    afterwards.
-    """
-    n_train = n_train_steps("live_update", len(g), cfg.test_fraction)
-    return _run_steps(g, cfg, "live_update", n_train, step_callback, artifacts_out)
 
 
 def params_checksum(model: ModelParams) -> str:
@@ -288,14 +285,3 @@ def params_checksum(model: ModelParams) -> str:
         h.update(np.ascontiguousarray(p.value).tobytes())
     return h.hexdigest()
 
-
-def fixed_split_run(g: DynamicGraph, cfg: RunConfig, step_callback=None,
-                    artifacts_out: dict | None = None) -> EvalReport:
-    """Train on all steps before the terminal test block, freeze, then score
-    the test block while the node state keeps rolling forward.
-
-    The test block is the last round(T * test_fraction) snapshots (at least
-    one); its label steps are evaluated with frozen parameters.
-    """
-    n_train = n_train_steps("fixed_split", len(g), cfg.test_fraction)
-    return _run_steps(g, cfg, "fixed_split", n_train, step_callback, artifacts_out)

@@ -1,9 +1,15 @@
 """Experiment orchestration: single runs, seed replication, grids, reports.
 
-Each run owns a directory under the run root containing the resolved
-config, line-delimited per-step records per seed, per-seed summaries, model
-checkpoints, and a cross-seed report. Completed runs are identified by
-their config fingerprint and skipped on re-execution unless forced.
+Each run owns a directory under the run root; it holds one copy of each fact:
+
+    config.resolved.txt   the resolved config, its fingerprint in the header
+    report.json           the cross-seed report, written last
+    seed<k>/steps.ndjson  one "step" record per label step, flushed as it ends
+    seed<k>/report.json   the seed's summary and wall time
+    seed<k>/model.npz     the final deployed model and rolled node state
+
+A run whose report.json holds its config fingerprint is complete and is
+skipped unless forced. Parsed datasets are cached under <run root>/.cache.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from . import evaluate as ev
 from .config import ExperimentConfig
-from .errors import SnaplinkError
+from .errors import ConfigError, SnaplinkError
 from .model import save_checkpoint
 from .snapshots import (DAMAGED_ARCHIVE_ERRORS, EdgeSchema, cache_key, file_fingerprint,
                         load_edge_list, load_snapshot_cache, partition_snapshots,
@@ -39,6 +45,8 @@ def load_dataset(cfg: ExperimentConfig, cache_dir: Path):
     """
     schema = EdgeSchema.parse(cfg.schema)
     path = Path(cfg.dataset)
+    if not path.is_file():
+        raise ConfigError("dataset", f"not a file: {path}")
     fingerprint = file_fingerprint(path)
     cache_path = cache_dir / f"{cache_key(fingerprint, cfg.frequency, schema)}.npz"
     if cache_path.exists():
@@ -97,16 +105,12 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
     ev.n_train_steps(cfg.protocol, len(graph), cfg.test_fraction)
     run_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(run_dir / "config.resolved.txt", cfg.to_text())
-    _atomic_write(run_dir / "fingerprint.txt", fingerprint + "\n")
-
-    protocol = ev.live_update_run if cfg.protocol == "live_update" else ev.fixed_split_run
 
     seed_summaries = []
     for seed in cfg.seeds:
         seed_dir = run_dir / f"seed{seed}"
         seed_dir.mkdir(exist_ok=True)
         t0 = time.perf_counter()
-        artifacts: dict = {}
         steps = seed_dir / "steps.ndjson"
         # not `replacing`: a seed that raises keeps the steps it finished
         with open(temp_path(steps), "w") as fh:
@@ -116,14 +120,12 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
                 fh.flush()  # a running or killed seed keeps its finished steps
 
-            report = protocol(graph, cfg.to_run_config(seed), step_callback=emit,
-                              artifacts_out=artifacts)
-            report.fingerprint = fingerprint
-            fh.write(json.dumps({"record": "summary", **STEP_SCHEMA,
-                                 **report.summary_dict()}, sort_keys=True) + "\n")
+            report = ev.run_protocol(graph, cfg.to_run_config(seed), step_callback=emit)
         os.replace(temp_path(steps), steps)
-        save_checkpoint(seed_dir / "model.npz", artifacts["model"], artifacts["state"])
+        save_checkpoint(seed_dir / "model.npz", report.model, report.state)
+        report.fingerprint = fingerprint
         summary = report.summary_dict()
+        del report  # the seed's model and state are freed before the next seed runs
         summary["wall_seconds"] = time.perf_counter() - t0
         _atomic_write(seed_dir / "report.json",
                       json.dumps(summary, sort_keys=True, indent=1) + "\n")

@@ -243,16 +243,19 @@ class LabelSet:
     train_pos: np.ndarray               # (P_tr, 2)
     val_pos: np.ndarray                 # (P_val, 2)
     eval_negatives: dict[int, np.ndarray] = field(default_factory=dict)
-    skip: bool = False
 
     @property
     def n_positives(self) -> int:
-        return 0 if self.skip else self.positives.shape[0]
+        return self.positives.shape[0]
+
+    @property
+    def skip(self) -> bool:  # no positives: an empty next window or val slice
+        return self.n_positives == 0
 
     def val_view(self) -> "LabelSet":
         """The validation slice, sharing the negative lists."""
         return LabelSet(self.step, self.val_pos, np.empty((0, 2), np.int64),
-                        self.val_pos, self.eval_negatives, self.val_pos.size == 0)
+                        self.val_pos, self.eval_negatives)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +298,15 @@ def load_edge_list(path, schema: EdgeSchema = EdgeSchema(),
                              file_fingerprint(path) if fingerprint is None else fingerprint)
 
 
+def _lines(fh, path: Path):
+    """The lines of `fh`, an `_open_text` of `path`; text that does not
+    decode and a damaged or cut gzip stream raise ParseError."""
+    try:
+        yield from fh
+    except (UnicodeDecodeError, gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise ParseError(f"{path}: unreadable text: {exc}") from None
+
+
 def _parse_lines(path: Path, schema: EdgeSchema):
     """The general parser: one Python loop over the lines of any input.
     Returns (src, dst, weight, timestamp, node_count) in file order."""
@@ -309,7 +321,7 @@ def _parse_lines(path: Path, schema: EdgeSchema):
     t_l: list[float] = []
 
     with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(_lines(fh, path), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -550,7 +562,7 @@ def build_labels(g: DynamicGraph, t: int, val_fraction: float, k_neg: int,
     nxt = g[t + 1]
     empty = np.empty((0, 2), dtype=np.int64)
     if nxt.n_edges == 0:
-        return LabelSet(t, empty, empty, empty, {}, skip=True)
+        return LabelSet(t, empty, empty, empty)
 
     pairs = np.stack([nxt.edge_src, nxt.edge_dst], axis=1)
     positives = np.unique(pairs, axis=0)  # dedup multi-edges, sorted

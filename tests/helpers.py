@@ -1,12 +1,18 @@
-"""Test-only helpers: a finite-difference gradient check for the tape, and a
-step record's fields without its wall-clock time."""
+"""Test-only helpers: a finite-difference gradient check for the tape, a
+step record's fields without its wall-clock time, and a parametrization over
+both protocols."""
 
 from dataclasses import asdict
 
 import numpy as np
+import pytest
 
 from snaplink import diffcore as dc
 from snaplink.errors import NumericError
+from snaplink.evaluate import PROTOCOLS
+
+# parametrizes `protocol` over both protocols, with the id "<protocol>_run"
+over_protocols = pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: f"{p}_run")
 
 
 def mean_all(x: dc.Var) -> dc.Var:

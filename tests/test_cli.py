@@ -1,5 +1,9 @@
 """Exit-code contract of the command-line interface."""
 
+import gzip
+import json
+from pathlib import Path
+
 import pytest
 
 from snaplink import synthetic
@@ -58,6 +62,53 @@ def test_ingest_reports_a_late_bad_weight_on_one_line(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("ingest: line 19000: bad weight nan")
+
+
+def gzip_edges() -> bytes:
+    """A gzip stream of 3,000 edge lines."""
+    return gzip.compress(b"".join(b"%d,%d,1,%d\n" % (i % 97, i % 89, i) for i in range(3000)))
+
+
+def flipped(data: bytes, lo: int, hi: int) -> bytes:
+    """`data` with the bits of bytes lo..hi-1 inverted."""
+    return data[:lo] + bytes(b ^ 0xFF for b in data[lo:hi]) + data[hi:]
+
+
+@pytest.mark.parametrize("verb,name,make,message", [
+    ("run-live", "missing.csv", None, "dataset: not a file"),
+    ("ingest", "edges", Path.mkdir, "dataset: not a file"),
+    ("run-live", "edges.csv", lambda p: p.write_bytes(b"0,1,1,100\n\xff,2,1,200\n"),
+     "unreadable text"),
+    ("run-fixed", "edges.csv.gz", lambda p: p.write_bytes(b"0,1,1,100\n"),
+     "unreadable text"),
+    ("ingest", "edges.csv.gz", lambda p: p.write_bytes(gzip_edges()[:2000]),
+     "unreadable text"),  # cut short: EOFError
+    ("ingest", "edges.csv.gz", lambda p: p.write_bytes(flipped(gzip_edges(), 20, 60)),
+     "unreadable text"),  # a corrupt deflate stream: zlib.error
+], ids=["missing", "directory", "undecodable", "not-gzip", "cut-gzip", "corrupt-gzip"])
+def test_malformed_dataset_exits_2_with_one_line(tmp_path, capsys, monkeypatch, verb, name,
+                                                 make, message):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    path = tmp_path / name
+    if make is not None:
+        make(path)
+    runs = tmp_path / "runs"
+    assert main([verb, "--dataset", str(path), "--run-root", str(runs)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"{verb}: ") and message in err and str(path) in err
+    assert not runs.exists()  # no run directory, no cache archive
+
+
+def test_grid_records_a_missing_dataset_as_failed_cells(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    path, runs = tmp_path / "missing.csv", tmp_path / "runs"
+    argv = ["grid", "--dataset", str(path), "--run-root", str(runs), "--axis", "alpha=0.5,1"]
+    assert main(argv) == 0
+    assert "2 cells, 2 failed" in capsys.readouterr().out
+    index = json.loads((runs / "grid" / "index.json").read_text())
+    assert [c["error"] for c in index["cells"]] == \
+        [f"ConfigError: dataset: not a file: {path}"] * 2
 
 
 def test_ingest_rebuilds_a_damaged_cache_archive(twelve_window_file, tmp_path, capsys):

@@ -72,7 +72,7 @@ def test_every_model_train_and_protocol_key_reaches_the_run_config():
     for part in (run.model, run.train, run):
         for f in fields(part):
             reached.setdefault(f.name, getattr(part, f.name))
-    flat_only = {"dataset", "schema", "frequency", "protocol", "seeds"}
+    flat_only = {"dataset", "schema", "frequency", "seeds"}
     for key, value in NON_DEFAULT.items():
         if key not in flat_only:
             assert reached[key] == value, key

@@ -2,12 +2,13 @@
 
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import incident_counts, toy_model
-from helpers import summary_fields
+from helpers import over_protocols, summary_fields
 from test_golden import run_config, small_graph
 from snaplink import evaluate as ev
 from snaplink import model as md
@@ -193,19 +194,19 @@ def test_mrr_float32_head_overflow_raises(bad_node):
 # ---------------------------------------------------------------------------
 
 
-def fixed_config(test_fraction=0.2, seed=0):
+def fixed_config(test_fraction=0.2, seed=0, protocol="fixed_split"):
     return ev.RunConfig(
         model=ModelConfig(hidden_dim=8, n_pre=1, n_mp=2, n_post=1,
                           update="moving_average"),
         train=tr.TrainConfig(learning_rate=0.01, max_epochs=3, patience=2),
-        k_neg=20, test_fraction=test_fraction, seed=seed)
+        protocol=protocol, k_neg=20, test_fraction=test_fraction, seed=seed)
 
 
 def test_fixed_split_step_counts(synth_graph):
     T = len(synth_graph)
     for test_fraction in (0.1, 0.2, 0.4):
         n_test = max(1, round(T * test_fraction))
-        report = ev.fixed_split_run(synth_graph, fixed_config(test_fraction))
+        report = ev.run_protocol(synth_graph, fixed_config(test_fraction))
         assert len(report.evaluated_steps) == n_test
         assert [r.t for r in report.per_step] == list(range(T - n_test - 1, T - 1))
         assert len(report.train_records) == T - n_test - 1
@@ -215,21 +216,24 @@ def test_fixed_split_step_counts(synth_graph):
 
 def test_fixed_split_rejects_test_block_without_training(synth_graph):
     with pytest.raises(ConfigError, match="no training steps"):
-        ev.fixed_split_run(synth_graph, fixed_config(test_fraction=0.9))
+        ev.run_protocol(synth_graph, fixed_config(test_fraction=0.9))
 
 
-@pytest.mark.parametrize("run", [ev.live_update_run, ev.fixed_split_run])
+@over_protocols
 @pytest.mark.parametrize("field,value", [
     ("alpha", -0.1), ("alpha", 1.5), ("k_neg", 0), ("val_fraction", 0.0),
     ("val_fraction", 1.0), ("test_fraction", -1.0), ("test_fraction", 0.0),
-    ("test_fraction", 1.0),
+    ("test_fraction", 1.0), ("protocol", "live-update"),
 ])
-def test_run_config_rejects_an_out_of_range_protocol_key(synth_graph, run, field, value):
-    cfg = fixed_config()
+def test_run_config_rejects_an_out_of_range_protocol_key(synth_graph, protocol, field,
+                                                          value):
+    cfg = fixed_config(protocol=protocol)
     setattr(cfg, field, value)
+    records = []
     with pytest.raises(ConfigError) as info:
-        run(synth_graph, cfg)
+        ev.run_protocol(synth_graph, cfg, step_callback=records.append)
     assert info.value.field == field
+    assert records == []
 
 
 def test_fixed_split_parameters_frozen_in_test_block(synth_graph, monkeypatch):
@@ -243,10 +247,9 @@ def test_fixed_split_parameters_frozen_in_test_block(synth_graph, monkeypatch):
         return real_mrr(top_repr, labels, model)
 
     monkeypatch.setattr(ev, "mrr", recording_mrr)
-    out = {}
-    ev.fixed_split_run(synth_graph, fixed_config(), artifacts_out=out)
+    report = ev.run_protocol(synth_graph, fixed_config())
     assert len(seen) == 2
-    assert set(seen) == {ev.params_checksum(out["model"])}
+    assert set(seen) == {ev.params_checksum(report.model)}
 
 
 @pytest.mark.parametrize("name", ["head.w_src", "mp.0.running_mean"])
@@ -261,12 +264,12 @@ def test_fixed_split_raises_when_parameters_move(synth_graph, monkeypatch, name)
 
     monkeypatch.setattr(ev, "mrr", mutating_mrr)
     with pytest.raises(NumericError, match="parameters moved"):
-        ev.fixed_split_run(synth_graph, fixed_config())
+        ev.run_protocol(synth_graph, fixed_config())
 
 
 def test_fixed_split_same_seed_same_report(synth_graph):
-    a = ev.fixed_split_run(synth_graph, fixed_config(seed=4))
-    b = ev.fixed_split_run(synth_graph, fixed_config(seed=4))
+    a = ev.run_protocol(synth_graph, fixed_config(seed=4))
+    b = ev.run_protocol(synth_graph, fixed_config(seed=4))
     assert a.summary_dict() == b.summary_dict()
     assert [summary_fields(r) for r in a.per_step + a.train_records] == \
         [summary_fields(r) for r in b.per_step + b.train_records]
@@ -278,7 +281,7 @@ def test_fixed_split_same_seed_same_report(synth_graph):
 # ---------------------------------------------------------------------------
 
 
-def test_live_update_runs_one_loop_forward_per_step(monkeypatch):
+def test_live_update_makes_one_loop_forward_per_step(monkeypatch):
     g = small_graph()  # steps 1 and 3 have positives but no training positives
     forwards = []
     real_forward = ev.forward
@@ -288,7 +291,7 @@ def test_live_update_runs_one_loop_forward_per_step(monkeypatch):
         return real_forward(*args, **kwargs)
 
     monkeypatch.setattr(ev, "forward", counting)
-    report = ev.live_update_run(g, run_config("gru", val_fraction=0.9))
+    report = ev.run_protocol(g, run_config("gru", val_fraction=0.9))
     assert [r.epochs_run == 0 for r in report.per_step] == \
         [False, True, False, True, True, False]
     assert forwards == ["eval"] * (len(g) - 1)
@@ -318,10 +321,10 @@ def test_bn_reset_per_snapshot_resets_only_the_warm_start(synth_graph, monkeypat
 
     monkeypatch.setattr(ev, "fine_tune", recording_fine_tune)
     monkeypatch.setattr(ev, "meta_update", recording_meta_update)
-    cfg = fixed_config()
+    cfg = fixed_config(protocol="live_update")
     cfg.alpha = 0.5
     cfg.model.bn_reset_per_snapshot = reset
-    ev.live_update_run(synth_graph, cfg)
+    ev.run_protocol(synth_graph, cfg)
 
     assert len(starts) == len(trained) == len(blended) == len(synth_graph) - 1
     initial = starts[0]
@@ -349,16 +352,15 @@ def test_bn_reset_per_snapshot_resets_only_the_warm_start(synth_graph, monkeypat
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("run", [ev.live_update_run, ev.fixed_split_run])
+@over_protocols
 @pytest.mark.parametrize("per_node", [False, True])
-def test_carried_history_counts_every_rolled_snapshot(synth_graph, run, per_node):
-    cfg = fixed_config()
+def test_carried_history_counts_every_rolled_snapshot(synth_graph, protocol, per_node):
+    cfg = fixed_config(protocol=protocol)
     cfg.model.per_node_keep_ratio = per_node
-    out = {}
-    run(synth_graph, cfg, artifacts_out=out)
+    report = ev.run_protocol(synth_graph, cfg)
     # label steps 0..T-2; per-node counts whichever keep ratio reads them
     expected = incident_counts(synth_graph.snapshots[:-1], synth_graph.node_count)
-    history = out["state"].history
+    history = report.state.history
     assert history.dtype == np.float64 and history.shape == (synth_graph.node_count,)
     assert np.array_equal(history, expected)
 
@@ -384,7 +386,7 @@ def test_a_graph_retains_only_its_edges(tmp_path):
     save_snapshot_cache(path, partition_snapshots(edges, 100.0))
     cfg = ev.RunConfig(model=ModelConfig(hidden_dim=4, update="moving_average"),
                        train=tr.TrainConfig(max_epochs=1), k_neg=20, test_fraction=0.3)
-    ev.live_update_run(load_snapshot_cache(path), cfg)  # warm-up: lazy imports
+    ev.run_protocol(load_snapshot_cache(path), cfg)  # warm-up: lazy imports
 
     def retained():
         gc.collect()
@@ -396,8 +398,8 @@ def test_a_graph_retains_only_its_edges(tmp_path):
         try:
             g = build()
             sizes = [retained()]
-            for run in (ev.live_update_run, ev.fixed_split_run):
-                run(g, cfg)
+            for protocol in ev.PROTOCOLS:
+                ev.run_protocol(g, replace(cfg, protocol=protocol))
                 sizes.append(retained())
         finally:
             tracemalloc.stop()
@@ -440,16 +442,18 @@ def with_windows_after_replaced(g, k):
 
 @pytest.mark.parametrize("bn_reset", [False, True])
 @pytest.mark.parametrize("update", ["moving_average", "mlp", "gru"])
-@pytest.mark.parametrize("run", [ev.live_update_run, ev.fixed_split_run])
-def test_no_future_window_leaks_into_earlier_records(synth_graph, run, update, bn_reset):
+@over_protocols
+def test_no_future_window_leaks_into_earlier_records(synth_graph, protocol, update,
+                                                     bn_reset):
     """Step s ranks and trains on windows <= s+1 only, so replacing every
     window after k leaves the records of steps < k bitwise equal."""
     k = 6
     cfg = ev.RunConfig(model=ModelConfig(hidden_dim=6, update=update,
                                          bn_reset_per_snapshot=bn_reset),
                        train=tr.TrainConfig(max_epochs=2, patience=1),
-                       alpha=0.5, k_neg=8, test_fraction=0.5, seed=3)
-    reports = [run(g, cfg) for g in (synth_graph, with_windows_after_replaced(synth_graph, k))]
+                       protocol=protocol, alpha=0.5, k_neg=8, test_fraction=0.5, seed=3)
+    reports = [ev.run_protocol(g, cfg)
+               for g in (synth_graph, with_windows_after_replaced(synth_graph, k))]
     early = [[summary_fields(r) for r in rep.train_records + rep.per_step if r.t < k]
              for rep in reports]
     assert [r["t"] for r in early[0]] == list(range(k))
@@ -481,7 +485,7 @@ def test_a_node_first_seen_later_is_an_earlier_eval_negative(monkeypatch):
     monkeypatch.setattr(ev, "build_labels", lambda *a: seen.append(real(*a)) or seen[-1])
     cfg = ev.RunConfig(model=ModelConfig(hidden_dim=4, update="moving_average"),
                        train=tr.TrainConfig(max_epochs=1, patience=1), k_neg=n, seed=1)
-    ev.live_update_run(g, cfg)
+    ev.run_protocol(g, cfg)
     for labels in seen[:k]:
         for src_node, negs in labels.eval_negatives.items():
             pos = labels.positives[labels.positives[:, 0] == src_node, 1]

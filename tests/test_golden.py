@@ -1,7 +1,7 @@
 """Fixed-seed golden records for both evaluation protocols.
 
 Pins every per-step field except wall time, with floats as `float.hex`
-strings, for `live_update_run` and `fixed_split_run` with each update kind
+strings, for `run_protocol` under both protocols with each update kind
 on the `synth_graph` fixture, and on a small graph whose labels hit the
 skipped-step and no-training-positives branches. Both dtypes are pinned:
 float64 (`GOLDEN`, the opt-out path) and float32 (`GOLDEN_FLOAT32`, the run
@@ -25,13 +25,12 @@ from snaplink.model import ModelConfig, PairScorer, forward, init_model
 from snaplink.snapshots import edges_from_arrays, partition_snapshots
 from snaplink.train import TrainConfig
 
-PROTOCOLS = {"live_update": ev.live_update_run, "fixed_split": ev.fixed_split_run}
 UPDATES = ("moving_average", "mlp", "gru")
 
 
-def run_config(update, val_fraction=0.1, dtype="float64"):
+def run_config(update, val_fraction=0.1, dtype="float64", protocol="live_update"):
     return ev.RunConfig(model=ModelConfig(hidden_dim=8, update=update, dtype=dtype),
-                        train=TrainConfig(max_epochs=3, patience=2),
+                        train=TrainConfig(max_epochs=3, patience=2), protocol=protocol,
                         alpha=0.5, k_neg=20, val_fraction=val_fraction,
                         test_fraction=0.3, seed=5)
 
@@ -292,35 +291,36 @@ GOLDEN_FLOAT32 = {
 }
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("protocol", ev.PROTOCOLS)
 @pytest.mark.parametrize("update", UPDATES)
 def test_golden_synth_graph(synth_graph, protocol, update):
-    report = PROTOCOLS[protocol](synth_graph, run_config(update))
+    report = ev.run_protocol(synth_graph, run_config(update, protocol=protocol))
     assert (rows(report.train_records), rows(report.per_step)) == \
         GOLDEN[(protocol, update)]
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("protocol", ev.PROTOCOLS)
 def test_golden_small_graph_with_empty_window(protocol):
     g = small_graph()
     assert [s.n_edges for s in g.snapshots] == [10, 6, 3, 20, 2, 0, 7]
-    report = PROTOCOLS[protocol](g, run_config("gru", val_fraction=0.9))
+    report = ev.run_protocol(g, run_config("gru", val_fraction=0.9, protocol=protocol))
     assert (rows(report.train_records), rows(report.per_step)) == \
         GOLDEN[(protocol, "small")]
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("protocol", ev.PROTOCOLS)
 @pytest.mark.parametrize("update", UPDATES)
 def test_golden_synth_graph_float32(synth_graph, protocol, update):
-    report = PROTOCOLS[protocol](synth_graph, run_config(update, dtype="float32"))
+    report = ev.run_protocol(synth_graph,
+                             run_config(update, dtype="float32", protocol=protocol))
     assert (rows(report.train_records), rows(report.per_step)) == \
         GOLDEN_FLOAT32[(protocol, update)]
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("protocol", ev.PROTOCOLS)
 def test_golden_small_graph_with_empty_window_float32(protocol):
-    report = PROTOCOLS[protocol](small_graph(),
-                                 run_config("gru", val_fraction=0.9, dtype="float32"))
+    report = ev.run_protocol(small_graph(), run_config("gru", val_fraction=0.9,
+                                                       dtype="float32", protocol=protocol))
     assert (rows(report.train_records), rows(report.per_step)) == \
         GOLDEN_FLOAT32[(protocol, "small")]
 
@@ -362,9 +362,11 @@ def test_float32_forward_matches_float64(synth_graph, update):
 def golden_source(name, dtype):
     """`name = {...}` holding every record at `dtype`, in this file's layout."""
     g = make_synth_graph()
-    runs = [((p, u), g, run_config(u, dtype=dtype)) for p in PROTOCOLS for u in UPDATES]
-    runs += [((p, "small"), small_graph(), run_config("gru", val_fraction=0.9, dtype=dtype))
-             for p in PROTOCOLS]
+    runs = [((p, u), g, run_config(u, dtype=dtype, protocol=p))
+            for p in ev.PROTOCOLS for u in UPDATES]
+    runs += [((p, "small"), small_graph(),
+              run_config("gru", val_fraction=0.9, dtype=dtype, protocol=p))
+             for p in ev.PROTOCOLS]
 
     def row(record):
         return ", ".join(f'"{x}"' if isinstance(x, str) else repr(x) for x in record)
@@ -377,7 +379,7 @@ def golden_source(name, dtype):
 
     lines = [f"{name} = {{"]
     for (protocol, kind), graph, cfg in runs:
-        report = PROTOCOLS[protocol](graph, cfg)
+        report = ev.run_protocol(graph, cfg)
         lines += ([f'    ("{protocol}", "{kind}"): (']
                   + block("train_records", rows(report.train_records))
                   + block("per_step", rows(report.per_step)) + ["    ),"])

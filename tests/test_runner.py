@@ -27,7 +27,7 @@ def test_seed_report_keeps_wall_seconds(synth_graph, tmp_path, monkeypatch):
     seed_report = json.loads((run_dir / "seed3" / "report.json").read_text())
     assert seed_report.pop("wall_seconds") > 0
 
-    report = ev.fixed_split_run(synth_graph, cfg.to_run_config(3))
+    report = ev.run_protocol(synth_graph, cfg.to_run_config(3))
     report.fingerprint = cfg.fingerprint()
     assert seed_report == report.summary_dict()
 
@@ -53,13 +53,13 @@ def test_runs_default_to_float32_and_a_config_file_opts_out(synth_graph, tmp_pat
 def test_completed_run_is_skipped_unless_forced(synth_graph, tmp_path, monkeypatch):
     monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
     calls = []
-    real = ev.live_update_run
+    real = ev.run_protocol
 
     def counting(*args, **kwargs):
         calls.append(args[1].seed)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ev, "live_update_run", counting)
+    monkeypatch.setattr(ev, "run_protocol", counting)
     cfg = ExperimentConfig(dataset="synthetic", protocol="live_update", seeds=(1,),
                            k_neg=20, hidden_dim=8, update="moving_average",
                            max_epochs=1, patience=1, run_root=str(tmp_path))
@@ -247,16 +247,16 @@ def test_steps_are_on_disk_after_each_step(synth_graph, tmp_path, monkeypatch):
                            run_name="flush")
     steps = temp_path(tmp_path / "flush" / "seed2" / "steps.ndjson")
     lines_seen = []
-    real = ev.live_update_run
+    real = ev.run_protocol
 
-    def spying(g, run_cfg, step_callback=None, artifacts_out=None):
+    def spying(g, run_cfg, step_callback=None):
         def callback(record):
             step_callback(record)
             lines_seen.append(len(steps.read_text().splitlines()))
 
-        return real(g, run_cfg, step_callback=callback, artifacts_out=artifacts_out)
+        return real(g, run_cfg, step_callback=callback)
 
-    monkeypatch.setattr(ev, "live_update_run", spying)
+    monkeypatch.setattr(ev, "run_protocol", spying)
     run_experiment(cfg, graph=synth_graph)
     assert lines_seen == list(range(1, len(synth_graph)))
 
@@ -270,8 +270,10 @@ def test_a_run_leaves_no_temporary_behind(synth_graph, tmp_path, monkeypatch):
     run_experiment(cfg, graph=synth_graph)
     written = sorted(str(p.relative_to(tmp_path / "clean"))
                      for p in (tmp_path / "clean").rglob("*"))
-    assert written == ["config.resolved.txt", "fingerprint.txt", "report.json", "seed4",
+    assert written == ["config.resolved.txt", "report.json", "seed4",
                        "seed4/model.npz", "seed4/report.json", "seed4/steps.ndjson"]
+    steps = (tmp_path / "clean" / "seed4" / "steps.ndjson").read_text().splitlines()
+    assert [json.loads(line)["record"] for line in steps] == ["step"] * (len(synth_graph) - 1)
 
 
 @pytest.mark.parametrize("target", ["checkpoint", "text"])

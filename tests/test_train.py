@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import fresh_state, make_snapshot, toy_model
+from helpers import over_protocols
 from snaplink import train as tr
 from snaplink import diffcore as dc
 from snaplink.errors import ConfigError, TrainingDiverged
-from snaplink.evaluate import RunConfig, fixed_split_run, live_update_run
+from snaplink.evaluate import RunConfig, run_protocol
 from snaplink.model import ModelConfig, PairScorer, forward
 from snaplink.seeding import derive_rng
 from snaplink.snapshots import (LabelSet, build_labels, edges_from_arrays,
@@ -242,7 +243,7 @@ def test_fine_tune_trains_when_a_source_has_no_negatives():
 def test_fine_tune_skip_labels_rejected():
     model = toy_model()
     empty = np.empty((0, 2), dtype=np.int64)
-    labels = LabelSet(0, empty, empty, empty, {}, skip=True)
+    labels = LabelSet(0, empty, empty, empty)
     with pytest.raises(ValueError):
         run_fine_tune(model, labels=labels)
 
@@ -319,8 +320,8 @@ def small_run_config(update="gru", alpha=1.0, seed=0):
         alpha=alpha, k_neg=20, seed=seed)
 
 
-@pytest.mark.parametrize("run", [live_update_run, fixed_split_run])
-def test_retained_memory_does_not_grow_with_t(synth_graph, run):
+@over_protocols
+def test_retained_memory_does_not_grow_with_t(synth_graph, protocol):
     """The bytes still allocated when a step ends stay flat over the run:
     no step keeps a previous step's tape, state or labels alive. Cyclic
     garbage is collected first, so only what is reachable counts. At hidden
@@ -329,6 +330,7 @@ def test_retained_memory_does_not_grow_with_t(synth_graph, run):
     numpy's small-block caches add about 2 KB a step, and fixed-split's
     scored last step holds its scoring forward (30 KB)."""
     cfg = small_run_config()
+    cfg.protocol = protocol
     cfg.model.hidden_dim = 64
     cfg.train.max_epochs = 3
     retained = []
@@ -339,7 +341,7 @@ def test_retained_memory_does_not_grow_with_t(synth_graph, run):
 
     tracemalloc.start()
     try:
-        run(synth_graph, cfg, step_callback=measure)
+        run_protocol(synth_graph, cfg, step_callback=measure)
     finally:
         tracemalloc.stop()
     assert len(retained) == len(synth_graph) - 1
@@ -367,7 +369,7 @@ def test_training_beats_random_ranking_floor():
         train=tr.TrainConfig(learning_rate=0.01, max_epochs=80, patience=15,
                              train_neg_per_pos=4),
         alpha=1.0, k_neg=25, seed=0)
-    report = live_update_run(g, cfg)
+    report = run_protocol(g, cfg)
     random_floor = np.mean(1.0 / np.arange(1, cfg.k_neg + 2))  # E[1/rank], uniform
     late = np.mean([r.mrr for r in report.per_step[-3:]])
     assert late > 3.0 * random_floor
