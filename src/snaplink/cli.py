@@ -3,8 +3,8 @@
 Verbs: ingest, run-live, run-fixed, grid, report, synth. Run directories go
 under the run root: --run-root (or --set run_root=...) if given, else
 $SNAPLINK_RUN_ROOT if set, else the config file's `run_root`, else ./runs.
-Invalid configurations and unreadable datasets exit with status 2 and one
-line naming the field or the parse error.
+Invalid configurations, unreadable config files and unreadable datasets exit
+with status 2 and one line naming the field or the parse error.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def cmd_ingest(args) -> int:
     if not cfg.dataset:
         print("ingest: dataset: a dataset path is required", file=sys.stderr)
         return 2
-    cache_dir = Path(args.cache_dir) if args.cache_dir else Path(cfg.run_root) / ".cache"
+    cache_dir = Path(cfg.run_root) / ".cache"
     g = load_dataset(cfg, cache_dir=cache_dir)
     print(f"dataset: {cfg.dataset}")
     print(f"nodes: {g.node_count}")
@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse a dataset and build the snapshot cache")
     _add_config_args(p)
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("run-live", help="live-update evaluation run")
@@ -153,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", action="append", default=[],
                    metavar="KEY=V1,V2,...", help="one grid axis (repeatable)")
     p.add_argument("--grid-name", default="grid")
-    p.add_argument("--protocol", choices=PROTOCOLS, default="live_update")
+    p.add_argument("--protocol", choices=PROTOCOLS,
+                   help="default: the config file's, else live_update")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("report", help="emit summary tables and plot data")

@@ -149,7 +149,11 @@ def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConf
     cfg = ExperimentConfig()
     file_overrides: dict[str, str] = {}
     if path is not None:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("config", f"unreadable file {path}: {exc}") from None
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -512,14 +512,8 @@ class ParamSet:
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __iter__(self):
         return iter(self._params.values())
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)

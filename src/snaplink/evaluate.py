@@ -132,7 +132,7 @@ class EvalReport:
     @property
     def mean_val_mrr(self) -> float:
         vals = [r.best_val_mrr for r in self.per_step + self.train_records
-                if r.best_val_mrr is not None and np.isfinite(r.best_val_mrr)]
+                if r.best_val_mrr is not None]
         if not vals:
             return float("nan")
         return float(np.mean(vals))

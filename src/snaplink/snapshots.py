@@ -91,7 +91,8 @@ class EdgeSchema:
 
 @dataclass
 class TemporalEdgeList:
-    """Raw timestamped directed edges after id compaction, sorted by time."""
+    """Raw timestamped directed edges after id compaction, sorted by time
+    (ValueError otherwise)."""
 
     src: np.ndarray        # int64, dense ids in [0, node_count)
     dst: np.ndarray        # int64
@@ -103,6 +104,8 @@ class TemporalEdgeList:
     def __post_init__(self):
         if not (len(self.src) == len(self.dst) == len(self.weight) == len(self.timestamp)):
             raise ValueError("edge arrays must have equal length")
+        if (np.diff(self.timestamp) < 0).any():
+            raise ValueError("edge timestamps must be sorted")
 
     def __len__(self) -> int:
         return len(self.src)
@@ -511,7 +514,9 @@ def partition_snapshots(edges: TemporalEdgeList,
 
     Windows are contiguous from the first timestamp; empty windows are kept
     as zero-edge snapshots so window arithmetic stays regular. Per-edge
-    features are (weight, (t - window_start) / period).
+    features are (weight, (t - window_start) / period). The edges are
+    time-sorted, so the bins do not decrease and the edges keep their order;
+    the graph gets copies, so freezing them leaves the edge list writable.
     """
     period = period_seconds(frequency)
     if len(edges) == 0:
@@ -519,15 +524,13 @@ def partition_snapshots(edges: TemporalEdgeList,
 
     start = float(edges.timestamp.min())
     bins = np.floor((edges.timestamp - start) / period).astype(np.int64)
-    order = np.argsort(bins, kind="stable")  # edges already time-sorted within bins
-    bins = bins[order]
     offsets = np.searchsorted(bins, np.arange(bins[-1] + 2))
     # binning and this division can disagree by one ulp at boundaries
-    tnorm = np.clip((edges.timestamp[order] - (start + bins * period)) / period,
+    tnorm = np.clip((edges.timestamp - (start + bins * period)) / period,
                     0.0, np.nextafter(1.0, 0.0))
     freq_name = frequency if isinstance(frequency, str) else f"{period:g}s"
-    return DynamicGraph(offsets, edges.src[order], edges.dst[order],
-                        np.column_stack([edges.weight[order], tnorm]),
+    return DynamicGraph(offsets, edges.src.copy(), edges.dst.copy(),
+                        np.column_stack([edges.weight, tnorm]),
                         start, period, edges.node_count,
                         frequency=str(freq_name),
                         source_fingerprint=edges.source_fingerprint)

@@ -78,7 +78,7 @@ class Adam:
 class FineTuneResult:
     model: ModelParams
     state: HierarchicalNodeState
-    best_val_mrr: float
+    best_val_mrr: float | None  # None: no validation labels to select on
     epochs_run: int
     final_train_loss: float
 
@@ -90,82 +90,65 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
 
     Per epoch: resample one uniform negative per train positive, take a BCE
     step on the (positives + negatives) scores from a train-mode forward,
-    then measure validation MRR with an eval-mode forward, which records no
-    graph. The backward consumes the train graph and its last references
-    are dropped after the step, so it is gone before the validation forward
-    runs. Raises TrainingDiverged when the loss or any gradient is
-    non-finite, before the step writes it into the parameters. Stops after
-    `patience` consecutive epochs without a new best or at max_epochs and
-    keeps the best-validation parameters and running statistics (one
-    `state_dict` of the model's ParamSet). The returned state is the one the
-    best epoch's eval forward computed with exactly those parameters (an
-    eval forward mutates nothing); only when no validation forward ran
-    (validation labels skipped, or no training positives) is it computed
-    once more, so the returned state always matches the returned model.
+    then run an eval-mode forward, which records no graph. The backward
+    consumes the train graph and its last references are dropped after the
+    step, so it is gone before the eval forward runs. Raises TrainingDiverged
+    when the loss or any gradient is non-finite, before the step writes it
+    into the parameters, and ValueError when `labels` has no training
+    positives: whether a step trains is the caller's decision.
+
+    With validation labels, each epoch's eval forward is scored by MRR. The
+    loop stops after `patience` consecutive epochs without a new best or at
+    max_epochs and keeps the best epoch's parameters and running statistics
+    (one `state_dict` of the model's ParamSet) and the state its eval
+    forward computed with exactly those parameters (an eval forward mutates
+    nothing). Without validation labels there is nothing to select on: the
+    first epoch is kept, its eval forward gives the state, and
+    `best_val_mrr` is None. Either way the returned state matches the
+    returned model.
     """
     from . import evaluate  # function-level: evaluate imports this module
 
-    if labels.skip:
-        raise ValueError(f"step {labels.step} has no labels to train on")
+    n_pos = labels.train_pos.shape[0]
+    if n_pos == 0:
+        raise ValueError(f"step {labels.step} has no training positives")
     cfg.validate()
 
-    n_nodes = snapshot.n_nodes
     opt = Adam(model.params, cfg.learning_rate)
     val_labels = labels.val_view()
+    for epoch in range(1, cfg.max_epochs + 1):
+        negatives = sample_training_negatives(labels, snapshot.n_nodes, rng,
+                                              cfg.train_neg_per_pos)
+        pairs = np.vstack([labels.train_pos, negatives])
+        y = np.zeros((n_pos + len(negatives), 1), dtype=np.float64)
+        y[:n_pos] = 1.0
+        model.params.zero_grad()
+        # only the scores: the backward reads neither the state nor the
+        # top representation, so they are freed before it runs
+        scores = forward(snapshot, h_prev, model, pairs=pairs, mode="train").scores
+        loss = dc.bce_with_logits(scores, y)
+        if not np.isfinite(loss.value):
+            raise TrainingDiverged(epoch, cfg.learning_rate)
+        dc.backward(loss)
+        if not all(np.isfinite(p.grad).all() for p in model.params
+                   if p.grad is not None):
+            raise TrainingDiverged(epoch, cfg.learning_rate)
+        opt.step()
+        final_train_loss = float(loss.value)
+        del scores, loss  # the train graph is gone before the eval forward
 
-    best_val = -np.inf
-    best_arrays = model.params.state_dict()
-    best_state = None
-    epochs_run = 0
-    stale = 0
-    final_train_loss = float("nan")
-
-    if labels.train_pos.shape[0] > 0:
-        n_pos = labels.train_pos.shape[0]
-        for epoch in range(1, cfg.max_epochs + 1):
-            negatives = sample_training_negatives(labels, n_nodes, rng,
-                                                  cfg.train_neg_per_pos)
-            pairs = np.vstack([labels.train_pos, negatives])
-            y = np.zeros((n_pos + len(negatives), 1), dtype=np.float64)
-            y[:n_pos] = 1.0
-            model.params.zero_grad()
-            # only the scores: the backward reads neither the state nor the
-            # top representation, so they are freed before it runs
-            scores = forward(snapshot, h_prev, model, pairs=pairs, mode="train").scores
-            loss = dc.bce_with_logits(scores, y)
-            if not np.isfinite(loss.value):
-                raise TrainingDiverged(epoch, cfg.learning_rate)
-            dc.backward(loss)
-            if not all(np.isfinite(p.grad).all() for p in model.params
-                       if p.grad is not None):
-                raise TrainingDiverged(epoch, cfg.learning_rate)
-            opt.step()
-            final_train_loss = float(loss.value)
-            del scores, loss  # the train graph is gone before the validation forward
-            epochs_run = epoch
-
-            if val_labels.skip:
-                val = 0.0
-            else:
-                vres = forward(snapshot, h_prev, model, mode="eval")
-                val = evaluate.mrr(vres.top_repr, val_labels, model)
-            if val > best_val:
-                best_val = val
-                best_arrays = model.params.state_dict()
-                best_state = None if val_labels.skip else vres.state
-                stale = 0
-            else:
-                stale += 1
-            if stale >= cfg.patience:
-                break
+        vres = forward(snapshot, h_prev, model, mode="eval")
+        val = None if val_labels.skip else evaluate.mrr(vres.top_repr, val_labels, model)
+        if epoch == 1 or val > best_val:
+            best_val, best_state, stale = val, vres.state, 0
+            best_arrays = model.params.state_dict()
+        else:
+            stale += 1
+        if val is None or stale >= cfg.patience:  # no validation labels: keep epoch 1
+            break
 
     model.params.load_state_dict(best_arrays)
-    if best_state is None:
-        best_state = forward(snapshot, h_prev, model, mode="eval").state
-    if best_val == -np.inf:
-        best_val = float("nan")
-    return FineTuneResult(model, best_state, float(best_val), epochs_run,
-                          final_train_loss)
+    return FineTuneResult(model, best_state, best_val, epoch, final_train_loss)
 
 
 # ---------------------------------------------------------------------------

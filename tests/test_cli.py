@@ -111,6 +111,44 @@ def test_grid_records_a_missing_dataset_as_failed_cells(tmp_path, capsys, monkey
         [f"ConfigError: dataset: not a file: {path}"] * 2
 
 
+@pytest.mark.parametrize("verb,make", [
+    ("run-live", None),
+    ("grid", Path.mkdir),
+    ("ingest", lambda p: p.write_bytes(b"alpha = 0.5\n\xff\n")),
+], ids=["missing", "directory", "undecodable"])
+def test_unreadable_config_file_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                                      verb, make):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    path = tmp_path / "exp.cfg"
+    if make is not None:
+        make(path)
+    runs = tmp_path / "runs"
+    axis = ["--axis", "alpha=0.5"] if verb == "grid" else []
+    argv = [verb, "--config", str(path), "--dataset", str(tmp_path / "edges.csv"),
+            "--run-root", str(runs), *axis]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"{verb}: config: ") and str(path) in err
+    assert not runs.exists()
+
+
+def test_grid_follows_the_config_file_protocol_unless_the_flag_is_given(tmp_path,
+                                                                        monkeypatch):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    config = tmp_path / "f.cfg"
+    config.write_text("protocol = fixed_split\n")
+
+    def protocol(*flags):
+        args = build_parser().parse_args(["grid", "--config", str(config),
+                                          "--axis", "alpha=0.5", *flags])
+        return _build_config(args, args.protocol).protocol
+
+    assert protocol() == "fixed_split"
+    assert protocol("--protocol", "live_update") == "live_update"
+    assert build_parser().parse_args(["grid"]).protocol is None
+
+
 def test_ingest_rebuilds_a_damaged_cache_archive(twelve_window_file, tmp_path, capsys):
     argv = ["ingest", "--dataset", str(twelve_window_file), "--frequency", "1000",
             "--run-root", str(tmp_path / "runs")]

@@ -256,6 +256,46 @@ def test_partition_matches_per_window_reference_random():
                                  edges, frequency)
 
 
+def argsort_partition(edges, period):
+    """The graph arrays of a partition that sorts the edges by window itself:
+    (offsets, src, dst, edge_features, start)."""
+    start = float(edges.timestamp.min())
+    bins = np.floor((edges.timestamp - start) / period).astype(np.int64)
+    order = np.argsort(bins, kind="stable")
+    bins = bins[order]
+    offsets = np.searchsorted(bins, np.arange(bins[-1] + 2))
+    tnorm = np.clip((edges.timestamp[order] - (start + bins * period)) / period,
+                    0.0, np.nextafter(1.0, 0.0))
+    return (offsets, edges.src[order], edges.dst[order],
+            np.column_stack([edges.weight[order], tnorm]), start)
+
+
+def test_partition_matches_an_argsort_reference_with_tied_timestamps():
+    rng = np.random.default_rng(24)
+    for _ in range(100):
+        n = int(rng.integers(1, 300))
+        # few distinct timestamps, so most edges tie with another
+        ts = rng.integers(0, int(rng.integers(1, 40)), n) * float(rng.choice([1.0, 0.5, 7.3]))
+        edges = sn.edges_from_arrays(rng.integers(0, 30, n), rng.integers(0, 30, n), ts,
+                                     weight=rng.uniform(0.1, 3.0, n), node_count=30)
+        period = float(rng.choice([1.0, 2.5, 10.0, 1000.0]))
+        g = sn.partition_snapshots(edges, period)
+        offsets, src, dst, features, start = argsort_partition(edges, period)
+        for got, ref in ((g.offsets, offsets), (g.src, src), (g.dst, dst),
+                         (g.edge_features, features)):
+            assert same_bits(got, ref)
+        assert g.start == start
+        # the graph owns and freezes copies; the edge list stays writable
+        for a, b in ((g.src, edges.src), (g.dst, edges.dst)):
+            assert not np.shares_memory(a, b) and b.flags.writeable
+
+
+def test_an_unsorted_edge_list_is_rejected():
+    with pytest.raises(ValueError, match="sorted"):
+        sn.TemporalEdgeList(np.array([0, 1]), np.array([1, 0]), np.ones(2),
+                            np.array([5.0, 4.0]), node_count=2)
+
+
 def test_snapshot_edges_are_read_only_views():
     g = small_cache_graph()
     s = g[1]

@@ -248,6 +248,36 @@ def test_fine_tune_skip_labels_rejected():
         run_fine_tune(model, labels=labels)
 
 
+def test_fine_tune_without_training_positives_raises():
+    # every positive went to validation: the step must not train
+    pos = np.array([[0, 1]], dtype=np.int64)
+    labels = LabelSet(step=0, positives=pos, train_pos=np.empty((0, 2), dtype=np.int64),
+                      val_pos=pos, eval_negatives={0: np.array([3], dtype=np.int64)})
+    with pytest.raises(ValueError, match="no training positives"):
+        run_fine_tune(toy_model(), labels=labels)
+
+
+def test_fine_tune_without_validation_labels_keeps_the_first_epoch():
+    pos = np.array([[0, 1]], dtype=np.int64)
+    labels = LabelSet(step=0, positives=pos, train_pos=pos,
+                      val_pos=np.empty((0, 2), dtype=np.int64),
+                      eval_negatives={0: np.array([3], dtype=np.int64)})
+    runs = [run_fine_tune(toy_model(update="gru", hidden=4, seed=6), labels=labels,
+                          cfg=tr.TrainConfig(learning_rate=0.05, max_epochs=max_epochs,
+                                             patience=2))[0]
+            for max_epochs in (4, 1)]
+    for result in runs:
+        assert result.epochs_run == 1 and result.best_val_mrr is None
+    many, one = runs
+    assert many.final_train_loss == one.final_train_loss
+    assert many.model.params.names() == one.model.params.names()
+    for p in many.model.params:
+        assert p.value.tobytes() == one.model.params[p.name].value.tobytes(), p.name
+    for a, b in zip(many.state.layers + [many.state.history],
+                    one.state.layers + [one.state.history]):
+        assert a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # meta_update
 # ---------------------------------------------------------------------------
@@ -346,6 +376,40 @@ def test_retained_memory_does_not_grow_with_t(synth_graph, protocol):
         tracemalloc.stop()
     assert len(retained) == len(synth_graph) - 1
     assert max(retained) - min(retained) <= 96 * 1024, retained
+
+
+def small_and_large_steps_graph(n_nodes=20, T=9, seed=3):
+    """Odd windows hold 3 distinct edges, even windows 20: a step predicting
+    an odd window has 3 positives, and at val_fraction=0.1 none for
+    validation (round(0.3) == 0)."""
+    rng = np.random.default_rng(seed)
+    all_pairs = np.array([(u, v) for u in range(n_nodes) for v in range(n_nodes)])
+    src, dst, ts = [], [], []
+    for t in range(T):
+        m = 3 if t % 2 else 20
+        pairs = all_pairs[rng.choice(len(all_pairs), m, replace=False)]
+        src += list(pairs[:, 0])
+        dst += list(pairs[:, 1])
+        ts += list(t * 100 + np.sort(rng.uniform(0, 100, m)))
+    return partition_snapshots(edges_from_arrays(src, dst, ts, node_count=n_nodes), 100)
+
+
+@over_protocols
+def test_trained_steps_without_validation_labels_report_no_validation_mrr(protocol):
+    cfg = small_run_config()
+    cfg.protocol = protocol
+    cfg.train.max_epochs = 4
+    assert cfg.val_fraction == 0.1
+    report = run_protocol(small_and_large_steps_graph(), cfg)
+    trained = [r for r in report.per_step + report.train_records if r.epochs_run > 0]
+    small = [r for r in trained if r.n_positives <= 5]
+    assert small and len(small) < len(trained)
+    for r in trained:
+        assert (r.best_val_mrr is None) == (r.n_positives <= 5), r
+    for r in small:
+        assert r.epochs_run == 1
+    assert report.mean_val_mrr == np.mean([r.best_val_mrr for r in trained
+                                           if r.n_positives > 5])
 
 
 def repeat_zipf_graph(n_nodes=30, m=80, T=10, seed=7):
