@@ -68,6 +68,8 @@ class ExperimentConfig(_ComponentKeys):
             raise ConfigError("dataset", "a dataset path is required")
         if not self.seeds:
             raise ConfigError("seeds", "at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds", f"must be distinct, got {list(self.seeds)}")
         if self.workers < 1:
             raise ConfigError("workers", f"must be >= 1, got {self.workers}")
         self.to_run_config(self.seeds[0]).validate()

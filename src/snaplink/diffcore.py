@@ -17,11 +17,15 @@ Tape memory follows what the backward reads. A Var holds its value and a
 arrays and shapes it reads, never a Var. So an activation is freed once the
 forward drops its Var, unless a vjp reads it: an `add` output that feeds
 only a `relu` goes, an `affine` input (its weight gradient reads it) stays.
-An op whose parents need no grad, and any op inside `no_tape()`, records no
-graph and builds none of the data only a backward reads (`relu`'s mask,
-`aggregate` max's tie index). `backward` consumes the graph it walks: each
-node's closure, parent links and gradient are released as soon as its vjp
-has run, so a second `backward` through the same nodes raises.
+What a recorded op keeps is the least its vjp reads: `relu` keeps its mask
+packed to one bit per element (`np.packbits`, unpacked in the vjp), and
+`batch_norm` keeps x-hat, built in place from x - mu, and builds its output
+in place from x-hat * gamma, so neither holds an N x d temporary beside what
+it keeps. An op whose parents need no grad, and any op inside `no_tape()`,
+records no graph and builds none of the data only a backward reads
+(`relu`'s mask, `aggregate` max's tie index). `backward` consumes the graph
+it walks: each node's closure, parent links and gradient are released as
+soon as its vjp has run, so a second `backward` through the same nodes raises.
 
 This is deliberately not a general autodiff framework: only the operations
 listed above are supported, and all values are dense 1-D/2-D float arrays.
@@ -240,9 +244,18 @@ def mul(a: Var, b: Var) -> Var:
 
 
 def relu(x: Var) -> Var:
-    mask = x.value > 0 if _records((x,)) else None
     # np.maximum propagates NaN, so a non-finite input stays visible downstream
-    return Var(np.maximum(x.value, 0.0), (x,), lambda g: (g * mask,))
+    out = np.maximum(x.value, 0.0)
+    if not _records((x,)):
+        return Var(out, (x,))
+    shape, size = x.value.shape, x.value.size
+    bits = np.packbits(x.value > 0)  # the mask at one bit per element
+
+    def vjp(g):
+        mask = np.unpackbits(bits, count=size).reshape(shape).view(np.bool_)
+        return (g * mask,)
+
+    return Var(out, (x,), vjp)
 
 
 def _stable_sigmoid(v: np.ndarray) -> np.ndarray:
@@ -384,8 +397,10 @@ def batch_norm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
         mu = x.value.mean(axis=0)
         var = x.value.var(axis=0)
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.value - mu) * inv_std
-        out = xhat * gv + beta.value
+        xhat = x.value - mu
+        xhat *= inv_std
+        out = xhat * gv
+        out += beta.value
 
         m = momentum
         running_mean[:] = (1.0 - m) * running_mean + m * mu
@@ -403,8 +418,10 @@ def batch_norm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
         return Var(out, (x, gamma, beta), vjp)
 
     inv_std = 1.0 / np.sqrt(running_var + eps)
-    xhat = (x.value - running_mean) * inv_std
-    out = xhat * gv + beta.value
+    xhat = x.value - running_mean
+    xhat *= inv_std
+    out = xhat * gv
+    out += beta.value
 
     def vjp(g):
         return (g * gv * inv_std, (g * xhat).sum(axis=0), g.sum(axis=0))

@@ -3,10 +3,12 @@
 `RunConfig.protocol` is one of `PROTOCOLS`. Both protocols run one rolling
 loop over the label steps s = 0..T-2. Each step builds the labels for
 snapshot s+1 and, when the step is scored, ranks them from (G_s, H_{s-1})
-with the deployed model. A training step then fine-tunes a copy of the meta
-model on those labels, deploys it and blends it into the meta model; any
-other step keeps the parameters and rolls the node state forward with one
-eval forward, reusing the scoring forward if there was one.
+with the deployed model. A training step then drops the scoring forward's
+result and every negative list but the validation sources'
+(`LabelSet.fine_tune_view`), fine-tunes a copy of the meta model on those
+labels, deploys it and blends it into the meta model; any other step keeps
+the parameters and rolls the node state forward with one eval forward,
+reusing the scoring forward if there was one.
 
 Live-update trains and scores every step, so each step's score comes from
 a model trained only on strictly earlier labels; the reported figure is the
@@ -243,6 +245,9 @@ def run_protocol(g: DynamicGraph, cfg: RunConfig, step_callback=None) -> EvalRep
 
         epochs, best_val, train_loss = 0, None, None
         if s < n_train and labels.train_pos.shape[0] > 0:
+            # the MRR has read the scoring forward and the test negatives;
+            # the fine-tune makes the next state and ranks only validation
+            eres, labels = None, labels.fine_tune_view()
             warm = meta.clone()
             if cfg.model.bn_reset_per_snapshot:
                 warm.reset_bn_stats()

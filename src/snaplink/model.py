@@ -263,6 +263,7 @@ def gnn_layer(h: dc.Var, snapshot: GraphSnapshot, model: ModelParams,
         agg = dc.constant(np.zeros((n, d), dtype=cfg.np_dtype))
 
     out = dc.add(agg, h) if cfg.skip_connection else agg
+    del agg  # the skip sum's vjp reads no value: the aggregate goes here
     if cfg.batch_norm:
         out = dc.batch_norm(out, mp["gamma"], mp["beta"], mp["running_mean"].value,
                             mp["running_var"].value, mode)

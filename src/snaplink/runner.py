@@ -211,14 +211,25 @@ def grid_search(base: ExperimentConfig, axes: dict[str, list[str]],
 TABLE_HEADER = "# snaplink-table-v1"
 
 
+# the cross-seed report keys `emit_report` reads
+_RUN_REPORT_KEYS = ("protocol", "dataset", "update", "alpha", "seeds", "mean_mrr",
+                   "std_mrr", "mean_val_mrr")
+
+
 def _read_run(run_dir: Path) -> dict | None:
+    """The cross-seed report of `run_dir`, or None when there is none: no
+    report.json, text that is not JSON, or JSON that is not an object with
+    every key of `_RUN_REPORT_KEYS` (a seed directory's report, for one)."""
     report = run_dir / "report.json"
     if not report.exists():
         return None
     try:
-        return json.loads(report.read_text())
-    except json.JSONDecodeError:
+        found = json.loads(report.read_text())
+    except ValueError:  # not JSON, or not text
         return None
+    if not isinstance(found, dict) or not all(k in found for k in _RUN_REPORT_KEYS):
+        return None
+    return found
 
 
 def emit_report(run_dirs: list[Path], out_dir: Path) -> dict:

@@ -260,6 +260,16 @@ class LabelSet:
         return LabelSet(self.step, self.val_pos, np.empty((0, 2), np.int64),
                         self.val_pos, self.eval_negatives)
 
+    def fine_tune_view(self) -> "LabelSet":
+        """What a fine-tune reads: every positive, and the negative lists of
+        the validation sources only. Its validation MRR ranks `val_pos`, and
+        `sample_training_negatives` reads only the positives, so the other
+        sources' lists (the bulk of a step's labels) can go once the step's
+        own MRR has read them."""
+        keep = np.unique(self.val_pos[:, 0]).tolist()
+        return LabelSet(self.step, self.positives, self.train_pos, self.val_pos,
+                        {u: self.eval_negatives[u] for u in keep})
+
 
 # ---------------------------------------------------------------------------
 # Ingestion

@@ -102,10 +102,15 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
     max_epochs and keeps the best epoch's parameters and running statistics
     (one `state_dict` of the model's ParamSet) and the state its eval
     forward computed with exactly those parameters (an eval forward mutates
-    nothing). Without validation labels there is nothing to select on: the
-    first epoch is kept, its eval forward gives the state, and
-    `best_val_mrr` is None. Either way the returned state matches the
-    returned model.
+    nothing). Only that state outlives its epoch: each epoch's top
+    representation goes once its validation MRR is read, and so does the
+    state of an epoch that is not a new best. Without validation labels
+    there is nothing to select on: the first epoch is kept, its eval forward
+    gives the state, and `best_val_mrr` is None. Either way the returned
+    state matches the returned model.
+
+    Of `labels`' negative lists only the validation sources' are read, so a
+    caller may pass `labels.fine_tune_view()`.
     """
     from . import evaluate  # function-level: evaluate imports this module
 
@@ -144,6 +149,7 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
             best_arrays = model.params.state_dict()
         else:
             stale += 1
+        del vres  # only the best epoch's state outlives its MRR
         if val is None or stale >= cfg.patience:  # no validation labels: keep epoch 1
             break
 

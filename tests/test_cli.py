@@ -221,3 +221,42 @@ def test_run_root_flag_wins_over_the_env_which_wins_over_the_config_file(
     monkeypatch.delenv("SNAPLINK_RUN_ROOT")
     assert run_root() == str(tmp_path / "from_file")
     assert build_parser().parse_args(["run-live"]).run_root is None  # no flag, no default
+
+
+def test_repeated_seeds_exit_2_with_one_line(twelve_window_file, tmp_path, capsys):
+    runs = tmp_path / "runs"
+    argv = ["run-live", "--dataset", str(twelve_window_file), "--run-root", str(runs),
+            "--frequency", "1000", "--seeds", "1,1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("run-live: seeds: ")
+    assert not runs.exists()  # rejected before anything is written
+
+
+def run_live_argv(dataset, runs):
+    return ["run-live", "--dataset", str(dataset), "--run-root", str(runs),
+            "--frequency", "1000", "--seeds", "1", "--run-name", "r", "--k-neg", "5",
+            "--set", "hidden_dim=4", "--set", "max_epochs=1"]
+
+
+def test_report_lists_a_seed_directory_as_skipped(twelve_window_file, tmp_path, capsys):
+    runs = tmp_path / "runs"
+    assert main(run_live_argv(twelve_window_file, runs)) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["report", str(runs / "r" / "seed1"), str(runs / "r"), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == ["reported 1 runs to " + str(out),
+                       "skipped (missing/corrupt report): " + str(runs / "r" / "seed1")]
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "\udcff"])
+def test_run_live_replaces_a_report_that_is_not_a_run_report(twelve_window_file, tmp_path,
+                                                             text):
+    runs = tmp_path / "runs"
+    (runs / "r").mkdir(parents=True)
+    (runs / "r" / "report.json").write_text(text, errors="surrogateescape")
+    assert main(run_live_argv(twelve_window_file, runs)) == 0
+    report = json.loads((runs / "r" / "report.json").read_text())
+    assert report["seeds"] == [1] and report["protocol"] == "live_update"

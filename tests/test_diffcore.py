@@ -582,6 +582,32 @@ def test_off_tape_relu_builds_no_mask():
     assert peak <= bare.value.nbytes + 8 * 1024, peak
 
 
+def test_recorded_relu_keeps_one_bit_per_element_for_its_mask():
+    """A recorded relu retains its output and a packed mask of size/8 bytes,
+    not an N x d boolean mask; its gradient is bitwise the bool-mask one,
+    zeros, negatives and NaN included (relu's gradient is 0 at 0 and NaN)."""
+    x = dc.Param("x", rng_for(46).normal(size=(1000, 128)).astype(np.float32))
+    x.value[0, :4] = [0.0, -0.0, np.nan, -np.inf]
+    x.value[1, :2] = [np.inf, 1e-30]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = dc.relu(x)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= out.value.nbytes + x.value.size // 8 + 8 * 1024, retained
+
+    g = rng_for(47).normal(size=x.shape).astype(np.float32)
+    g[2, :3] = [-0.0, np.nan, np.inf]
+    root = dc.Var(np.asarray(0.0, np.float32), (out,), lambda _: (g,))  # d root / d out = g
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN on both sides
+        dc.backward(root)
+        expected = g * (x.value > 0)
+    assert x.grad.dtype == np.float32
+    assert x.grad.tobytes() == expected.tobytes()
+
+
 def test_no_tape_restores_the_previous_setting_on_an_exception():
     x = dc.Param("x", np.ones((2, 2)))
     with pytest.raises(KeyError):
