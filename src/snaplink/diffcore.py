@@ -9,7 +9,7 @@ A model's whole state is one `ParamSet`: the trainable weights and, as
 non-trainable entries, the batch-norm running statistics. A non-trainable
 `Param` never requires grad, so it never enters a graph or gets a `grad`,
 but it is cloned, blended, hashed and saved with the rest. This module
-reads and writes no files: `model.save_checkpoint` stores a `ParamSet`'s
+reads and writes no files: `evaluate.RunState.save` stores a `ParamSet`'s
 `state_dict()` through `snapshots.save_archive`.
 
 Tape memory follows what the backward reads. A Var holds its value and a

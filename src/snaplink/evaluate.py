@@ -1,14 +1,14 @@
 """Ranking metrics and `run_protocol`, the one entry point of both protocols.
 
-`RunConfig.protocol` is one of `PROTOCOLS`. Both protocols run one rolling
-loop over the label steps s = 0..T-2. Each step builds the labels for
-snapshot s+1 and, when the step is scored, ranks them from (G_s, H_{s-1})
-with the deployed model. A training step then drops the scoring forward's
-result and every negative list but the validation sources'
-(`LabelSet.fine_tune_view`), fine-tunes a copy of the meta model on those
-labels, deploys it and blends it into the meta model; any other step keeps
-the parameters and rolls the node state forward with one eval forward,
-reusing the scoring forward if there was one.
+`RunConfig.protocol` is one of `PROTOCOLS`. Both protocols fold one `step`
+over the label steps s = 0..T-2, carrying a `RunState`. Each step builds
+the labels for snapshot s+1 and, when the step is scored, ranks them from
+(G_s, H_{s-1}) with the deployed model. A training step then drops the
+scoring forward's result and every negative list but the validation
+sources' (`LabelSet.fine_tune_view`), fine-tunes a copy of the meta model
+on those labels, deploys it and blends it into the meta model; any other
+step keeps the parameters and rolls the node state forward with one eval
+forward, reusing the scoring forward if there was one.
 
 Live-update trains and scores every step, so each step's score comes from
 a model trained only on strictly earlier labels; the reported figure is the
@@ -28,7 +28,7 @@ self-pair (u, u) is ranked against u's positives.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import ConfigError, EmptyInputError, NumericError
 from .model import (HierarchicalNodeState, ModelConfig, ModelParams, PairScorer,
                     forward, init_model)
 from .seeding import derive_rng
-from .snapshots import DynamicGraph, LabelSet, build_labels
+from .snapshots import DynamicGraph, LabelSet, build_labels, load_archive, save_archive
 from .train import TrainConfig, fine_tune, meta_update
 
 
@@ -116,9 +116,7 @@ class EvalReport:
     per_step: list[StepRecord] = field(default_factory=list)
     train_records: list[StepRecord] = field(default_factory=list)  # fixed-split only
     fingerprint: str = ""
-    # the final deployed model and rolled node state, for the checkpoint
-    model: ModelParams | None = field(default=None, repr=False, compare=False)
-    state: HierarchicalNodeState | None = field(default=None, repr=False, compare=False)
+    final: RunState | None = field(default=None, repr=False, compare=False)
 
     @property
     def evaluated_steps(self) -> list[StepRecord]:
@@ -154,6 +152,7 @@ class EvalReport:
 
 
 PROTOCOLS = ("live_update", "fixed_split")
+RUN_FORMAT = "snaplink-run-v1"
 
 
 @dataclass
@@ -211,71 +210,121 @@ def n_train_steps(protocol: str, n_snapshots: int, test_fraction: float) -> int:
     return T - n_test - 1
 
 
+@dataclass
+class RunState:
+    """What one label step hands the next: the deployed and meta models, the
+    node state, the next label step, and the frozen block's parameter
+    checksum once that block starts. Every generator is derived from (seed,
+    tag, step), so none is carried. `save` writes one `RUN_FORMAT` archive of
+    C-contiguous entries "arr:deploy:<param>", "arr:meta:<param>",
+    "arr:state:<layer>" and "arr:state:history"; `load` reads it back bit
+    for bit."""
+
+    deploy: ModelParams
+    meta: ModelParams
+    state: HierarchicalNodeState
+    step: int = 0
+    frozen_checksum: str | None = None
+
+    def save(self, path) -> None:
+        arrays = {f"arr:{tag}:{k}": v for tag, m in (("deploy", self.deploy), ("meta", self.meta))
+                  for k, v in m.params.state_dict().items()}
+        arrays |= {f"arr:state:{i}": layer for i, layer in enumerate(self.state.layers)}
+        arrays["arr:state:history"] = self.state.history
+        save_archive(path, RUN_FORMAT, {k: np.ascontiguousarray(v) for k, v in arrays.items()},
+                     {"config": asdict(self.deploy.config), "step": self.step,
+                      "frozen_checksum": self.frozen_checksum})
+
+    @classmethod
+    def load(cls, path) -> "RunState":
+        arrays, meta = load_archive(path, RUN_FORMAT)
+        cfg = ModelConfig(**meta["config"])
+        models = [init_model(cfg, np.random.default_rng(0)) for _ in range(2)]
+        for m, prefix in zip(models, ("arr:deploy:", "arr:meta:")):
+            m.params.load_state_dict({k.removeprefix(prefix): v for k, v in arrays.items()
+                                      if k.startswith(prefix)})
+        layers = [arrays[f"arr:state:{i}"] for i in range(cfg.n_mp)]
+        history = arrays["arr:state:history"]
+        if history.shape != (layers[0].shape[0],):
+            raise ValueError(f"history shape {history.shape} != ({layers[0].shape[0]},)")
+        return cls(*models, HierarchicalNodeState(layers, history), meta["step"],
+                   meta["frozen_checksum"])
+
+
+def scored(protocol: str, s: int, n_train: int) -> bool:
+    """Whether label step s is ranked: always under live-update, if frozen under fixed-split."""
+    return protocol == "live_update" or s >= n_train
+
+
+def step(g: DynamicGraph, cfg: RunConfig, rs: RunState) -> tuple[RunState, StepRecord]:
+    """Label step `rs.step`: build the labels for snapshot s+1, rank them if
+    the step is scored, then fine-tune or roll the state. Returns the next
+    RunState and the step's record; the labels and forwards die with the
+    step. `rs.meta` may be blended in place."""
+    s = rs.step
+    n_train = n_train_steps(cfg.protocol, len(g), cfg.test_fraction)
+    deploy, meta, state = rs.deploy, rs.meta, rs.state
+    frozen_checksum = params_checksum(deploy) if s == n_train else rs.frozen_checksum
+    t0 = time.perf_counter()
+    snapshot = g[s]
+    labels = build_labels(g, s, cfg.val_fraction, cfg.k_neg, derive_rng(cfg.seed, "labels", s))
+
+    mrr_s = eres = None
+    if scored(cfg.protocol, s, n_train) and not labels.skip:
+        eres = forward(snapshot, state, deploy, mode="eval")
+        mrr_s = mrr(eres.top_repr, labels, deploy)
+
+    epochs, best_val, train_loss = 0, None, None
+    if s < n_train and labels.train_pos.shape[0] > 0:
+        # the MRR has read the scoring forward and the test negatives; the
+        # fine-tune makes the next state and ranks only validation
+        eres, labels = None, labels.fine_tune_view()
+        warm = meta.clone()
+        if cfg.model.bn_reset_per_snapshot:
+            warm.reset_bn_stats()
+        ft = fine_tune(warm, snapshot, state, labels, cfg.train, derive_rng(cfg.seed, "train", s))
+        deploy, state = ft.model, ft.state
+        meta = meta_update(meta, deploy, cfg.alpha)
+        epochs, best_val, train_loss = ft.epochs_run, ft.best_val_mrr, ft.final_train_loss
+    else:
+        # an eval forward mutates nothing and only reads batch-norm running
+        # stats, so the scoring forward's state (history included) is the rolled state
+        if eres is None:
+            eres = forward(snapshot, state, deploy, mode="eval")
+        state = eres.state
+
+    record = StepRecord(
+        t=s, mrr=mrr_s, n_positives=labels.n_positives, epochs_run=epochs,
+        best_val_mrr=best_val, final_train_loss=train_loss,
+        skipped=labels.skip, wall_seconds=time.perf_counter() - t0,
+    )
+    return RunState(deploy, meta, state, s + 1, frozen_checksum), record
+
+
 def run_protocol(g: DynamicGraph, cfg: RunConfig, step_callback=None) -> EvalReport:
-    """Run `cfg.protocol` over label steps 0..T-2, passing each step's record
-    to `step_callback` as it ends.
+    """Fold `step` over label steps 0..T-2 from a fresh RunState, passing
+    each step's record to `step_callback` as it ends.
 
     The first `n_train_steps` steps fine-tune; later steps keep the
-    parameters frozen, which is checked at the end. Live-update scores every
-    step, fixed-split only the frozen ones; unscored records go to
-    `train_records`. The report carries the final deployed model and state.
+    parameters frozen, which is checked at the end. Unscored records go to
+    `train_records`. The report carries the final RunState.
     """
     cfg.validate()
     n_train = n_train_steps(cfg.protocol, len(g), cfg.test_fraction)
-
     deploy = init_model(cfg.model, derive_rng(cfg.seed, "init"))
-    meta = deploy.clone()
-    state = HierarchicalNodeState.zeros(g.node_count, cfg.model)
+    rs = RunState(deploy, deploy.clone(), HierarchicalNodeState.zeros(g.node_count, cfg.model))
+    del deploy  # the RunState holds the run's only models
 
     report = EvalReport(protocol=cfg.protocol, seed=cfg.seed)
-    frozen_checksum = None
-    for s in range(len(g) - 1):
-        if s == n_train:
-            frozen_checksum = params_checksum(deploy)
-        t0 = time.perf_counter()
-        snapshot = g[s]
-        labels = build_labels(g, s, cfg.val_fraction, cfg.k_neg,
-                              derive_rng(cfg.seed, "labels", s))
-        scored = cfg.protocol == "live_update" or s >= n_train
-
-        mrr_s = eres = None
-        if scored and not labels.skip:
-            eres = forward(snapshot, state, deploy, mode="eval")
-            mrr_s = mrr(eres.top_repr, labels, deploy)
-
-        epochs, best_val, train_loss = 0, None, None
-        if s < n_train and labels.train_pos.shape[0] > 0:
-            # the MRR has read the scoring forward and the test negatives;
-            # the fine-tune makes the next state and ranks only validation
-            eres, labels = None, labels.fine_tune_view()
-            warm = meta.clone()
-            if cfg.model.bn_reset_per_snapshot:
-                warm.reset_bn_stats()
-            ft = fine_tune(warm, snapshot, state, labels, cfg.train,
-                           derive_rng(cfg.seed, "train", s))
-            deploy, state = ft.model, ft.state
-            meta = meta_update(meta, deploy, cfg.alpha)
-            epochs, best_val, train_loss = (ft.epochs_run, ft.best_val_mrr,
-                                            ft.final_train_loss)
-        else:
-            # an eval forward mutates nothing and only reads batch-norm
-            # running stats, so the scoring forward's state (history
-            # included) is the rolled state
-            if eres is None:
-                eres = forward(snapshot, state, deploy, mode="eval")
-            state = eres.state
-
-        record = StepRecord(
-            t=s, mrr=mrr_s, n_positives=labels.n_positives, epochs_run=epochs,
-            best_val_mrr=best_val, final_train_loss=train_loss,
-            skipped=labels.skip, wall_seconds=time.perf_counter() - t0,
-        )
-        (report.per_step if scored else report.train_records).append(record)
+    while rs.step < len(g) - 1:
+        rs, record = step(g, cfg, rs)
+        (report.per_step if scored(cfg.protocol, record.t, n_train)
+         else report.train_records).append(record)
         if step_callback is not None:
             step_callback(record)
-    if frozen_checksum is not None and params_checksum(deploy) != frozen_checksum:
+    if rs.frozen_checksum is not None and params_checksum(rs.deploy) != rs.frozen_checksum:
         raise NumericError("parameters moved in the frozen test block")
-    report.model, report.state = deploy, state
+    report.final = rs
     return report
 
 

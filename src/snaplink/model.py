@@ -30,14 +30,13 @@ the current snapshot can influence a prediction.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
 from .errors import BoundsError, ConfigError, DimensionError
-from .snapshots import (EDGE_FEATURE_DIM, NODE_FEATURE_DIM, GraphSnapshot, degree_features,
-                        load_archive, save_archive)
+from .snapshots import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, GraphSnapshot, degree_features
 
 UPDATE_KINDS = ("moving_average", "mlp", "gru")
 
@@ -85,19 +84,17 @@ class ModelConfig:
 class HierarchicalNodeState:
     """Everything carried from one snapshot to the next.
 
-    `layers` are the per-layer node embedding matrices, `step` the index of
-    the last snapshot folded in, and `history` each node's incident edge
-    count folded in so far, float64 of shape (n_nodes,). The moving-average
-    keep ratio reads either each node's count or their total, as the model's
-    config says.
+    `layers` are the per-layer node embedding matrices and `history` each
+    node's incident edge count folded in so far, float64 of shape
+    (n_nodes,). The moving-average keep ratio reads either each node's count
+    or their total, as the model's config says.
 
     The history is also the source of the next forward's input features, so
-    a state must have every earlier snapshot folded in: `load_checkpoint`
+    a state must have every earlier snapshot folded in: `RunState.load`
     restores it, and a state reset (for a diagnostic) must keep it.
     """
 
     layers: list[np.ndarray]
-    step: int
     history: np.ndarray
 
     @classmethod
@@ -105,7 +102,6 @@ class HierarchicalNodeState:
         return cls(
             [np.zeros((n_nodes, cfg.hidden_dim), dtype=cfg.np_dtype)
              for _ in range(cfg.n_mp)],
-            step=-1,
             history=np.zeros(n_nodes, dtype=np.float64),
         )
 
@@ -135,8 +131,8 @@ def keep_ratio(history, new):
 class ModelParams:
     """A model's config and its one `ParamSet`: the trainable weights and,
     with `batch_norm`, each layer's non-trainable `mp.{l}.running_mean` and
-    `mp.{l}.running_var`. Cloning, the meta blend, the checksum and
-    checkpoints all go through the one store, so the running statistics
+    `mp.{l}.running_var`. Cloning, the meta blend, the checksum and the
+    run archive all go through the one store, so the running statistics
     travel with the weights they were collected under."""
 
     config: ModelConfig
@@ -243,18 +239,19 @@ def gnn_layer(h: dc.Var, snapshot: GraphSnapshot, model: ModelParams,
         msrc, mdst = src, dst
 
     mp = model.params.group(f"mp.{layer}")
+    # no local binds an affine input or a max message: an eval forward frees each once read
     if len(msrc) and cfg.aggregation == "max":
-        hu = dc.gather_rows(h, msrc)
-        hv = dc.gather_rows(h, mdst)
-        msgs = dc.affine(dc.concat_cols([hu, hv, dc.constant(feats)]), mp["w"], mp["b"])
-        agg = dc.aggregate(msgs, mdst, n, "max")
+        agg = dc.aggregate(dc.affine(dc.concat_cols([dc.gather_rows(h, msrc),
+                                                     dc.gather_rows(h, mdst),
+                                                     dc.constant(feats)]), mp["w"], mp["b"]),
+                           mdst, n, "max")
     elif len(msrc):
         nodes, inv = np.unique(mdst, return_inverse=True)
         m = len(nodes)
-        x = dc.concat_cols([dc.aggregate(dc.gather_rows(h, msrc), inv, m, "mean"),
-                            dc.gather_rows(h, nodes),
-                            dc.aggregate(dc.constant(feats), inv, m, "mean")])
-        out = dc.affine(x, mp["w"], mp["b"])
+        out = dc.affine(dc.concat_cols([dc.aggregate(dc.gather_rows(h, msrc), inv, m, "mean"),
+                                        dc.gather_rows(h, nodes),
+                                        dc.aggregate(dc.constant(feats), inv, m, "mean")]),
+                        mp["w"], mp["b"])
         if cfg.aggregation == "sum":
             deg = np.bincount(inv, minlength=m).astype(cfg.np_dtype)
             out = dc.mul(out, dc.constant(deg[:, None]))
@@ -418,51 +415,6 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
         for j in range(cfg.n_post):
             h = dc.relu(dc.affine(h, model.params[f"post.{j}.w"], model.params[f"post.{j}.b"]))
 
-        state = HierarchicalNodeState([v.value for v in new_layers], h_prev.step + 1,
-                                      history)
+        state = HierarchicalNodeState([v.value for v in new_layers], history)
         scores = None if pairs is None else _scores_var(h, pairs, model)
         return ForwardResult(state=state, top_repr=h.value, scores=scores)
-
-
-# ---------------------------------------------------------------------------
-# Checkpointing
-# ---------------------------------------------------------------------------
-
-CHECKPOINT_FORMAT = "snaplink-params-v3"
-
-
-def save_checkpoint(path, model: ModelParams,
-                    state: HierarchicalNodeState | None = None) -> None:
-    """Model checkpoint: every parameter (running statistics included) +
-    config + carried state, as a `CHECKPOINT_FORMAT` archive of entries named
-    "arr:" + the parameter or state name, each C-contiguous and at least 1-d.
-
-    Written through `snapshots.save_archive`, so a crash mid-write keeps the
-    previous checkpoint. As with `np.savez`, ".npz" is appended to a path
-    without it."""
-    arrays = model.params.state_dict()
-    meta = {"config": asdict(model.config)}
-    if state is not None:
-        meta["state_step"] = state.step
-        for i, layer in enumerate(state.layers):
-            arrays[f"hstate:{i}"] = layer
-        arrays["hstate:history"] = state.history
-    save_archive(path, CHECKPOINT_FORMAT,
-                 {"arr:" + k: np.ascontiguousarray(v) for k, v in arrays.items()}, meta)
-
-
-def load_checkpoint(path):
-    """Returns (model, state_or_None)."""
-    entries, meta = load_archive(path, CHECKPOINT_FORMAT)
-    arrays = {k[4:]: v for k, v in entries.items() if k.startswith("arr:")}
-    cfg = ModelConfig(**meta["config"])
-    state = None
-    if "state_step" in meta:
-        layers = [arrays.pop(f"hstate:{i}") for i in range(cfg.n_mp)]
-        history = arrays.pop("hstate:history")
-        if history.shape != (layers[0].shape[0],):
-            raise ValueError(f"history shape {history.shape} != ({layers[0].shape[0]},)")
-        state = HierarchicalNodeState(layers, meta["state_step"], history)
-    model = init_model(cfg, np.random.default_rng(0))
-    model.params.load_state_dict(arrays)
-    return model, state

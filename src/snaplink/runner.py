@@ -6,7 +6,7 @@ Each run owns a directory under the run root; it holds one copy of each fact:
     report.json           the cross-seed report, written last
     seed<k>/steps.ndjson  one "step" record per label step, flushed as it ends
     seed<k>/report.json   the seed's summary and wall time
-    seed<k>/model.npz     the final deployed model and rolled node state
+    seed<k>/model.npz     the final `evaluate.RunState`: both models, node state, step
 
 A run whose report.json holds its config fingerprint is complete and is
 skipped unless forced. Parsed datasets are cached under <run root>/.cache.
@@ -28,7 +28,6 @@ import numpy as np
 from . import evaluate as ev
 from .config import ExperimentConfig
 from .errors import ConfigError, SnaplinkError
-from .model import save_checkpoint
 from .snapshots import (DAMAGED_ARCHIVE_ERRORS, EdgeSchema, cache_key, file_fingerprint,
                         load_edge_list, load_snapshot_cache, partition_snapshots,
                         replacing, save_snapshot_cache, temp_path)
@@ -122,10 +121,10 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
 
             report = ev.run_protocol(graph, cfg.to_run_config(seed), step_callback=emit)
         os.replace(temp_path(steps), steps)
-        save_checkpoint(seed_dir / "model.npz", report.model, report.state)
+        report.final.save(seed_dir / "model.npz")
         report.fingerprint = fingerprint
         summary = report.summary_dict()
-        del report  # the seed's model and state are freed before the next seed runs
+        del report  # the seed's final RunState is freed before the next seed runs
         summary["wall_seconds"] = time.perf_counter() - t0
         _atomic_write(seed_dir / "report.json",
                       json.dumps(summary, sort_keys=True, indent=1) + "\n")

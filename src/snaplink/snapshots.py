@@ -13,9 +13,9 @@ are `degree_features` of the cumulative degree that `model` carries in its
 state. `GraphSnapshot.node_features` remains for the benchmark, and builds
 every window's features of its graph when one of them is first read.
 
-This module also owns the one archive format of the snapshot cache and of
-`model`'s checkpoints: an uncompressed `.npz` whose JSON `__meta__` entry
-holds a `format` tag, written atomically (`save_archive`, `load_archive`).
+This module also owns the one archive format of the snapshot cache and the
+run archive: an uncompressed `.npz` whose JSON `__meta__` entry holds a
+`format` tag, written atomically (`save_archive`, `load_archive`).
 
 All functions are pure over their inputs and take explicit generators, so
 identical (file, schema, frequency, seed) reproduce identical outputs.
@@ -635,7 +635,7 @@ def sample_training_negatives(labels: LabelSet, n_nodes: int,
 
 
 # ---------------------------------------------------------------------------
-# Archives: the snapshot cache, and the model checkpoints of `model.py`
+# Archives: the snapshot cache, and the run archive of `evaluate.RunState`
 # ---------------------------------------------------------------------------
 
 # what `load_archive`, and a loader over it, raise on a damaged archive: a cut

@@ -1,4 +1,5 @@
-"""The on-disk archives: a model checkpoint and the snapshot cache.
+"""The on-disk archives: a run's checkpoint (`evaluate.RunState`) and the
+snapshot cache.
 
 Both go through `snapshots.save_archive` / `load_archive`, which round-trip
 arrays bit-exactly; and only `snapshots.py` calls numpy's archive I/O.
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import fresh_state, incident_counts, toy_model, toy_snapshot
+from snaplink import evaluate as ev
 from snaplink import model as md
 from snaplink import snapshots as sn
 
@@ -30,9 +32,10 @@ def entries_of(path) -> set[str]:
         return set(data.files)
 
 
-def trained_model_and_state():
-    """A GRU model whose running statistics a train forward moved, and a
-    carried state with non-zero layers and history."""
+def trained_run_state(frozen_checksum="c0ffee"):
+    """A RunState at step 3: a GRU model whose running statistics a train
+    forward moved, a meta model of other weights, and a carried state with
+    non-zero layers and history."""
     model = toy_model(update="gru", seed=21)
     snap = toy_snapshot()
     state = fresh_state(model, snap.n_nodes)
@@ -40,9 +43,17 @@ def trained_model_and_state():
     for layer in state.layers:
         layer[:] = rng.normal(size=layer.shape)
     state.history = 3.0 * incident_counts([snap], snap.n_nodes)
-    state.step = 3
     md.forward(snap, state, model, pairs=[(0, 1), (2, 5)], mode="train")
-    return model, state
+    return ev.RunState(model, toy_model(update="gru", seed=22), state, 3, frozen_checksum)
+
+
+def run_state_arrays(rs) -> dict[str, np.ndarray]:
+    """Every array of `rs` under its run archive entry name."""
+    arrays = {f"arr:deploy:{k}": v for k, v in rs.deploy.params.state_dict().items()}
+    arrays.update({f"arr:meta:{k}": v for k, v in rs.meta.params.state_dict().items()})
+    arrays.update({f"arr:state:{i}": layer for i, layer in enumerate(rs.state.layers)})
+    arrays["arr:state:history"] = rs.state.history
+    return arrays
 
 
 def cache_graph():
@@ -64,12 +75,18 @@ def assert_same_model(a, b):
 
 
 def assert_same_state(a, b):
-    assert a.step == b.step
     assert len(a.layers) == len(b.layers)
     for x, y in zip(a.layers, b.layers):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
     assert a.history.shape == b.history.shape
     assert a.history.tobytes() == b.history.tobytes()
+
+
+def assert_same_run_state(a, b):
+    assert_same_model(a.deploy, b.deploy)
+    assert_same_model(a.meta, b.meta)
+    assert_same_state(a.state, b.state)
+    assert (a.step, a.frozen_checksum) == (b.step, b.frozen_checksum)
 
 
 def assert_same_cached_graph(a, b):
@@ -159,24 +176,23 @@ def test_archive_call_detector():
 
 
 def test_checkpoint_entries_and_format_are_pinned(tmp_path):
-    model, state = trained_model_and_state()
+    rs = trained_run_state()
     path = tmp_path / "model.npz"
-    md.save_checkpoint(path, model, state)
+    rs.save(path)
+    names = rs.deploy.params.names()
     assert entries_of(path) == (
-        {"__meta__", "arr:hstate:0", "arr:hstate:1", "arr:hstate:history"}
-        | {f"arr:{name}" for name in model.params.names()})
-    meta = meta_of(path)
-    assert meta == {"format": "snaplink-params-v3", "config": asdict(model.config),
-                    "state_step": 3}
+        {"__meta__", "arr:state:0", "arr:state:1", "arr:state:history"}
+        | {f"arr:deploy:{name}" for name in names} | {f"arr:meta:{name}" for name in names})
+    assert meta_of(path) == {"format": "snaplink-run-v1", "config": asdict(rs.deploy.config),
+                             "step": 3, "frozen_checksum": "c0ffee"}
     with np.load(path) as data:
         # every entry C-contiguous, and the history one count per node
-        assert data["arr:hstate:history"].shape == (state.layers[0].shape[0],)
+        assert data["arr:state:history"].shape == (rs.state.layers[0].shape[0],)
         assert all(data[k].flags.c_contiguous for k in data.files)
-    # without a state the archive holds only the parameters
-    md.save_checkpoint(tmp_path / "bare.npz", model)
-    assert entries_of(tmp_path / "bare.npz") == (
-        {"__meta__"} | {f"arr:{name}" for name in model.params.names()})
-    assert "state_step" not in meta_of(tmp_path / "bare.npz")
+    # before the frozen block starts there is no checksum to keep
+    trained_run_state(frozen_checksum=None).save(tmp_path / "training.npz")
+    assert meta_of(tmp_path / "training.npz")["frozen_checksum"] is None
+    assert ev.RunState.load(tmp_path / "training.npz").frozen_checksum is None
 
 
 def test_cache_entries_and_format_are_pinned(tmp_path):
@@ -192,18 +208,13 @@ def test_cache_entries_and_format_are_pinned(tmp_path):
 
 
 def test_a_checkpoint_written_by_hand_loads_bit_exactly(tmp_path):
-    model, state = trained_model_and_state()
-    meta = {"config": asdict(model.config), "format": "snaplink-params-v3",
-            "state_step": state.step}
-    arrays = {f"arr:{name}": value for name, value in model.params.state_dict().items()}
-    arrays.update({f"arr:hstate:{i}": layer for i, layer in enumerate(state.layers)})
-    arrays["arr:hstate:history"] = state.history
+    rs = trained_run_state()
+    meta = {"config": asdict(rs.deploy.config), "format": "snaplink-run-v1", "step": 3,
+            "frozen_checksum": "c0ffee"}
     path = tmp_path / "model.npz"
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
-                                          np.uint8), **arrays)
-    loaded, loaded_state = md.load_checkpoint(path)
-    assert_same_model(model, loaded)
-    assert_same_state(state, loaded_state)
+                                          np.uint8), **run_state_arrays(rs))
+    assert_same_run_state(rs, ev.RunState.load(path))
 
 
 def cache_written_by_hand(path, g, **extra):
@@ -243,25 +254,24 @@ def test_a_cache_missing_an_entry_raises_key_error(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_load_checkpoint_rejects_a_cache_archive(tmp_path):
+def test_run_state_load_rejects_a_cache_archive(tmp_path):
     path = tmp_path / "cache.npz"
     sn.save_snapshot_cache(path, cache_graph())
     with pytest.raises(ValueError, match="snaplink-snapshots-v2"):
-        md.load_checkpoint(path)
+        ev.RunState.load(path)
 
 
 def test_load_snapshot_cache_rejects_a_checkpoint(tmp_path):
-    model, state = trained_model_and_state()
     path = tmp_path / "model.npz"
-    md.save_checkpoint(path, model, state)
-    with pytest.raises(ValueError, match="snaplink-params-v3"):
+    trained_run_state().save(path)
+    with pytest.raises(ValueError, match="snaplink-run-v1"):
         sn.load_snapshot_cache(path)
 
 
 def test_a_v1_checkpoint_is_rejected_by_its_format(tmp_path):
     # v1 stored the head's first layer as one (d, 2d) `head.w1`: its format
     # tag, not a parameter-name mismatch, is what refuses it
-    model, _ = trained_model_and_state()
+    model = trained_run_state().deploy
     arrays = model.params.state_dict()
     arrays["head.w1"] = np.hstack([arrays.pop("head.w_src"), arrays.pop("head.w_dst")])
     path = tmp_path / "v1.npz"
@@ -269,27 +279,41 @@ def test_a_v1_checkpoint_is_rejected_by_its_format(tmp_path):
                     {"arr:" + k: v for k, v in arrays.items()},
                     {"config": asdict(model.config)})
     with pytest.raises(ValueError, match="archive format 'snaplink-params-v1'"):
-        md.load_checkpoint(path)
+        ev.RunState.load(path)
+
+
+def params_archive(path, rs, version: int, history) -> None:
+    """A `snaplink-params-v<version>` model checkpoint of `rs`'s deployed
+    model and state, with `history` as its history entry."""
+    arrays = {"arr:" + k: v for k, v in rs.deploy.params.state_dict().items()}
+    arrays.update({f"arr:hstate:{i}": layer for i, layer in enumerate(rs.state.layers)})
+    arrays["arr:hstate:history"] = history
+    sn.save_archive(path, f"snaplink-params-v{version}", arrays,
+                    {"config": asdict(rs.deploy.config), "state_step": rs.step})
 
 
 def test_a_v2_checkpoint_is_rejected_by_its_format(tmp_path):
     # v2 stored a scalar history total as a (1,) entry unless the config
     # asked for per-node counts
-    model, state = trained_model_and_state()
-    arrays = {"arr:" + k: v for k, v in model.params.state_dict().items()}
-    arrays.update({f"arr:hstate:{i}": layer for i, layer in enumerate(state.layers)})
-    arrays["arr:hstate:history"] = np.array([state.history.sum() / 2])
-    path = tmp_path / "v2.npz"
-    sn.save_archive(path, "snaplink-params-v2", arrays,
-                    {"config": asdict(model.config), "state_step": state.step})
+    rs = trained_run_state()
+    params_archive(tmp_path / "v2.npz", rs, 2, np.array([rs.state.history.sum() / 2]))
     with pytest.raises(ValueError, match="archive format 'snaplink-params-v2'"):
-        md.load_checkpoint(path)
+        ev.RunState.load(tmp_path / "v2.npz")
 
 
-def test_load_checkpoint_rejects_a_history_not_one_count_per_node(tmp_path):
-    model, state = trained_model_and_state()
-    state.history = state.history[:-1]
+def test_a_v3_checkpoint_is_rejected_by_its_format(tmp_path):
+    # v3, a run's model.npz before the run archive, stored the deployed model
+    # and the state but no meta model: its tag, not its entry names, refuses it
+    rs = trained_run_state()
+    params_archive(tmp_path / "model.npz", rs, 3, rs.state.history)
+    with pytest.raises(ValueError, match="archive format 'snaplink-params-v3'"):
+        ev.RunState.load(tmp_path / "model.npz")
+
+
+def test_run_state_load_rejects_a_history_not_one_count_per_node(tmp_path):
+    rs = trained_run_state()
+    rs.state.history = rs.state.history[:-1]
     path = tmp_path / "model.npz"
-    md.save_checkpoint(path, model, state)
+    rs.save(path)
     with pytest.raises(ValueError, match=r"history shape \(5,\) != \(6,\)"):
-        md.load_checkpoint(path)
+        ev.RunState.load(path)

@@ -1,8 +1,8 @@
 """Every top-level function and class in the package is named somewhere
 else, every method and property is named in `src/` code, and one that only
 tests name is listed in TEST_ONLY. The benchmark's tracer finds every name
-it wraps, a train step calls every tape op it expects to time, and its graph
-size and cache check still read a graph."""
+it wraps, a train step calls every tape op it expects to time, its graph
+size and cache check still read a graph, and its run check passes a run."""
 
 import ast
 import importlib
@@ -20,6 +20,8 @@ from conftest import fresh_state, make_synth_graph, toy_model, toy_snapshot
 from snaplink import diffcore as dc
 from snaplink import model as md
 from snaplink import snapshots as sn
+from snaplink.config import ExperimentConfig
+from snaplink.runner import run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "snaplink"
@@ -27,9 +29,9 @@ SEARCHED = ("src", "tests", "bench")
 
 
 # top-level names that only tests use, and methods ("Class.name") that no
-# src/ code names, each on purpose
+# src/ code names, each on purpose. `RunState.load` is one too (ROADMAP item
+# 4's resume calls it), but the match is by word and `np.load` names it.
 TEST_ONLY = {
-    "load_checkpoint",  # reads what runs write; resume will call it
     "GraphSnapshot.node_features",  # bench/ reads it until ROADMAP item 1 changes the benchmark
 }
 
@@ -249,3 +251,18 @@ def test_the_benchmark_still_reads_a_graph(monkeypatch, tmp_path):
     sn.save_snapshot_cache(tmp_path / "cache.npz", cold)
     assert measure.graph_mb(cold) > 0
     assert checks.check_same_graph(cold, sn.load_snapshot_cache(tmp_path / "cache.npz")) == []
+
+
+def test_the_benchmark_still_checks_a_run(monkeypatch, tmp_path, synth_graph):
+    """`bench/checks.py:check_model_run` reads a seed's reports and its
+    `model.npz` by name, and the benchmark's own tests make a float "arr:"
+    entry of that archive non-finite; a change in src/ that renamed the
+    file or its entries would fail every model run."""
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    checks = load_bench("checks", monkeypatch)
+    cfg = ExperimentConfig(dataset="synthetic", seeds=(0,), k_neg=20, hidden_dim=8,
+                           update="gru", max_epochs=2, patience=2, run_root=str(tmp_path))
+    run_dir = run_experiment(cfg, graph=synth_graph)
+    assert checks.check_model_run(run_dir, 0, len(synth_graph) - 1, cfg.k_neg) == []
+    with np.load(run_dir / "seed0" / "model.npz") as data:
+        assert any(k.startswith("arr:") and data[k].dtype.kind == "f" for k in data.files)

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -249,7 +250,7 @@ def test_fixed_split_parameters_frozen_in_test_block(synth_graph, monkeypatch):
     monkeypatch.setattr(ev, "mrr", recording_mrr)
     report = ev.run_protocol(synth_graph, fixed_config())
     assert len(seen) == 2
-    assert set(seen) == {ev.params_checksum(report.model)}
+    assert set(seen) == {ev.params_checksum(report.final.deploy)}
 
 
 @pytest.mark.parametrize("name", ["head.w_src", "mp.0.running_mean"])
@@ -295,6 +296,81 @@ def test_live_update_makes_one_loop_forward_per_step(monkeypatch):
     assert [r.epochs_run == 0 for r in report.per_step] == \
         [False, True, False, True, True, False]
     assert forwards == ["eval"] * (len(g) - 1)
+
+
+def test_a_step_frees_its_labels_and_forwards_before_its_record_is_passed_on(
+        synth_graph, monkeypatch):
+    """Step s's labels (every eval negative list), its scoring forward and
+    its fine-tune result are locals of `step`: none is alive when the
+    record reaches the callback, so none is held while step s+1 builds its
+    labels. The fine-tune result held the state it started from."""
+    refs = {}
+
+    def recording(name):
+        real = getattr(ev, name)
+
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            refs.setdefault(name, []).append(weakref.ref(out))
+            return out
+        monkeypatch.setattr(ev, name, wrapper)
+
+    def check(record):
+        alive = {name: sum(ref() is not None for ref in rs) for name, rs in refs.items()}
+        assert set(alive.values()) == {0}, (record.t, alive)
+
+    for name in ("build_labels", "forward", "fine_tune"):
+        recording(name)
+    report = ev.run_protocol(synth_graph, fixed_config(), step_callback=check)
+    assert {name: len(rs) for name, rs in refs.items()} == {
+        "build_labels": len(synth_graph) - 1, "forward": len(report.per_step),
+        "fine_tune": len(report.train_records)}
+
+
+class Stop(Exception):
+    """Stands in for a run killed between two steps."""
+
+
+@over_protocols
+@pytest.mark.parametrize("update", ["moving_average", "mlp", "gru"])
+def test_a_run_resumed_from_its_archive_is_bitwise_the_whole_run(synth_graph, monkeypatch,
+                                                                 tmp_path, protocol, update):
+    """A RunState is all one step hands the next. A run stopped after step
+    0 and folded on from its archive, read back from disk before every
+    step, gives the uninterrupted run's records and final RunState bit for
+    bit: both models, the node state, the step and the frozen checksum."""
+    cfg = run_config(update, dtype="float32", protocol=protocol)
+    whole = ev.run_protocol(synth_graph, cfg)
+    path = tmp_path / "model.npz"
+    records = []
+    real_step = ev.step
+
+    def stopping(g, run_cfg, rs):
+        rs, record = real_step(g, run_cfg, rs)
+        rs.save(path)
+        records.append(record)
+        raise Stop
+
+    monkeypatch.setattr(ev, "step", stopping)
+    with pytest.raises(Stop):
+        ev.run_protocol(synth_graph, cfg)
+    while (rs := ev.RunState.load(path)).step < len(synth_graph) - 1:
+        rs, record = real_step(synth_graph, cfg, rs)
+        rs.save(path)
+        records.append(record)
+
+    expected = sorted(whole.per_step + whole.train_records, key=lambda r: r.t)
+    assert [summary_fields(r) for r in records] == [summary_fields(r) for r in expected]
+    final = whole.final
+    for got, want in ((rs.deploy, final.deploy), (rs.meta, final.meta)):
+        assert got.params.names() == want.params.names()
+        for p in want.params:
+            assert got.params[p.name].value.tobytes() == p.value.tobytes(), p.name
+    for got, want in zip(rs.state.layers + [rs.state.history],
+                         final.state.layers + [final.state.history], strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert (rs.step, rs.frozen_checksum) == (final.step, final.frozen_checksum)
+    assert (final.frozen_checksum is None) == (protocol == "live_update")
 
 
 def running_stats(model):
@@ -360,7 +436,7 @@ def test_carried_history_counts_every_rolled_snapshot(synth_graph, protocol, per
     report = ev.run_protocol(synth_graph, cfg)
     # label steps 0..T-2; per-node counts whichever keep ratio reads them
     expected = incident_counts(synth_graph.snapshots[:-1], synth_graph.node_count)
-    history = report.state.history
+    history = report.final.state.history
     assert history.dtype == np.float64 and history.shape == (synth_graph.node_count,)
     assert np.array_equal(history, expected)
 

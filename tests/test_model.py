@@ -11,6 +11,7 @@ import pytest
 from conftest import fresh_state, incident_counts, make_snapshot, toy_model, toy_snapshot
 from helpers import grad_check, mean_all
 from snaplink import diffcore as dc
+from snaplink import evaluate as ev
 from snaplink import model as md
 from snaplink.errors import BoundsError, ConfigError, DimensionError
 from test_golden import small_graph
@@ -541,7 +542,7 @@ def test_scores_var_matches_predict_scores():
 # ---------------------------------------------------------------------------
 
 
-def test_forward_state_shapes_and_step():
+def test_forward_state_shapes():
     model = toy_model(hidden=4)
     snap = toy_snapshot()
     state = fresh_state(model, 6)
@@ -549,10 +550,7 @@ def test_forward_state_shapes_and_step():
     assert len(result.state.layers) == 2
     for layer in result.state.layers:
         assert layer.shape == (6, 4)
-    assert result.state.step == 0
     assert result.scores.value.shape == (2, 1)
-    second = md.forward(snap, result.state, model)
-    assert second.state.step == 1
 
 
 def test_forward_default_hidden_dim_is_128():
@@ -602,7 +600,7 @@ def test_forward_hierarchical_persistence():
 def test_forward_state_layer_count_mismatch():
     model = toy_model()
     snap = toy_snapshot()
-    bad = md.HierarchicalNodeState([np.zeros((6, 4))], step=-1, history=np.zeros(6))
+    bad = md.HierarchicalNodeState([np.zeros((6, 4))], history=np.zeros(6))
     with pytest.raises(DimensionError):
         md.forward(snap, bad, model)
 
@@ -756,6 +754,35 @@ def test_tape_memory_follows_what_the_backward_needs(synth_graph, update, n_node
     assert eval_peak <= EVAL_FORWARD_UNITS * unit, eval_peak / unit
 
 
+@pytest.mark.parametrize("aggregation", ["sum", "mean", "max"])
+def test_an_eval_gnn_layer_frees_each_input_once_read(aggregation):
+    """Off the tape nothing reads a layer's affine input, nor a max message,
+    after the next op: no local holds one, so the layer's peak is its output
+    and batch norm's temporaries. On 4,000 nodes with 1,000 edges at d=64,
+    the traced peak over the input is 3.35 units (N*d*4 bytes) for sum and
+    mean and 3.08 for max, against 3.90 and 4.58 when the concatenated input
+    (sum, mean) or the gathered rows and messages (max) lived until the
+    layer returned."""
+    import tracemalloc
+
+    rng = np.random.default_rng(12)
+    n, e, d = 4000, 1000, 64
+    snap = make_snapshot(n, rng.integers(0, n, e), rng.integers(0, n, e))
+    model = toy_model(update="moving_average", hidden=d, seed=12, dtype="float32",
+                      aggregation=aggregation)
+    h = dc.constant(rng.normal(size=(n, d)).astype(np.float32))
+    with dc.no_tape():
+        md.gnn_layer(h, snap, model, 0, "eval")  # warm-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            md.gnn_layer(h, snap, model, 0, "eval")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peak <= 3.6 * n * d * 4, peak / (n * d * 4)
+
+
 # ---------------------------------------------------------------------------
 # checkpointing
 # ---------------------------------------------------------------------------
@@ -773,12 +800,13 @@ def test_checkpoint_roundtrip_reproduces_forward(tmp_path):
     md.forward(snap, state, model, pairs=[(0, 1)], mode="train")
 
     path = tmp_path / "model.npz"
-    md.save_checkpoint(path, model, state)
-    model2, state2 = md.load_checkpoint(path)
+    ev.RunState(model, model.clone(), state, 4).save(path)
+    loaded = ev.RunState.load(path)
+    model2, state2 = loaded.deploy, loaded.state
 
-    # one ParamSet, saved under the entry names: running statistics included
+    # one ParamSet per model, saved under the entry names: running statistics included
     with np.load(path) as data:
-        assert {"arr:mp.0.running_mean", "arr:mp.1.running_var"} <= set(data.files)
+        assert {"arr:deploy:mp.0.running_mean", "arr:meta:mp.1.running_var"} <= set(data.files)
     assert model2.params.names() == model.params.names()
     for p in model.params:
         assert model2.params[p.name].requires_grad == p.requires_grad, p.name
@@ -790,7 +818,7 @@ def test_checkpoint_roundtrip_reproduces_forward(tmp_path):
     for a, b in zip(r1.state.layers, r2.state.layers):
         np.testing.assert_array_equal(a, b)
     assert state2.history.shape == (6,) and state2.history.tobytes() == state.history.tobytes()
-    assert state2.step == state.step
+    assert loaded.step == 4
 
 
 def test_checkpoint_roundtrip_restores_a_per_node_history(tmp_path):
@@ -800,8 +828,9 @@ def test_checkpoint_roundtrip_restores_a_per_node_history(tmp_path):
         state = md.forward(snap, state, model).state
 
     path = tmp_path / "model.npz"
-    md.save_checkpoint(path, model, state)
-    model2, state2 = md.load_checkpoint(path)
+    ev.RunState(model, model.clone(), state, 2).save(path)
+    loaded = ev.RunState.load(path)
+    model2, state2 = loaded.deploy, loaded.state
 
     assert model2.config.per_node_keep_ratio
     assert state2.history.dtype == np.float64 and state2.history.shape == (6,)

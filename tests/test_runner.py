@@ -11,7 +11,7 @@ from snaplink import evaluate as ev
 from snaplink import runner, snapshots, synthetic
 from snaplink.config import ExperimentConfig, load_config
 from snaplink.errors import ConfigError, ParseError
-from snaplink.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
+from snaplink.model import HierarchicalNodeState, ModelConfig, init_model
 from snaplink.runner import grid_search, load_dataset, run_experiment
 from snaplink.snapshots import (EdgeSchema, cache_key, edges_from_arrays, file_fingerprint,
                                 load_edge_list, partition_snapshots, temp_path)
@@ -43,9 +43,10 @@ def test_runs_default_to_float32_and_a_config_file_opts_out(synth_graph, tmp_pat
     for cfg, dtype in ((ExperimentConfig(**settings), np.float32),
                        (replace(load_config(path), **settings), np.float64)):
         run_dir = run_experiment(cfg, graph=synth_graph)
-        model, state = load_checkpoint(run_dir / "seed3" / "model.npz")
-        assert model.config.dtype == np.dtype(dtype).name
-        arrays = [p.value for p in model.params] + state.layers  # running stats too
+        rs = ev.RunState.load(run_dir / "seed3" / "model.npz")
+        assert rs.deploy.config.dtype == np.dtype(dtype).name
+        # both models' running stats too
+        arrays = [p.value for m in (rs.deploy, rs.meta) for p in m.params] + rs.state.layers
         assert {a.dtype for a in arrays} == {np.dtype(dtype)}
     assert ModelConfig().dtype == "float32"  # one default, for runs and for the library
 
@@ -129,9 +130,14 @@ def nan_feature_archive(path):
         np.savez(fh, **arrays)
 
 
+def small_run_state() -> ev.RunState:
+    model = init_model(ModelConfig(hidden_dim=4), np.random.default_rng(0))
+    return ev.RunState(model, model.clone(), HierarchicalNodeState.zeros(6, model.config))
+
+
 def checkpoint_archive(path):
-    """A whole archive of the checkpoint format where the cache should be."""
-    save_checkpoint(path, init_model(ModelConfig(hidden_dim=4), np.random.default_rng(0)))
+    """A whole run archive where the cache should be."""
+    small_run_state().save(path)
 
 
 @pytest.mark.parametrize("damage", [truncate_archive, nan_feature_archive,
@@ -280,15 +286,15 @@ def test_a_run_leaves_no_temporary_behind(synth_graph, tmp_path, monkeypatch):
 def test_a_write_that_fails_part_way_keeps_the_old_file(tmp_path, monkeypatch, target):
     if target == "checkpoint":
         path = tmp_path / "model.npz"
-        model = init_model(ModelConfig(hidden_dim=4), np.random.default_rng(0))
-        save_checkpoint(path, model)
+        rs = small_run_state()
+        rs.save(path)
 
         def torn(fh, **arrays):
             fh.write(b"PK\x03\x04")  # the head of a zip archive, then the disk fills
             raise OSError("No space left on device")
 
         monkeypatch.setattr(np, "savez", torn)
-        write, error = (lambda: save_checkpoint(path, model)), OSError
+        write, error = (lambda: rs.save(path)), OSError
     else:
         path = tmp_path / "report.json"
         runner._atomic_write(path, "old\n")

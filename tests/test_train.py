@@ -83,7 +83,6 @@ def test_fine_tune_does_not_mutate_prev_state_or_labels():
         np.testing.assert_array_equal(a, b)
     assert state.history.tobytes() == state_before.history.tobytes()
     np.testing.assert_array_equal(labels.positives, labels_pos_before)
-    assert state.step == state_before.step
 
 
 def test_fine_tune_state_consistent_with_returned_params():
