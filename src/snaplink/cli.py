@@ -19,6 +19,7 @@ from pathlib import Path
 from .config import ExperimentConfig, load_config
 from .errors import SnaplinkError
 from .evaluate import PROTOCOLS
+from .model import UPDATE_KINDS
 from .runner import emit_report, grid_search, load_dataset, run_experiment
 
 
@@ -30,7 +31,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", help="edge-list file")
     p.add_argument("--schema", help="'delim:col,col,...', e.g. ws:src,dst,timestamp")
     p.add_argument("--frequency", help="daily, weekly, or seconds per window")
-    p.add_argument("--update", choices=("moving_average", "mlp", "gru"))
+    p.add_argument("--update", choices=UPDATE_KINDS)
     p.add_argument("--alpha", type=float, help="meta blend factor in [0,1]")
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--k-neg", dest="k_neg", type=int,

@@ -383,48 +383,41 @@ def batch_norm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
                eps: float = 1e-5) -> Var:
     """Normalize columns of x by batch statistics (train) or running stats (eval).
 
-    Train mode updates the `running_mean` and `running_var` arrays in place
-    (unbiased variance, torch-style momentum blend); a model passes the
-    values of its non-trainable running-statistic Params. Batches with
-    fewer than 2 rows degrade to eval behavior so tiny snapshots never
-    divide by a zero-count variance.
+    The modes differ only in where mu and var come from, and so in dx:
+    train mode takes them from the batch and updates the `running_mean` and
+    `running_var` arrays in place (unbiased variance, torch-style momentum
+    blend); a model passes the values of its non-trainable running-statistic
+    Params. Batches with fewer than 2 rows degrade to eval behavior so tiny
+    snapshots never divide by a zero-count variance.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown batch_norm mode {mode!r}")
     n = x.value.shape[0]
     gv = gamma.value
-    if mode == "train" and n >= 2:
+    batch = mode == "train" and n >= 2
+    if batch:
         mu = x.value.mean(axis=0)
         var = x.value.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = x.value - mu
-        xhat *= inv_std
-        out = xhat * gv
-        out += beta.value
-
         m = momentum
         running_mean[:] = (1.0 - m) * running_mean + m * mu
         running_var[:] = (1.0 - m) * running_var + m * var * n / (n - 1)
-
-        def vjp(g):
-            dgamma = (g * xhat).sum(axis=0)
-            dbeta = g.sum(axis=0)
-            dxhat = g * gv
-            dx = (inv_std / n) * (
-                n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-            )
-            return (dx, dgamma, dbeta)
-
-        return Var(out, (x, gamma, beta), vjp)
-
-    inv_std = 1.0 / np.sqrt(running_var + eps)
-    xhat = x.value - running_mean
+    else:
+        mu, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = x.value - mu
     xhat *= inv_std
     out = xhat * gv
     out += beta.value
 
     def vjp(g):
-        return (g * gv * inv_std, (g * xhat).sum(axis=0), g.sum(axis=0))
+        dxhat = g * gv
+        if batch:
+            dx = (inv_std / n) * (
+                n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
+            )
+        else:
+            dx = dxhat * inv_std
+        return (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
 
     return Var(out, (x, gamma, beta), vjp)
 
@@ -468,8 +461,7 @@ def aggregate(messages: Var, dst_index: np.ndarray, n_nodes: int, mode: str) -> 
     # max: -inf init so every real message wins, then zero out empty rows
     dtype = messages.value.dtype
     out = np.full((n_nodes, dim), -np.inf, dtype=dtype)
-    if n_msgs:
-        np.maximum.at(out, dst_index, messages.value)
+    np.maximum.at(out, dst_index, messages.value)
     empty = np.bincount(dst_index, minlength=n_nodes) == 0
     out[empty] = 0.0
     if not _records((messages,)):
@@ -477,10 +469,9 @@ def aggregate(messages: Var, dst_index: np.ndarray, n_nodes: int, mode: str) -> 
 
     # first maximal message per (node, column): smallest edge id among ties
     first = np.full((n_nodes, dim), n_msgs, dtype=np.int64)
-    if n_msgs:
-        ties = messages.value == out[dst_index]
-        edge_ids = np.where(ties, np.arange(n_msgs, dtype=np.int64)[:, None], n_msgs)
-        np.minimum.at(first, dst_index, edge_ids)
+    ties = messages.value == out[dst_index]
+    edge_ids = np.where(ties, np.arange(n_msgs, dtype=np.int64)[:, None], n_msgs)
+    np.minimum.at(first, dst_index, edge_ids)
 
     def vjp(g):
         gm = np.zeros((n_msgs, dim), dtype=dtype)

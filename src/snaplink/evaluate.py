@@ -1,4 +1,4 @@
-"""Ranking metrics and `run_protocol`, the one entry point of both protocols.
+"""`run_protocol`, the one entry point of both protocols, and its reports.
 
 `RunConfig.protocol` is one of `PROTOCOLS`. Both protocols fold one `step`
 over the label steps s = 0..T-2, carrying a `RunState`. Each step builds
@@ -32,62 +32,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, NumericError
-from .model import (HierarchicalNodeState, ModelConfig, ModelParams, PairScorer,
-                    forward, init_model)
+from .errors import ConfigError, NumericError
+from .model import HierarchicalNodeState, ModelConfig, ModelParams, forward, init_model, mrr
 from .seeding import derive_rng
-from .snapshots import DynamicGraph, LabelSet, build_labels, load_archive, save_archive
+from .snapshots import DynamicGraph, build_labels, load_archive, save_archive
 from .train import TrainConfig, fine_tune, meta_update
-
-
-# ---------------------------------------------------------------------------
-# Ranking metrics
-# ---------------------------------------------------------------------------
-
-
-def mrr(top_repr: np.ndarray, labels: LabelSet, model: ModelParams) -> float:
-    """Mean reciprocal rank over all positives of one label set.
-
-    Each positive (u, v) is ranked against u's sampled negative list using
-    the prediction head over fixed node representations. Ties count against
-    the positive: rank = 1 + #(negatives scoring higher) + #(negatives
-    scoring equal), so a constant model earns 1/(k+1) rather than a free
-    win. A positive whose source has no negatives ranks first.
-
-    A source's positives and negatives are scored in one `scores_against`
-    call, through the head training uses. That scoring is row-stable, so a
-    negative whose representation row equals the positive's scores bitwise
-    equal and ties: the tie rule holds by construction.
-    """
-    if labels.skip:
-        raise EmptyInputError(f"step {labels.step}: no positives to evaluate")
-    scorer = PairScorer(top_repr, model)
-    positives = labels.positives
-    srcs, starts = np.unique(positives[:, 0], return_index=True)
-    total = 0.0
-    count = 0
-    n_pos = positives.shape[0]
-    for i, src in enumerate(srcs):
-        hi = starts[i + 1] if i + 1 < len(srcs) else n_pos
-        dsts = positives[starts[i]:hi, 1]
-        negs = labels.eval_negatives[int(src)]
-        scores = scorer.scores_against(int(src), np.concatenate([dsts, negs]))
-        pos_scores, neg_scores = scores[:len(dsts)], scores[len(dsts):]
-        if not np.isfinite(pos_scores).all():
-            raise NumericError(f"non-finite positive score at step {labels.step}")
-        if negs.size == 0:
-            # candidate pool was exhausted by positives; the positive ranks first
-            total += float(len(dsts))
-            count += len(dsts)
-            continue
-        if not np.isfinite(neg_scores).all():
-            raise NumericError(f"non-finite negative score at step {labels.step}")
-        # scores are finite here, so >= is exactly "higher or tied"
-        ranks = 1 + (neg_scores[None, :] >= pos_scores[:, None]).sum(axis=1)
-        for rank in ranks.tolist():
-            total += 1.0 / rank
-        count += len(ranks)
-    return total / count
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +64,6 @@ class EvalReport:
     seed: int
     per_step: list[StepRecord] = field(default_factory=list)
     train_records: list[StepRecord] = field(default_factory=list)  # fixed-split only
-    fingerprint: str = ""
     final: RunState | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -142,7 +90,6 @@ class EvalReport:
             "schema_version": REPORT_SCHEMA_VERSION,
             "protocol": self.protocol,
             "seed": self.seed,
-            "fingerprint": self.fingerprint,
             "n_steps": len(self.per_step),
             "n_evaluated": len(self.evaluated_steps),
             "n_skipped": sum(1 for r in self.per_step if r.skipped),

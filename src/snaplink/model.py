@@ -21,6 +21,7 @@ affine map of a max, so `max` keeps one message per edge.
 The head exists once: `_head_slabs` projects node rows through the source
 and destination slabs of its first layer, and both the taped training scores
 (`_scores_var`) and the off-tape ranking scores (`PairScorer`) start there.
+The ranking metric, `mrr`, scores through `PairScorer` and its tie rule.
 
 A forward pass consumes exactly one snapshot plus the previous state and
 returns the next state without mutating its inputs, so nothing later than
@@ -35,8 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .errors import BoundsError, ConfigError, DimensionError
-from .snapshots import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, GraphSnapshot, degree_features
+from .errors import BoundsError, ConfigError, DimensionError, EmptyInputError, NumericError
+from .snapshots import (EDGE_FEATURE_DIM, NODE_FEATURE_DIM, GraphSnapshot, LabelSet,
+                        degree_features)
 
 UPDATE_KINDS = ("moving_average", "mlp", "gru")
 
@@ -221,7 +223,9 @@ def gnn_layer(h: dc.Var, snapshot: GraphSnapshot, model: ModelParams,
     is one affine map of [mean h_u; h_v; mean f_e] and its sum that times
     v's in-degree: one GEMM row per receiving node, not per message. Max
     maps each message and then reduces, since max_i(W·x_i + b) is not an
-    affine map of any per-node input.
+    affine map of any per-node input. A window with no edges takes the same
+    path: zero messages aggregate to +0.0 rows, and W and b get a zero
+    gradient.
     """
     cfg = model.config
     n = snapshot.n_nodes
@@ -231,7 +235,7 @@ def gnn_layer(h: dc.Var, snapshot: GraphSnapshot, model: ModelParams,
 
     src, dst = snapshot.edge_src, snapshot.edge_dst
     feats = snapshot.edge_features.astype(cfg.np_dtype, copy=False)
-    if cfg.bidirectional and snapshot.n_edges:
+    if cfg.bidirectional:
         msrc = np.concatenate([src, dst])
         mdst = np.concatenate([dst, src])
         feats = np.concatenate([feats, feats])
@@ -240,12 +244,12 @@ def gnn_layer(h: dc.Var, snapshot: GraphSnapshot, model: ModelParams,
 
     mp = model.params.group(f"mp.{layer}")
     # no local binds an affine input or a max message: an eval forward frees each once read
-    if len(msrc) and cfg.aggregation == "max":
+    if cfg.aggregation == "max":
         agg = dc.aggregate(dc.affine(dc.concat_cols([dc.gather_rows(h, msrc),
                                                      dc.gather_rows(h, mdst),
                                                      dc.constant(feats)]), mp["w"], mp["b"]),
                            mdst, n, "max")
-    elif len(msrc):
+    else:
         nodes, inv = np.unique(mdst, return_inverse=True)
         m = len(nodes)
         out = dc.affine(dc.concat_cols([dc.aggregate(dc.gather_rows(h, msrc), inv, m, "mean"),
@@ -256,8 +260,6 @@ def gnn_layer(h: dc.Var, snapshot: GraphSnapshot, model: ModelParams,
             deg = np.bincount(inv, minlength=m).astype(cfg.np_dtype)
             out = dc.mul(out, dc.constant(deg[:, None]))
         agg = dc.aggregate(out, nodes, n, "sum")  # row i to node nodes[i]
-    else:
-        agg = dc.constant(np.zeros((n, d), dtype=cfg.np_dtype))
 
     out = dc.add(agg, h) if cfg.skip_connection else agg
     del agg  # the skip sum's vjp reads no value: the aggregate goes here
@@ -345,6 +347,51 @@ class PairScorer:
         hidden = np.take(self.b, dsts, axis=0)
         np.maximum(hidden, self.neg_a[src], out=hidden)
         return np.einsum("ij,j->i", hidden, self.w2) + self.a_dot[src]
+
+
+def mrr(top_repr: np.ndarray, labels: LabelSet, model: ModelParams) -> float:
+    """Mean reciprocal rank over all positives of one label set.
+
+    Each positive (u, v) is ranked against u's sampled negative list using
+    the prediction head over fixed node representations. Ties count against
+    the positive: rank = 1 + #(negatives scoring higher) + #(negatives
+    scoring equal), so a constant model earns 1/(k+1) rather than a free
+    win. A positive whose source has no negatives ranks first.
+
+    A source's positives and negatives are scored in one `scores_against`
+    call, through the head training uses. That scoring is row-stable, so a
+    negative whose representation row equals the positive's scores bitwise
+    equal and ties: the tie rule holds by construction.
+    """
+    if labels.skip:
+        raise EmptyInputError(f"step {labels.step}: no positives to evaluate")
+    scorer = PairScorer(top_repr, model)
+    positives = labels.positives
+    srcs, starts = np.unique(positives[:, 0], return_index=True)
+    total = 0.0
+    count = 0
+    n_pos = positives.shape[0]
+    for i, src in enumerate(srcs):
+        hi = starts[i + 1] if i + 1 < len(srcs) else n_pos
+        dsts = positives[starts[i]:hi, 1]
+        negs = labels.eval_negatives[int(src)]
+        scores = scorer.scores_against(int(src), np.concatenate([dsts, negs]))
+        pos_scores, neg_scores = scores[:len(dsts)], scores[len(dsts):]
+        if not np.isfinite(pos_scores).all():
+            raise NumericError(f"non-finite positive score at step {labels.step}")
+        if negs.size == 0:
+            # candidate pool was exhausted by positives; the positive ranks first
+            total += float(len(dsts))
+            count += len(dsts)
+            continue
+        if not np.isfinite(neg_scores).all():
+            raise NumericError(f"non-finite negative score at step {labels.step}")
+        # scores are finite here, so >= is exactly "higher or tied"
+        ranks = 1 + (neg_scores[None, :] >= pos_scores[:, None]).sum(axis=1)
+        for rank in ranks.tolist():
+            total += 1.0 / rank
+        count += len(ranks)
+    return total / count
 
 
 def _scores_var(top: dc.Var, pairs: np.ndarray, model: ModelParams) -> dc.Var:

@@ -122,9 +122,9 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
             report = ev.run_protocol(graph, cfg.to_run_config(seed), step_callback=emit)
         os.replace(temp_path(steps), steps)
         report.final.save(seed_dir / "model.npz")
-        report.fingerprint = fingerprint
         summary = report.summary_dict()
         del report  # the seed's final RunState is freed before the next seed runs
+        summary["fingerprint"] = fingerprint
         summary["wall_seconds"] = time.perf_counter() - t0
         _atomic_write(seed_dir / "report.json",
                       json.dumps(summary, sort_keys=True, indent=1) + "\n")

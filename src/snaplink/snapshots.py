@@ -573,10 +573,6 @@ def build_labels(g: DynamicGraph, t: int, val_fraction: float, k_neg: int,
         raise ConfigError("k_neg", f"must be >= 1, got {k_neg}")
 
     nxt = g[t + 1]
-    empty = np.empty((0, 2), dtype=np.int64)
-    if nxt.n_edges == 0:
-        return LabelSet(t, empty, empty, empty)
-
     pairs = np.stack([nxt.edge_src, nxt.edge_dst], axis=1)
     positives = np.unique(pairs, axis=0)  # dedup multi-edges, sorted
 
@@ -593,9 +589,6 @@ def build_labels(g: DynamicGraph, t: int, val_fraction: float, k_neg: int,
         hi = src_starts[i + 1] if i + 1 < len(srcs) else n_pos
         pos_dsts = positives[src_starts[i]:hi, 1]  # sorted, unique
         pool_size = n_nodes - pos_dsts.size
-        if pool_size == 0:
-            eval_negatives[int(src)] = np.empty(0, dtype=np.int64)
-            continue
         ranks = rng.choice(pool_size, size=min(k_neg, pool_size), replace=False)
         # pos_dsts[j] - j pool nodes lie below pos_dsts[j], so the positives
         # below the rank-th pool node are those with pos_dsts[j] - j <= rank
@@ -625,13 +618,13 @@ def sample_training_negatives(labels: LabelSet, n_nodes: int,
 
     srcs = np.repeat(labels.train_pos[:, 0], per_positive)
     dsts = rng.integers(0, n_nodes, size=srcs.size)
+    bad = collides(srcs, dsts)
     for _ in range(100):
-        bad = collides(srcs, dsts)
         if not bad.any():
-            return np.stack([srcs, dsts], axis=1)
+            break
         dsts[bad] = rng.integers(0, n_nodes, size=int(bad.sum()))
-    keep = ~collides(srcs, dsts)
-    return np.stack([srcs[keep], dsts[keep]], axis=1)
+        bad = collides(srcs, dsts)
+    return np.stack([srcs[~bad], dsts[~bad]], axis=1)
 
 
 # ---------------------------------------------------------------------------

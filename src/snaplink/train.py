@@ -15,7 +15,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .errors import ConfigError, TrainingDiverged
-from .model import HierarchicalNodeState, ModelParams, forward
+from .model import HierarchicalNodeState, ModelParams, forward, mrr
 from .snapshots import GraphSnapshot, LabelSet, sample_training_negatives
 
 
@@ -112,8 +112,6 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
     Of `labels`' negative lists only the validation sources' are read, so a
     caller may pass `labels.fine_tune_view()`.
     """
-    from . import evaluate  # function-level: evaluate imports this module
-
     n_pos = labels.train_pos.shape[0]
     if n_pos == 0:
         raise ValueError(f"step {labels.step} has no training positives")
@@ -143,7 +141,7 @@ def fine_tune(model: ModelParams, snapshot: GraphSnapshot,
         del scores, loss  # the train graph is gone before the eval forward
 
         vres = forward(snapshot, h_prev, model, mode="eval")
-        val = None if val_labels.skip else evaluate.mrr(vres.top_repr, val_labels, model)
+        val = None if val_labels.skip else mrr(vres.top_repr, val_labels, model)
         if epoch == 1 or val > best_val:
             best_val, best_state, stale = val, vres.state, 0
             best_arrays = model.params.state_dict()

@@ -1,8 +1,9 @@
 """Every top-level function and class in the package is named somewhere
-else, every method and property is named in `src/` code, and one that only
-tests name is listed in TEST_ONLY. The benchmark's tracer finds every name
-it wraps, a train step calls every tape op it expects to time, its graph
-size and cache check still read a graph, and its run check passes a run."""
+else, every method and property is read as an attribute in `src/` code, and
+one that only tests name is listed in TEST_ONLY. The benchmark's tracer
+finds every name it wraps, a train step calls every tape op it expects to
+time, its graph size and cache check still read a graph, and its run check
+passes a run."""
 
 import ast
 import importlib
@@ -29,10 +30,12 @@ SEARCHED = ("src", "tests", "bench")
 
 
 # top-level names that only tests use, and methods ("Class.name") that no
-# src/ code names, each on purpose. `RunState.load` is one too (ROADMAP item
-# 4's resume calls it), but the match is by word and `np.load` names it.
+# src/ code reads as an attribute, each on purpose
 TEST_ONLY = {
     "GraphSnapshot.node_features",  # bench/ reads it until ROADMAP item 1 changes the benchmark
+    "RunState.load",  # ROADMAP item 4's resume calls it
+    "GraphSnapshot.n_edges",  # bench/checks.py counts a graph's edges with it
+    "Var._vjp",  # bench/tracer.py wraps it to time each op's backward
 }
 
 
@@ -72,15 +75,27 @@ def name_uses(sources: dict[str, str], modules: list[str]) -> list[tuple[str, st
     return out
 
 
+def attribute_uses(text: str) -> set[str]:
+    """Each `name` that `text` reads as `receiver.name`, unless the receiver
+    is a module the file imports: `np.load(...)` uses no method `load`."""
+    tree = ast.parse(text)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:  # from . import x
+            modules.update(a.asname or a.name for a in node.names)
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and not (isinstance(node.value, ast.Name) and node.value.id in modules)}
+
+
 def methods_src_does_not_name(sources: dict[str, str], modules: list[str]) -> list[str]:
     """"Class.name" for each method or property of a top-level class of
-    `modules` that no `src/` source names apart from its own definition
-    line. Dunder methods are called by the language, not by name."""
-    seen: dict[str, set[tuple[str, int]]] = {}
-    for label, text in sources.items():
-        if label.startswith("src/"):
-            for word, lineno in words(label, text):
-                seen.setdefault(word, set()).add((label, lineno))
+    `modules` that no `src/` source reads as an attribute (`attribute_uses`),
+    once each (a property's setter shares its name). Dunder methods are
+    called by the language, not by name."""
+    used = set().union(*(attribute_uses(text) for label, text in sources.items()
+                         if label.startswith("src/")))
     out = []
     for label in modules:
         for cls in ast.parse(sources[label]).body:
@@ -88,10 +103,9 @@ def methods_src_does_not_name(sources: dict[str, str], modules: list[str]) -> li
                 continue
             for node in cls.body:
                 if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef) \
-                        and not node.name.startswith("__") \
-                        and not seen.get(node.name, set()) - {(label, node.lineno)}:
+                        and not node.name.startswith("__") and node.name not in used:
                     out.append(f"{cls.name}.{node.name}")
-    return out
+    return list(dict.fromkeys(out))
 
 
 def dead_names(sources: dict[str, str], modules: list[str]) -> list[str]:
@@ -165,7 +179,8 @@ def test_dead_name_detector():
 
 
 def test_method_detector():
-    module = ("class Record:\n"
+    module = ("import numpy as np\n"
+              "class Record:\n"
               "    def __len__(self):\n"
               "        return 0\n"
               "    def used(self):\n"
@@ -175,18 +190,27 @@ def test_method_detector():
               "    @property\n"
               "    def only_tests(self):\n"
               "        return 2\n"
+              "    @only_tests.setter\n"
+              "    def only_tests(self, value):\n"
+              "        pass\n"
               "    def only_a_comment(self):\n"
               "        return 3\n"
               "    # only_a_comment is not a use under src/\n"
+              "    @classmethod\n"
+              "    def load(cls, path):\n"
+              "        return cls()\n"
               "def caller(r):\n"
-              "    return r.used()\n")
+              "    return r.used(), np.load('x.npz')\n")
     sources = {"src/mod.py": module,
                "tests/test_mod.py": "def test(r):\n    assert r.only_tests == 2\n",
                "bench/notes.py": "r.only_a_comment()\n"}
+    # np.load reads an attribute of a module, not of a Record; a setter is
+    # listed with its property
     assert methods_src_does_not_name(sources, ["src/mod.py"]) == [
-        "Record.only_tests", "Record.only_a_comment"]
-    # a call from another src/ module is a use
-    sources["src/other.py"] = "def f(r):\n    return r.only_tests\n"
+        "Record.only_tests", "Record.only_a_comment", "Record.load"]
+    # a call from another src/ module is a use, also through the class
+    sources["src/other.py"] = ("from mod import Record\n"
+                               "def f(r):\n    return r.only_tests, Record.load('y')\n")
     assert methods_src_does_not_name(sources, ["src/mod.py"]) == ["Record.only_a_comment"]
 
 

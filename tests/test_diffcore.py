@@ -284,15 +284,86 @@ def test_batch_norm_gradient_both_modes():
         assert err < 1e-4, mode
 
 
+def batch_norm_two_copies(x, gamma, beta, running_mean, running_var, mode,
+                          momentum=0.1, eps=1e-5):
+    """`dc.batch_norm` as it was with one normalise-scale-shift per mode: the
+    reference its single copy must match bit for bit."""
+    n = x.value.shape[0]
+    gv = gamma.value
+    if mode == "train" and n >= 2:
+        mu = x.value.mean(axis=0)
+        var = x.value.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat = x.value - mu
+        xhat *= inv_std
+        out = xhat * gv
+        out += beta.value
+
+        m = momentum
+        running_mean[:] = (1.0 - m) * running_mean + m * mu
+        running_var[:] = (1.0 - m) * running_var + m * var * n / (n - 1)
+
+        def vjp(g):
+            dgamma = (g * xhat).sum(axis=0)
+            dbeta = g.sum(axis=0)
+            dxhat = g * gv
+            dx = (inv_std / n) * (
+                n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
+            )
+            return (dx, dgamma, dbeta)
+
+        return dc.Var(out, (x, gamma, beta), vjp)
+
+    inv_std = 1.0 / np.sqrt(running_var + eps)
+    xhat = x.value - running_mean
+    xhat *= inv_std
+    out = xhat * gv
+    out += beta.value
+
+    def vjp(g):
+        return (g * gv * inv_std, (g * xhat).sum(axis=0), g.sum(axis=0))
+
+    return dc.Var(out, (x, gamma, beta), vjp)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode, n", [("train", 7), ("train", 1), ("eval", 7)])
+def test_batch_norm_bitwise_matches_the_two_copy_reference(dtype, mode, n):
+    """Output, running statistics and the x, gamma and beta gradients."""
+    rng = rng_for(13)
+    x0 = (rng.normal(size=(n, 5)) * 3.0 + 1.0).astype(dtype)
+    gamma0, beta0, mean0 = (rng.normal(size=5).astype(dtype) for _ in range(3))
+    var0 = rng.uniform(0.5, 2.0, size=5).astype(dtype)
+    weights = dc.constant(rng.normal(size=(n, 5)).astype(dtype))
+    results = []
+    for op in (dc.batch_norm, batch_norm_two_copies):
+        x, g, b = dc.Param("x", x0.copy()), dc.Param("g", gamma0.copy()), \
+            dc.Param("b", beta0.copy())
+        mean, var = mean0.copy(), var0.copy()
+        out = op(x, g, b, mean, var, mode)
+        dc.backward(mean_all(dc.mul(out, weights)))
+        results.append((out.value, mean, var, x.grad, g.grad, b.grad))
+    for got, want in zip(*results):
+        assert_bitwise(got, want)
+    assert not np.array_equal(results[0][3], np.zeros_like(x0))
+
+
 # ---------------------------------------------------------------------------
 # aggregate
 # ---------------------------------------------------------------------------
 
 
 def test_aggregate_empty_messages():
+    """Off the tape and on it, zero messages give +0.0 rows; recorded, a (0, d) gradient."""
     for mode in dc.AGGREGATION_MODES:
         out = dc.aggregate(dc.constant(np.zeros((0, 3))), np.zeros(0, dtype=int), 4, mode)
-        np.testing.assert_array_equal(out.value, np.zeros((4, 3)))
+        assert_bitwise(out.value, np.zeros((4, 3)))
+        msgs = dc.Param("m", np.zeros((0, 3)))
+        out = dc.aggregate(msgs, np.zeros(0, dtype=np.int64), 4, mode)
+        assert out.requires_grad
+        assert_bitwise(out.value, np.zeros((4, 3)))
+        dc.backward(mean_all(dc.mul(out, dc.constant(rng_for(14).normal(size=(4, 3))))))
+        assert_bitwise(msgs.grad, np.zeros((0, 3)))
 
 
 def test_aggregate_mean_arithmetic():

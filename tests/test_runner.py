@@ -26,9 +26,9 @@ def test_seed_report_keeps_wall_seconds(synth_graph, tmp_path, monkeypatch):
     run_dir = run_experiment(cfg, graph=synth_graph)
     seed_report = json.loads((run_dir / "seed3" / "report.json").read_text())
     assert seed_report.pop("wall_seconds") > 0
+    assert seed_report.pop("fingerprint") == cfg.fingerprint()
 
     report = ev.run_protocol(synth_graph, cfg.to_run_config(3))
-    report.fingerprint = cfg.fingerprint()
     assert seed_report == report.summary_dict()
 
 

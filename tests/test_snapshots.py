@@ -376,9 +376,15 @@ def test_build_labels_deterministic_under_seed():
 def test_build_labels_empty_next_snapshot_sets_skip():
     edges = sn.edges_from_arrays([0, 1], [1, 0], [0.0, 25.0], node_count=2)
     g = sn.partition_snapshots(edges, 10)  # middle window empty
-    labels = sn.build_labels(g, 0, 0.3, 2, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    labels = sn.build_labels(g, 0, 0.3, 2, rng)
     assert labels.skip
     assert labels.n_positives == 0
+    for arr in (labels.positives, labels.train_pos, labels.val_pos):
+        assert arr.shape == (0, 2) and arr.dtype == np.int64
+    assert labels.eval_negatives == {}
+    # nothing was drawn
+    assert rng.integers(0, 2**62) == np.random.default_rng(0).integers(0, 2**62)
 
 
 def test_build_labels_causality_only_reads_next_snapshot():
@@ -433,6 +439,9 @@ NEGATIVE_REGIMES = {
     "pool_empty": (future_graph(3, [0, 0, 0, 1], [0, 1, 2, 2]), 2),
     "self_loop": (future_graph(8, [3, 3, 6], [3, 7, 6]), 4),
     "multi_edges": (future_graph(9, [2, 2, 2, 2, 4, 4], [5, 5, 5, 1, 8, 8]), 3),
+    # window 1 holds no edge: no positives, no sources, no draw
+    "next_window_empty": (sn.partition_snapshots(sn.edges_from_arrays(
+        [0, 1], [1, 0], [0.0, 25.0], node_count=5), 10), 3),
 }
 
 

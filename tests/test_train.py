@@ -13,7 +13,7 @@ from snaplink import train as tr
 from snaplink import diffcore as dc
 from snaplink.errors import ConfigError, TrainingDiverged
 from snaplink.evaluate import RunConfig, run_protocol
-from snaplink.model import ModelConfig, PairScorer, forward
+from snaplink.model import HierarchicalNodeState, ModelConfig, PairScorer, forward
 from snaplink.seeding import derive_rng
 from snaplink.snapshots import (LabelSet, build_labels, edges_from_arrays,
                                 partition_snapshots)
@@ -237,6 +237,31 @@ def test_fine_tune_trains_when_a_source_has_no_negatives():
                           np.random.default_rng(1))
     assert result.epochs_run >= 1
     assert np.isfinite(result.final_train_loss)
+
+
+@pytest.mark.parametrize("batch_norm", [True, False])
+@pytest.mark.parametrize("aggregation", ["sum", "max"])
+def test_fine_tune_on_an_edgeless_snapshot_keeps_the_message_weights(aggregation, batch_norm):
+    """Zero messages give the message map a zero gradient, and Adam moves a
+    parameter by exactly 0.0 on it: every mp.{l}.w and mp.{l}.b keeps its bits."""
+    model = toy_model(update="gru", hidden=4, aggregation=aggregation,
+                      batch_norm=batch_norm, dtype="float32")
+    rng = np.random.default_rng(4)  # a carried state, so the nodes differ
+    state = HierarchicalNodeState([rng.normal(size=(5, 4)).astype(np.float32)
+                                   for _ in range(model.config.n_mp)],
+                                  np.array([3.0, 1.0, 0.0, 2.0, 5.0]))
+    before = model.params.state_dict()
+    result = tr.fine_tune(model, make_snapshot(5, [], []), state, single_pair_labels(),
+                          tr.TrainConfig(learning_rate=0.05, max_epochs=3),
+                          derive_rng(0, "train", 0))
+    assert result.epochs_run >= 1
+    message = [n for n in before if n.startswith("mp.") and n.rsplit(".", 1)[1] in ("w", "b")]
+    assert len(message) == 2 * model.config.n_mp
+    if not batch_norm:
+        assert message == [n for n in before if n.startswith("mp.")]
+    for name in message:
+        assert model.params[name].value.tobytes() == before[name].tobytes(), name
+    assert (model.params["head.b2"].value != before["head.b2"]).any()  # it trained
 
 
 def test_fine_tune_skip_labels_rejected():
