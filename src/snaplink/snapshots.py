@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import zipfile
 import zlib
 from contextlib import contextmanager
@@ -276,10 +277,12 @@ class LabelSet:
 # ---------------------------------------------------------------------------
 
 
-def _open_text(path: Path):
+def _open_text(path: Path, mode: str = "rt"):
+    """An edge file opened for reading, through gzip for a `.gz` name: as
+    text, or as bytes with mode "rb"."""
     if str(path).endswith(".gz"):
-        return gzip.open(path, "rt")
-    return open(path, "r")
+        return gzip.open(path, mode)
+    return open(path, mode)
 
 
 def load_edge_list(path, schema: EdgeSchema = EdgeSchema(),
@@ -293,14 +296,17 @@ def load_edge_list(path, schema: EdgeSchema = EdgeSchema(),
     has it; otherwise the file is hashed here.
 
     A file is parsed in one vectorised pass when it is ASCII text with no
-    control character but tab and line ends and no '#', its delimiter is
-    whitespace or one printable ASCII character (or tab), and every src/dst
+    control character but tab and line ends (LF, CR or CRLF), every '#' is
+    the first byte of its line (a whole-line comment, skipped as blank
+    lines are), at least one line is neither blank nor a comment, its name
+    does not end in `.bz2`, `.xz` or `.lzma`, its delimiter is whitespace
+    or one printable ASCII character but '#' (or tab), and every src/dst
     field is, after stripping spaces and tabs, a canonical decimal integer:
-    digits only, no sign, no leading zero, at most 18 digits. Anything else,
-    and any row that pass cannot take (a field count, a float numpy rejects,
-    a non-finite value, a negative timestamp, no rows), goes to the per-line
-    parser, which is the only one that reports errors. Both give the same
-    arrays, node count and fingerprint.
+    digits only, no sign, no leading zero, at most 18 digits. Anything else
+    (an indented or mid-line '#' too), and any row that pass cannot take (a
+    field count, a float numpy rejects, a non-finite value, a negative
+    timestamp), goes to the per-line parser, which is the only one that
+    reports errors. Both give the same arrays, node count and fingerprint.
     """
     path = Path(path)
     parsed = _parse_canonical(path, schema)
@@ -366,38 +372,44 @@ def _parse_lines(path: Path, schema: EdgeSchema):
             len(ids))
 
 
-# Text the vectorised parse takes: printable ASCII but '#', tab and newline
-# (text mode turns CR and CRLF into newline). This keeps out comment lines,
-# NUL (a byte-string field drops trailing NULs) and the separators
+# Bytes the vectorised parse takes: printable ASCII, tab, CR and LF. This
+# keeps out NUL (a byte-string field drops trailing NULs) and the separators
 # \x1c-\x1f, which numpy strips around a float and Python's float() rejects.
-_PLAIN_TEXT = ("\t\n" + "".join(map(chr, range(32, 127))).replace("#", "")).encode()
+_PLAIN_TEXT = ("\t\n\r" + "".join(map(chr, range(32, 127)))).encode()
+# a line that is neither blank nor a whole-line comment
+_DATA_LINE = re.compile(rb"(?:\A|[\r\n])[ \t]*[^#\s]")
+_PRESCAN_CHUNK = 1 << 20  # bytes
 # canonical ids have at most 18 digits, so they fit int64; the byte field is
 # one wider, so a field loadtxt cut to the width fills it and is declined
 _ID_DIGITS = 18
-_POW10 = 10 ** np.arange(_ID_DIGITS + 1, dtype=np.int64)
 
 
 def _parse_canonical(path: Path, schema: EdgeSchema):
     """`_parse_lines`'s result in one `np.loadtxt` pass, or None when the
-    input is not plain text with canonical integer ids (see `load_edge_list`)."""
+    input is not plain text with canonical integer ids (see `load_edge_list`).
+
+    A prescan of the raw bytes decides. numpy is then handed the path, not a
+    file object: only from a path does numpy 2.x read in blocks, where a
+    file object is read one Python line at a time (1.35x the time on a
+    500k-line file). It opens the path in text mode, so CR and CRLF end
+    lines, as in the per-line parser, and picks a decompressor by suffix:
+    `.gz` is gzip in both parsers, and the suffixes only numpy decompresses
+    (`.bz2`, `.xz`, `.lzma`) are declined before any read, so the per-line
+    parser reads such a file as plain text.
+    """
     delim = schema.delimiter
-    if delim is not None and (len(delim) != 1 or delim == "\n"
+    if delim is not None and (len(delim) != 1 or delim in "\r\n#"
                               or delim.encode() not in _PLAIN_TEXT):
         return None
+    if os.path.splitext(path)[1] in (".bz2", ".xz", ".lzma"):
+        return None  # numpy would decompress these; the per-line parser would not
     dtype = np.dtype([(c, f"S{_ID_DIGITS + 1}" if c in ("src", "dst") else "f8")
                       for c in schema.columns])
     try:
-        with _open_text(path) as fh:
-            blank = True
-            for chunk in iter(lambda: fh.read(1 << 20), ""):
-                if not chunk.isascii() or chunk.encode().translate(None, _PLAIN_TEXT):
-                    return None
-                blank = blank and chunk.isspace()
-            if blank:
-                return None  # loadtxt would warn and return no rows
-            fh.seek(0)
-            rows = np.loadtxt(fh, dtype=dtype, delimiter=delim, comments=None,
-                              quotechar=None, ndmin=1)
+        if not _plain_text_with_data(path):
+            return None
+        rows = np.loadtxt(os.fspath(path), dtype=dtype, delimiter=delim, comments="#",
+                          quotechar=None, ndmin=1, encoding="ascii")
     except (ValueError, OSError, EOFError, zlib.error):
         return None
     ts = rows["timestamp"]
@@ -424,14 +436,48 @@ def _parse_canonical(path: Path, schema: EdgeSchema):
             np.ascontiguousarray(ts), node_count)
 
 
+def _plain_text_with_data(path: Path) -> bool:
+    """Whether the edge file holds only `_PLAIN_TEXT` bytes, has a '#' only
+    as the first byte of a line (a whole-line comment) and has at least one
+    line that is neither blank nor a comment (else loadtxt would warn and
+    return no rows). It is read in `_PRESCAN_CHUNK` byte chunks."""
+    line_start, head, data = True, b"", False
+    with _open_text(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_PRESCAN_CHUNK), b""):
+            if chunk.translate(None, _PLAIN_TEXT):
+                return False
+            if b"#" in chunk and chunk.count(b"#") != (
+                    chunk.count(b"\n#") + chunk.count(b"\r#")
+                    + (line_start and chunk[:1] == b"#")):
+                return False
+            line_start = chunk[-1:] in (b"\n", b"\r")
+            if not data:  # head: the first byte of the line the last chunk cut
+                text = head + chunk
+                data = _DATA_LINE.search(text) is not None
+                cut = max(text.rfind(b"\n"), text.rfind(b"\r")) + 1
+                head = text[cut:cut + 1]
+    return data
+
+
+def _byte_rows(fields: np.ndarray) -> np.ndarray | None:
+    """The used byte positions of (n, width) NUL-padded fields as (used, n)
+    contiguous rows, or None when all are used: such a field may have been
+    cut. The text has no NUL, so the used positions are a prefix, ending
+    before the first all-NUL one."""
+    rows = np.empty(fields.shape[::-1], dtype=np.uint8)
+    for width in range(fields.shape[1]):
+        rows[width] = fields[:, width]
+        if not rows[width].any():
+            return rows[:width].copy()  # frees the unused rows on return
+    return None
+
+
 def _canonical_ints(fields: np.ndarray) -> np.ndarray | None:
     """int64 values of (n, width) NUL-padded byte fields that are canonical
     decimal integers between optional spaces and tabs, or None if any is not."""
-    # the text has no NUL, so the used byte positions are a prefix
-    width = np.count_nonzero(fields.max(axis=0))
-    if width == fields.shape[1]:
-        return None  # a field as wide as the buffer may have been cut
-    cols = np.ascontiguousarray(fields[:, :width].T)  # one row per byte position
+    cols = _byte_rows(fields)
+    if cols is None:
+        return None
     digit = cols - np.uint8(ord("0"))
     is_digit = digit < 10
     run_start = is_digit.copy()
@@ -440,14 +486,13 @@ def _canonical_ints(fields: np.ndarray) -> np.ndarray | None:
             and (run_start.sum(axis=0, dtype=np.uint8) == 1).all()  # one digit run
             and not (run_start[:-1] & (digit[:-1] == 0) & is_digit[1:]).any()):
         return None
-    digit[~is_digit] = 0
+    digit *= is_digit
+    scale = is_digit * np.uint8(9) + np.uint8(1)  # 10 at a digit, 1 at a blank
     value = np.zeros(cols.shape[1], dtype=np.int64)
-    for row in digit:  # Horner over byte positions, blanks read as zeros
-        value *= 10
-        value += row
-    # the blanks after the digits were read as trailing zeros
-    run_end = (is_digit * np.arange(1, width + 1, dtype=np.uint8)[:, None]).max(axis=0)
-    return value // _POW10[width - run_end]
+    for d, m in zip(digit, scale):  # Horner over byte positions, skipping blanks
+        value *= m
+        value += d
+    return value
 
 
 def _first_appearance_ids(keys: np.ndarray) -> tuple[np.ndarray, int]:

@@ -7,6 +7,7 @@ input; and it must be the path a clean canonical-integer file takes.
 
 import gzip
 import math
+import os
 
 import numpy as np
 import pytest
@@ -113,6 +114,10 @@ TAKEN = [
     ("reordered", "5;2;1;1\n6;3;1;2\n", REORDERED),
     ("tab-delimited", "1\t2\t1\t5\n2\t3\t1\t6\n",
      sn.EdgeSchema(delimiter="\t", columns=sn.EDGE_COLUMNS)),
+    ("comment-line", "# header\n1,2,1,5\n", None),
+    ("comment-crlf", "# a, b\r\n1,2,1,5\r\n#\r\n2,3,1,6\r\n# end", None),
+    ("comment-cr-only", "# a\r1,2,1,5\r# b\r2,3,1,6\r", None),
+    ("ws-comment", "# a b c d\n1 2 1 5\n", WS),
 ]
 
 # inputs it declines and leaves to the per-line parser
@@ -139,18 +144,19 @@ DECLINED = [
     ("overflowing-timestamp", "1,2,1,1e400\n", None),
     ("text-timestamp", "1,2,1,oops\n", None),
     ("whitespace-only-line", "1,2,1,5\n   \n2,3,1,6\n", None),
-    ("comment-line", "# header\n1,2,1,5\n", None),
     ("indented-comment", "1,2,1,5\n  # note\n", None),
     ("mid-line-hash", "1,2,1,5 # note\n", None),
     ("empty-file", "", None),
     ("only-blank-lines", "\n\n\n", None),
+    ("only-comments", "# a\n\n#1,2,1,5\r\n#", None),
+    ("hash-inside-comment", "# a # b\n1,2,1,5\n", None),
+    ("hash-delimiter", "1#2#1#5\n", sn.EdgeSchema(delimiter="#", columns=sn.EDGE_COLUMNS)),
     ("too-few-fields", "1,2,1,5\n1,2\n", None),
     ("too-many-fields", "1,2,1,5,9\n", None),
     ("trailing-delimiter", "1,2,1,5,\n", None),
     ("separator-char-in-float", "1,2,1\x1c,5\n", None),
     ("form-feed-in-float", "1,2,\x0c1,5\n", None),
     ("nul-in-id", "1\x00,2,1,5\n1,2,1,6\n", None),
-    ("ws-comment", "# a b c d\n1 2 1 5\n", WS),
     ("ws-too-few-fields", "1 2 1\n", WS),
     ("ws-unicode-space", "1\u20032 1 5\n", WS),
     ("multi-char-delimiter", "1::2::1::5\n",
@@ -164,7 +170,7 @@ def ids(cases):
 
 
 @pytest.mark.parametrize("name,text,schema", TAKEN + DECLINED, ids=ids(TAKEN + DECLINED))
-@pytest.mark.parametrize("suffix", [".csv", ".csv.gz"])
+@pytest.mark.parametrize("suffix", [".csv", ".csv.gz", ".csv.bz2", ".csv.xz"])
 def test_matches_the_per_line_parser(tmp_path, name, text, schema, suffix):
     path = write(tmp_path, text, "edges" + suffix)
     assert_same_as_reference(path, schema or sn.EdgeSchema())
@@ -197,6 +203,58 @@ def test_declined_files_reach_the_per_line_parser(tmp_path, monkeypatch,
     monkeypatch.setattr(sn, "_parse_lines", counting)
     outcome(sn.load_edge_list, path, schema or sn.EdgeSchema())
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("suffix", [".bz2", ".xz", ".lzma"])
+def test_suffixes_only_numpy_decompresses_are_declined(tmp_path, suffix):
+    # numpy's opener would read these names through bz2 or lzma, the per-line
+    # parser reads them as plain text
+    path = write(tmp_path, "1,2,1,5\n2,3,1,6\n", "edges.csv" + suffix)
+    assert sn._parse_canonical(path, sn.EdgeSchema()) is None
+    assert_same_as_reference(path)
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".csv.gz"])
+def test_loadtxt_is_handed_a_path(tmp_path, monkeypatch, suffix):
+    # numpy reads in blocks only from a path; a file object or an iterator of
+    # lines is read one Python line at a time
+    path = write(tmp_path, "1,2,1,5\n2,3,1,6\n", "edges" + suffix)
+    seen = []
+    real = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        seen.append(fname)
+        return real(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    assert sn._parse_canonical(path, sn.EdgeSchema()) is not None
+    assert len(seen) == 1 and isinstance(seen[0], (str, os.PathLike))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8])
+def test_prescan_chunk_boundaries(tmp_path, monkeypatch, chunk):
+    # every case decides the same with the prescan cut at every few bytes
+    for name, text, schema in TAKEN + DECLINED:
+        schema = schema or sn.EdgeSchema()
+        path = write(tmp_path, text)
+        taken = sn._parse_canonical(path, schema) is not None
+        with monkeypatch.context() as m:
+            m.setattr(sn, "_PRESCAN_CHUNK", chunk)
+            assert (sn._parse_canonical(path, schema) is not None) == taken, name
+            assert_same_as_reference(path, schema)
+
+
+@pytest.mark.parametrize("text,taken", [
+    ("1,2,1,5\n" * (sn._PRESCAN_CHUNK // 8) + "# tail\n2,3,1,6\n", True),
+    ("1,2,1,5\n" * (sn._PRESCAN_CHUNK // 8 - 1) + "1,2,1,5 # tail\n", False),
+    ("#" + "x" * (sn._PRESCAN_CHUNK + 8) + "\n1,2,1,5\n", True),
+    ("#" + "x" * (sn._PRESCAN_CHUNK - 1) + "1,2,1,5\n", False),  # only a comment
+], ids=["comment-at-the-boundary", "mid-line-hash-at-the-boundary",
+        "comment-across-the-boundary", "comment-cut-into-a-data-look"])
+def test_one_mebibyte_boundary(tmp_path, text, taken):
+    path = write(tmp_path, text)
+    assert (sn._parse_canonical(path, sn.EdgeSchema()) is not None) == taken
+    assert_same_as_reference(path)
 
 
 def test_passed_fingerprint_is_kept(tmp_path):
