@@ -9,7 +9,12 @@ Each run owns a directory under the run root; it holds one copy of each fact:
     seed<k>/model.npz     the final `evaluate.RunState`: both models, node state, step
 
 A run whose report.json holds its config fingerprint is complete and is
-skipped unless forced. Parsed datasets are cached under <run root>/.cache.
+skipped unless forced. Parsed datasets are cached under <run root>/.cache:
+
+    <key>.npz             one partitioned dataset, keyed by `snapshots.cache_key`
+                          on the file's content, period and schema
+    fingerprints.json     each dataset path's file identity and content
+                          fingerprint, so a warm load skips the hash
 """
 
 from __future__ import annotations
@@ -35,8 +40,31 @@ from .snapshots import (DAMAGED_ARCHIVE_ERRORS, EdgeSchema, cache_key, file_fing
 STEP_SCHEMA = {"schema_version": ev.REPORT_SCHEMA_VERSION}
 
 
+FINGERPRINT_INDEX = "fingerprints.json"
+# how long before its hash a file must have last changed to be recorded
+SETTLED_NS = 2_000_000_000
+
+
 def load_dataset(cfg: ExperimentConfig, cache_dir: Path):
     """Ingest (or reuse a cached partition of) the configured dataset.
+
+    The cache is keyed by the file's content (`file_fingerprint` hashes the
+    whole file), so identical files at different paths share one archive.
+    A warm load reads the fingerprint from `FINGERPRINT_INDEX` in
+    `cache_dir` instead: it maps each resolved dataset path to the file's
+    (st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns) and fingerprint, and
+    an entry counts only when all five equal the file's stat now. Like make
+    and git's index, this trusts that a changed file has a changed stat;
+    `os.utime` can set an old mtime back, but not the ctime.
+
+    An entry is recorded after a successful load, only when the stat held
+    still over the hash and the file last changed at least `SETTLED_NS`
+    (2 s) before the hash started, so that no later write can share the
+    stat's timestamp tick: 2 s is FAT's mtime tick, the coarsest of a common
+    filesystem (ext3 and HFS+ store whole seconds, others a clock tick of a
+    few ms). A freshly written file is hashed until then. An unreadable or
+    malformed index counts as empty and is rewritten; deleting it forces a
+    re-hash.
 
     A cached archive that cannot be read, or whose arrays `DynamicGraph`
     rejects, is a cache miss: the dataset is ingested again and the archive
@@ -46,17 +74,50 @@ def load_dataset(cfg: ExperimentConfig, cache_dir: Path):
     path = Path(cfg.dataset)
     if not path.is_file():
         raise ConfigError("dataset", f"not a file: {path}")
-    fingerprint = file_fingerprint(path)
+    index_path, name = cache_dir / FINGERPRINT_INDEX, str(path.resolve())
+    index, identity = _read_index(index_path), _identity(path)
+    recorded = index.get(name)
+    if isinstance(recorded, list) and recorded[:-1] == identity \
+            and isinstance(recorded[-1], str):
+        fingerprint, index = recorded[-1], None  # nothing to record
+    else:
+        started = time.time_ns()
+        fingerprint = file_fingerprint(path)
+        index.pop(name, None)
+        if _identity(path) == identity and max(identity[3:]) + SETTLED_NS <= started:
+            index[name] = [*identity, fingerprint]
     cache_path = cache_dir / f"{cache_key(fingerprint, cfg.frequency, schema)}.npz"
+    g = None
     if cache_path.exists():
         try:
-            return load_snapshot_cache(cache_path)
+            g = load_snapshot_cache(cache_path)
         except DAMAGED_ARCHIVE_ERRORS:
             pass
-    g = partition_snapshots(load_edge_list(path, schema, fingerprint), cfg.frequency)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    save_snapshot_cache(cache_path, g)
+    if g is None:
+        g = partition_snapshots(load_edge_list(path, schema, fingerprint), cfg.frequency)
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        save_snapshot_cache(cache_path, g)
+    if index is not None:
+        try:
+            _atomic_write(index_path, json.dumps(index, sort_keys=True, indent=1) + "\n")
+        except OSError:
+            pass  # the index only saves a hash; a cache it cannot be written to still loads
     return g
+
+
+def _identity(path: Path) -> list[int]:
+    st = path.stat()
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _read_index(path: Path) -> dict:
+    """The fingerprint index at `path`; a missing, unreadable or malformed
+    one is empty."""
+    try:
+        index = json.loads(path.read_text())
+    except (OSError, ValueError, RecursionError):  # unreadable, not UTF-8 or not JSON
+        return {}
+    return index if isinstance(index, dict) else {}
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -583,7 +583,7 @@ def partition_snapshots(edges: TemporalEdgeList,
     # binning and this division can disagree by one ulp at boundaries
     tnorm = np.clip((edges.timestamp - (start + bins * period)) / period,
                     0.0, np.nextafter(1.0, 0.0))
-    freq_name = frequency if isinstance(frequency, str) else f"{period:g}s"
+    freq_name = frequency if isinstance(frequency, str) else f"{period:.17g}s"
     return DynamicGraph(offsets, edges.src.copy(), edges.dst.copy(),
                         np.column_stack([edges.weight, tnorm]),
                         start, period, edges.node_count,
@@ -734,8 +734,10 @@ def replacing(path: Path):
 def cache_key(source_fingerprint: str, frequency: str | int | float,
               schema: EdgeSchema | None = None) -> str:
     """Cache file stem for one (source, period, schema); the archive format
-    is part of the key, so an archive of another format is never opened."""
-    raw = (f"{CACHE_FORMAT}|{source_fingerprint}|{period_seconds(frequency):g}"
+    is part of the key, so an archive of another format is never opened.
+    The period is written with 17 significant digits, which round-trip every
+    float, so two periods never share a key."""
+    raw = (f"{CACHE_FORMAT}|{source_fingerprint}|{period_seconds(frequency):.17g}"
            f"|{schema.tag() if schema else ''}")
     return hashlib.sha256(raw.encode()).hexdigest()[:20]
 

@@ -154,7 +154,9 @@ def test_ingest_rebuilds_a_damaged_cache_archive(twelve_window_file, tmp_path, c
             "--run-root", str(tmp_path / "runs")]
     assert main(argv) == 0
     first = capsys.readouterr().out
-    (archive,) = (tmp_path / "runs" / ".cache").iterdir()
+    cache = tmp_path / "runs" / ".cache"
+    (archive,) = cache.glob("*.npz")
+    assert sorted(p.name for p in cache.iterdir()) == [archive.name, "fingerprints.json"]
     archive.write_bytes(archive.read_bytes()[:100])
     assert main(argv) == 0
     assert capsys.readouterr().out == first

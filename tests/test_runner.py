@@ -1,6 +1,9 @@
 """Contract tests for run directories written by the runner."""
 
 import json
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -99,7 +102,8 @@ def test_load_dataset_never_opens_an_archive_of_the_old_format(tmp_path, monkeyp
                         lambda p: opened.append(Path(p).name) or real(p))
     g = load_dataset(cfg, cache_dir=cache)
     assert opened == []
-    assert sorted(p.name for p in cache.iterdir()) == sorted([f"{key}.npz", old.name])
+    assert sorted(p.name for p in cache.iterdir()) == sorted([f"{key}.npz", old.name,
+                                                              "fingerprints.json"])
     assert old.read_bytes() == b"an archive in another format"
     warm = load_dataset(cfg, cache_dir=cache)
     assert opened == [f"{key}.npz"]
@@ -149,7 +153,8 @@ def test_damaged_archive_is_a_cache_miss_and_is_rewritten(tmp_path, monkeypatch,
     cfg = ExperimentConfig(dataset=str(path), frequency="1000")
     cache = tmp_path / ".cache"
     load_dataset(cfg, cache_dir=cache)
-    (archive,) = cache.iterdir()
+    (archive,) = cache.glob("*.npz")
+    assert sorted(p.name for p in cache.iterdir()) == [archive.name, "fingerprints.json"]
     damage(archive)
 
     ingests = []
@@ -162,7 +167,7 @@ def test_damaged_archive_is_a_cache_miss_and_is_rewritten(tmp_path, monkeypatch,
     monkeypatch.setattr(runner, "load_edge_list", counting)
     g = load_dataset(cfg, cache_dir=cache)
     assert len(ingests) == 1
-    assert [p.name for p in cache.iterdir()] == [archive.name]
+    assert sorted(p.name for p in cache.iterdir()) == [archive.name, "fingerprints.json"]
     warm = load_dataset(cfg, cache_dir=cache)
     assert len(ingests) == 1  # the rewritten archive is a cache hit
     fresh = fresh_graph(cfg)
@@ -181,6 +186,195 @@ def test_damaged_archive_does_not_hide_a_parse_error(tmp_path):
     archive.write_bytes(b"not a zip archive")
     with pytest.raises(ParseError, match="line 2"):
         load_dataset(cfg, cache_dir=cache)
+
+
+def edge_file(path, seed=4):
+    """Five windows of width 1000."""
+    synthetic.write_edge_file(path, synthetic.generate_edges(
+        n_nodes=30, n_steps=5, edges_per_step=40, period=1000.0, seed=seed))
+    return path
+
+
+def counting(monkeypatch, module, name):
+    """Count the calls of `module.name` from here on."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def read_index(cache):
+    return json.loads((cache / "fingerprints.json").read_text())
+
+
+def index_entry(path):
+    st = path.stat()
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns,
+            file_fingerprint(path)]
+
+
+@pytest.fixture
+def settle(monkeypatch):
+    """Shorten the settling margin to 50 ms, still above the few-ms
+    timestamp tick of the file systems tests write to; calling the returned
+    function waits until the files written so far have settled."""
+    monkeypatch.setattr(runner, "SETTLED_NS", 50_000_000)
+    return lambda: time.sleep(0.06)
+
+
+def test_a_warm_load_reads_the_fingerprint_from_the_index(tmp_path, monkeypatch, settle):
+    path = edge_file(tmp_path / "edges.csv")
+    settle()
+    cfg = ExperimentConfig(dataset=str(path), frequency="1000")
+    cache = tmp_path / ".cache"
+    hashes = counting(monkeypatch, runner, "file_fingerprint")
+    load_dataset(cfg, cache_dir=cache)
+    assert len(hashes) == 1  # a cold load hashes
+    assert read_index(cache) == {str(path.resolve()): index_entry(path)}
+    warm = load_dataset(cfg, cache_dir=cache)
+    assert len(hashes) == 1
+    assert_same_graph(fresh_graph(cfg), warm)
+
+
+def test_a_same_size_rewrite_under_the_old_mtime_is_hashed_again(tmp_path, settle):
+    path = edge_file(tmp_path / "edges.csv")
+    settle()
+    cfg = ExperimentConfig(dataset=str(path), frequency="1000")
+    cache = tmp_path / ".cache"
+    old = load_dataset(cfg, cache_dir=cache)
+    before = path.stat()
+    assert read_index(cache) == {str(path.resolve()): index_entry(path)}
+    # each edge reversed: the same size, another graph; then the old mtime back
+    path.write_text("".join(f"{d},{s},{rest}" for s, d, rest in (
+        line.split(",", 2) for line in path.read_text().splitlines(keepends=True))))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == \
+        (before.st_ino, before.st_size, before.st_mtime_ns)
+    assert after.st_ctime_ns != before.st_ctime_ns  # os.utime moves the ctime
+    new = load_dataset(cfg, cache_dir=cache)
+    assert_same_graph(fresh_graph(cfg), new)
+    assert new.source_fingerprint == file_fingerprint(path) != old.source_fingerprint
+    assert read_index(cache) == {}  # the stale entry goes; the rewrite is too recent
+
+
+def test_a_file_that_changed_within_the_margin_is_not_recorded(tmp_path, monkeypatch):
+    path = edge_file(tmp_path / "edges.csv")
+    an_hour_ago = time.time_ns() - 3600 * 10**9
+    os.utime(path, ns=(an_hour_ago, an_hour_ago))  # the ctime stays recent
+    cfg = ExperimentConfig(dataset=str(path), frequency="1000")
+    cache = tmp_path / ".cache"
+    hashes = counting(monkeypatch, runner, "file_fingerprint")
+    load_dataset(cfg, cache_dir=cache)
+    assert read_index(cache) == {}
+    warm = load_dataset(cfg, cache_dir=cache)
+    assert len(hashes) == 2
+    assert read_index(cache) == {}
+    assert_same_graph(fresh_graph(cfg), warm)
+
+
+def test_a_file_that_changed_while_it_was_hashed_is_not_recorded(tmp_path, monkeypatch,
+                                                                 settle):
+    path = edge_file(tmp_path / "edges.csv")
+    settle()
+    cfg = ExperimentConfig(dataset=str(path), frequency="1000")
+    cache = tmp_path / ".cache"
+
+    def touching(p):
+        os.utime(p)
+        return file_fingerprint(p)
+
+    monkeypatch.setattr(runner, "file_fingerprint", touching)
+    load_dataset(cfg, cache_dir=cache)
+    assert read_index(cache) == {}
+
+
+@pytest.mark.parametrize("garbage", [
+    lambda p: b"\xff\xfe not text",
+    lambda p: b'{"cut": [1, 2',
+    lambda p: b"[1, 2]",
+    lambda p: b"[" * 100_000,  # too deep for the JSON decoder: RecursionError
+    lambda p: json.dumps({str(p.resolve()): ["not", "an", "identity"]}).encode(),
+    lambda p: json.dumps({str(p.resolve()): [*index_entry(p)[:5], 5]}).encode(),
+], ids=["undecodable", "cut", "not-a-dict", "too-deep", "bad-entry", "bad-fingerprint"])
+def test_a_malformed_index_is_hashed_again_and_rewritten(tmp_path, monkeypatch, settle,
+                                                         garbage):
+    path = edge_file(tmp_path / "edges.csv")
+    cfg = ExperimentConfig(dataset=str(path), frequency="1000")
+    cache = tmp_path / ".cache"
+    cache.mkdir()
+    (cache / "fingerprints.json").write_bytes(garbage(path))
+    settle()
+    hashes = counting(monkeypatch, runner, "file_fingerprint")
+    g = load_dataset(cfg, cache_dir=cache)
+    assert len(hashes) == 1
+    assert read_index(cache) == {str(path.resolve()): index_entry(path)}
+    load_dataset(cfg, cache_dir=cache)
+    assert len(hashes) == 1
+    assert_same_graph(fresh_graph(cfg), g)
+
+
+def test_two_paths_with_the_same_bytes_share_one_archive(tmp_path, monkeypatch, settle):
+    a = edge_file(tmp_path / "a.csv")
+    b = tmp_path / "b.csv"
+    b.write_bytes(a.read_bytes())
+    settle()
+    cache = tmp_path / ".cache"
+    ingests = counting(monkeypatch, runner, "load_edge_list")
+    ga, gb = (load_dataset(ExperimentConfig(dataset=str(p), frequency="1000"), cache_dir=cache)
+              for p in (a, b))
+    assert len(ingests) == 1
+    key = cache_key(file_fingerprint(a), "1000", EdgeSchema())
+    assert sorted(p.name for p in cache.iterdir()) == [f"{key}.npz", "fingerprints.json"]
+    assert read_index(cache) == {str(a.resolve()): index_entry(a),
+                                 str(b.resolve()): index_entry(b)}
+    assert_same_graph(ga, gb)
+
+
+def _load_and_parse_the_index(args):
+    """Grid-worker stand-in: load `dataset` `times` times into `cache` and
+    parse the index after each load. A worker that records its entry writes
+    the index until its entry survives the others' writes; one that records
+    none (an endless margin) writes it on every load, keeping the others'
+    entries it read."""
+    dataset, cache, times, records = args
+    runner.SETTLED_NS = 50_000_000 if records else 10**18
+    cfg = ExperimentConfig(dataset=dataset, frequency="1000")
+    for _ in range(times):
+        load_dataset(cfg, cache_dir=Path(cache))
+        json.loads((Path(cache) / "fingerprints.json").read_text())  # never torn
+    return times
+
+
+def test_concurrent_loads_never_tear_the_index(tmp_path, settle):
+    paths = [tmp_path / f"edges{i}.csv" for i in range(4)]  # more workers than cores
+    edge_file(paths[0])
+    for p in paths[1:]:
+        p.write_bytes(paths[0].read_bytes())
+    settle()
+    cache = tmp_path / ".cache"
+    load_dataset(ExperimentConfig(dataset=str(paths[0]), frequency="1000"), cache_dir=cache)
+    tasks = [(str(p), str(cache), 20, i % 2 == 0) for i, p in enumerate(paths)]
+    with multiprocessing.get_context("spawn").Pool(len(tasks)) as pool:
+        assert pool.map_async(_load_and_parse_the_index, tasks).get(timeout=120) == [20] * 4
+    index = read_index(cache)
+    assert set(index) <= {str(p.resolve()) for p in paths[::2]}
+    assert all(entry == index_entry(Path(name)) for name, entry in index.items())
+    key = cache_key(file_fingerprint(paths[0]), "1000", EdgeSchema())
+    assert sorted(p.name for p in cache.iterdir()) == [f"{key}.npz", "fingerprints.json"]
+
+
+def test_periods_that_agree_to_six_digits_do_not_share_an_archive(tmp_path):
+    path = edge_file(tmp_path / "edges.csv")
+    cache = tmp_path / ".cache"
+    for frequency in ("1000001", "1000002"):
+        cfg = ExperimentConfig(dataset=str(path), frequency=frequency)
+        g = load_dataset(cfg, cache_dir=cache)
+        assert g.period_seconds == float(frequency)
+        assert_same_graph(fresh_graph(cfg), g)
+    assert len(list(cache.glob("*.npz"))) == 2
+    edges = load_edge_list(path, EdgeSchema())
+    assert partition_snapshots(edges, 1000002.0).frequency == "1000002s"
 
 
 def _edge_file_with_empty_window(path):
@@ -323,8 +517,11 @@ def test_parallel_grid_matches_the_serial_grid(tmp_path, monkeypatch):
         returned = grid_search(base, axes)  # from a cold cache
         index = json.loads((root / "grid" / "index.json").read_text())
         assert index == returned
-        # both workers may ingest at once; one whole archive and no temporary remain
-        assert [p.suffix for p in (root / ".cache").iterdir()] == [".npz"]
+        # both workers may ingest and record at once; one whole archive, one
+        # whole index and no temporary remain
+        assert sorted(p.name for p in (root / ".cache").iterdir()) == [
+            f"{cache_key(file_fingerprint(path), '1000', EdgeSchema.parse(base.schema))}.npz",
+            "fingerprints.json"]
         for cell in [*index["cells"], index["best"]]:
             assert cell.pop("run_dir") == str(root / cell["cell"])
         indexes[workers] = index
