@@ -17,7 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
-from .errors import SnaplinkError
+from .errors import ConfigError, SnaplinkError
 from .evaluate import PROTOCOLS
 from .model import UPDATE_KINDS
 from .runner import emit_report, grid_search, load_dataset, run_experiment
@@ -70,8 +70,7 @@ def _build_config(args: argparse.Namespace, protocol: str | None) -> ExperimentC
 def cmd_ingest(args) -> int:
     cfg = _build_config(args, None)
     if not cfg.dataset:
-        print("ingest: dataset: a dataset path is required", file=sys.stderr)
-        return 2
+        raise ConfigError("dataset", "a dataset path is required")
     cache_dir = Path(cfg.run_root) / ".cache"
     g = load_dataset(cfg, cache_dir=cache_dir)
     print(f"dataset: {cfg.dataset}")

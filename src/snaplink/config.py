@@ -6,11 +6,14 @@ is read as a JSON string literal; `to_text` writes a string that way when
 its plain text would not load back (a ` #` in a path, say). Every field is
 typed and validated.
 
-Each key, its default and its range check are declared once, in the
-component that uses it: the architecture keys in `model.ModelConfig`, the
-fine-tuning keys in `train.TrainConfig`, and the protocol keys
-(`protocol`, `alpha`, `k_neg`, `val_fraction`, `test_fraction`) in
-`evaluate.RunConfig`. `ExperimentConfig` takes those keys flat, with their
+Each key and its default are declared once, in the component that uses
+it: the architecture keys in `model.ModelConfig`, the fine-tuning keys in
+`train.TrainConfig`, and the protocol keys (`protocol`, `alpha`, `k_neg`,
+`val_fraction`, `test_fraction`) in `evaluate.RunConfig`. Each component
+holds its keys' range checks. Three are made twice: the library entry points
+`snapshots.build_labels` check `k_neg` and `val_fraction` again, and
+`train.meta_update` checks `alpha` again, for callers that pass no
+`RunConfig`. `ExperimentConfig` takes the component keys flat, with their
 defaults, and declares only the data, seeds and execution keys itself.
 `to_run_config` projects the flat keys back onto the components.
 

@@ -368,21 +368,18 @@ def mrr(top_repr: np.ndarray, labels: LabelSet, model: ModelParams) -> float:
     scorer = PairScorer(top_repr, model)
     positives = labels.positives
     srcs, starts = np.unique(positives[:, 0], return_index=True)
+    bounds = [*starts.tolist(), len(positives)]
     total = 0.0
-    count = 0
-    n_pos = positives.shape[0]
-    for i, src in enumerate(srcs):
-        hi = starts[i + 1] if i + 1 < len(srcs) else n_pos
-        dsts = positives[starts[i]:hi, 1]
-        negs = labels.eval_negatives[int(src)]
-        scores = scorer.scores_against(int(src), np.concatenate([dsts, negs]))
+    for src, lo, hi in zip(srcs.tolist(), bounds, bounds[1:]):
+        dsts = positives[lo:hi, 1]
+        negs = labels.eval_negatives[src]
+        scores = scorer.scores_against(src, np.concatenate([dsts, negs]))
         pos_scores, neg_scores = scores[:len(dsts)], scores[len(dsts):]
         if not np.isfinite(pos_scores).all():
             raise NumericError(f"non-finite positive score at step {labels.step}")
         if negs.size == 0:
             # candidate pool was exhausted by positives; the positive ranks first
             total += float(len(dsts))
-            count += len(dsts)
             continue
         if not np.isfinite(neg_scores).all():
             raise NumericError(f"non-finite negative score at step {labels.step}")
@@ -390,8 +387,7 @@ def mrr(top_repr: np.ndarray, labels: LabelSet, model: ModelParams) -> float:
         ranks = 1 + (neg_scores[None, :] >= pos_scores[:, None]).sum(axis=1)
         for rank in ranks.tolist():
             total += 1.0 / rank
-        count += len(ranks)
-    return total / count
+    return total / len(positives)
 
 
 def _scores_var(top: dc.Var, pairs: np.ndarray, model: ModelParams) -> dc.Var:

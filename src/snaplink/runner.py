@@ -58,13 +58,21 @@ def load_dataset(cfg: ExperimentConfig, cache_dir: Path):
     `os.utime` can set an old mtime back, but not the ctime.
 
     An entry is recorded after a successful load, only when the stat held
-    still over the hash and the file last changed at least `SETTLED_NS`
+    still over the reads and the file last changed at least `SETTLED_NS`
     (2 s) before the hash started, so that no later write can share the
     stat's timestamp tick: 2 s is FAT's mtime tick, the coarsest of a common
     filesystem (ext3 and HFS+ store whole seconds, others a clock tick of a
     few ms). A freshly written file is hashed until then. An unreadable or
     malformed index counts as empty and is rewritten; deleting it forces a
     re-hash.
+
+    The stat is taken once before the file's first read and compared once
+    after its last: the hash on an archive hit, the parse on a miss. If it
+    moved, the graph that was read is returned, but no archive is written and
+    no entry recorded, so no graph is cached under another content's key. A
+    returned uncached graph keeps the fingerprint taken before the parse. A
+    same-size rewrite within one timestamp tick of a coarse-timestamp
+    filesystem is beyond what a stat can see, as for the index.
 
     A cached archive that cannot be read, or whose arrays `DynamicGraph`
     rejects, is a cache miss: the dataset is ingested again and the archive
@@ -84,8 +92,6 @@ def load_dataset(cfg: ExperimentConfig, cache_dir: Path):
         started = time.time_ns()
         fingerprint = file_fingerprint(path)
         index.pop(name, None)
-        if _identity(path) == identity and max(identity[3:]) + SETTLED_NS <= started:
-            index[name] = [*identity, fingerprint]
     cache_path = cache_dir / f"{cache_key(fingerprint, cfg.frequency, schema)}.npz"
     g = None
     if cache_path.exists():
@@ -93,11 +99,16 @@ def load_dataset(cfg: ExperimentConfig, cache_dir: Path):
             g = load_snapshot_cache(cache_path)
         except DAMAGED_ARCHIVE_ERRORS:
             pass
-    if g is None:
+    parsed = g is None
+    if parsed:
         g = partition_snapshots(load_edge_list(path, schema, fingerprint), cfg.frequency)
         cache_dir.mkdir(parents=True, exist_ok=True)
+    held = _identity(path) == identity  # the file did not change while it was read
+    if parsed and held:
         save_snapshot_cache(cache_path, g)
     if index is not None:
+        if held and max(identity[3:]) + SETTLED_NS <= started:
+            index[name] = [*identity, fingerprint]
         try:
             _atomic_write(index_path, json.dumps(index, sort_keys=True, indent=1) + "\n")
         except OSError:

@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 import os
-import re
+import warnings
 import zipfile
 import zlib
 from contextlib import contextmanager
@@ -376,8 +376,6 @@ def _parse_lines(path: Path, schema: EdgeSchema):
 # keeps out NUL (a byte-string field drops trailing NULs) and the separators
 # \x1c-\x1f, which numpy strips around a float and Python's float() rejects.
 _PLAIN_TEXT = ("\t\n\r" + "".join(map(chr, range(32, 127)))).encode()
-# a line that is neither blank nor a whole-line comment
-_DATA_LINE = re.compile(rb"(?:\A|[\r\n])[ \t]*[^#\s]")
 _PRESCAN_CHUNK = 1 << 20  # bytes
 # canonical ids have at most 18 digits, so they fit int64; the byte field is
 # one wider, so a field loadtxt cut to the width fills it and is declined
@@ -388,10 +386,11 @@ def _parse_canonical(path: Path, schema: EdgeSchema):
     """`_parse_lines`'s result in one `np.loadtxt` pass, or None when the
     input is not plain text with canonical integer ids (see `load_edge_list`).
 
-    A prescan of the raw bytes decides. numpy is then handed the path, not a
-    file object: only from a path does numpy 2.x read in blocks, where a
-    file object is read one Python line at a time (1.35x the time on a
-    500k-line file). It opens the path in text mode, so CR and CRLF end
+    A prescan of the raw bytes decides, and a file in which numpy finds no
+    row is declined. numpy is handed the path, not a file object: only from
+    a path does numpy 2.x read in blocks, where a file object is read one
+    Python line at a time (1.35x the time on a 500k-line file). It opens
+    the path in text mode, so CR and CRLF end
     lines, as in the per-line parser, and picks a decompressor by suffix:
     `.gz` is gzip in both parsers, and the suffixes only numpy decompresses
     (`.bz2`, `.xz`, `.lzma`) are declined before any read, so the per-line
@@ -406,14 +405,16 @@ def _parse_canonical(path: Path, schema: EdgeSchema):
     dtype = np.dtype([(c, f"S{_ID_DIGITS + 1}" if c in ("src", "dst") else "f8")
                       for c in schema.columns])
     try:
-        if not _plain_text_with_data(path):
+        if not _plain_text(path):
             return None
-        rows = np.loadtxt(os.fspath(path), dtype=dtype, delimiter=delim, comments="#",
-                          quotechar=None, ndmin=1, encoding="ascii")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(os.fspath(path), dtype=dtype, delimiter=delim, comments="#",
+                              quotechar=None, ndmin=1, encoding="ascii")
     except (ValueError, OSError, EOFError, zlib.error):
         return None
     ts = rows["timestamp"]
-    if not (np.isfinite(ts).all() and (ts >= 0).all()):
+    if not (rows.size and np.isfinite(ts).all() and (ts >= 0).all()):
         return None
     if "weight" in dtype.names:
         weight = rows["weight"]
@@ -436,12 +437,11 @@ def _parse_canonical(path: Path, schema: EdgeSchema):
             np.ascontiguousarray(ts), node_count)
 
 
-def _plain_text_with_data(path: Path) -> bool:
-    """Whether the edge file holds only `_PLAIN_TEXT` bytes, has a '#' only
-    as the first byte of a line (a whole-line comment) and has at least one
-    line that is neither blank nor a comment (else loadtxt would warn and
-    return no rows). It is read in `_PRESCAN_CHUNK` byte chunks."""
-    line_start, head, data = True, b"", False
+def _plain_text(path: Path) -> bool:
+    """Whether the edge file holds only `_PLAIN_TEXT` bytes and has a '#'
+    only as the first byte of a line (a whole-line comment). It is read in
+    `_PRESCAN_CHUNK` byte chunks."""
+    line_start = True
     with _open_text(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(_PRESCAN_CHUNK), b""):
             if chunk.translate(None, _PLAIN_TEXT):
@@ -451,12 +451,7 @@ def _plain_text_with_data(path: Path) -> bool:
                     + (line_start and chunk[:1] == b"#")):
                 return False
             line_start = chunk[-1:] in (b"\n", b"\r")
-            if not data:  # head: the first byte of the line the last chunk cut
-                text = head + chunk
-                data = _DATA_LINE.search(text) is not None
-                cut = max(text.rfind(b"\n"), text.rfind(b"\r")) + 1
-                head = text[cut:cut + 1]
-    return data
+    return True
 
 
 def _byte_rows(fields: np.ndarray) -> np.ndarray | None:
@@ -629,17 +624,17 @@ def build_labels(g: DynamicGraph, t: int, val_fraction: float, k_neg: int,
 
     n_nodes = g.node_count
     eval_negatives: dict[int, np.ndarray] = {}
-    srcs, src_starts = np.unique(positives[:, 0], return_index=True)
-    for i, src in enumerate(srcs):
-        hi = src_starts[i + 1] if i + 1 < len(srcs) else n_pos
-        pos_dsts = positives[src_starts[i]:hi, 1]  # sorted, unique
+    srcs, starts = np.unique(positives[:, 0], return_index=True)
+    bounds = [*starts.tolist(), n_pos]
+    for src, lo, hi in zip(srcs.tolist(), bounds, bounds[1:]):
+        pos_dsts = positives[lo:hi, 1]  # sorted, unique
         pool_size = n_nodes - pos_dsts.size
         ranks = rng.choice(pool_size, size=min(k_neg, pool_size), replace=False)
         # pos_dsts[j] - j pool nodes lie below pos_dsts[j], so the positives
         # below the rank-th pool node are those with pos_dsts[j] - j <= rank
         below = np.searchsorted(pos_dsts - np.arange(pos_dsts.size), ranks,
                                 side="right")
-        eval_negatives[int(src)] = ranks + below
+        eval_negatives[src] = ranks + below
     return LabelSet(t, positives, train_pos, val_pos, eval_negatives)
 
 

@@ -4,6 +4,7 @@ import gzip
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from snaplink import synthetic
@@ -85,7 +86,9 @@ def flipped(data: bytes, lo: int, hi: int) -> bytes:
      "unreadable text"),  # cut short: EOFError
     ("ingest", "edges.csv.gz", lambda p: p.write_bytes(flipped(gzip_edges(), 20, 60)),
      "unreadable text"),  # a corrupt deflate stream: zlib.error
-], ids=["missing", "directory", "undecodable", "not-gzip", "cut-gzip", "corrupt-gzip"])
+    ("ingest", "edges.csv", lambda p: p.write_bytes(b"# header\n"), "no edges found"),
+], ids=["missing", "directory", "undecodable", "not-gzip", "cut-gzip", "corrupt-gzip",
+        "only-a-comment"])
 def test_malformed_dataset_exits_2_with_one_line(tmp_path, capsys, monkeypatch, verb, name,
                                                  make, message):
     monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
@@ -262,3 +265,47 @@ def test_run_live_replaces_a_report_that_is_not_a_run_report(twelve_window_file,
     assert main(run_live_argv(twelve_window_file, runs)) == 0
     report = json.loads((runs / "r" / "report.json").read_text())
     assert report["seeds"] == [1] and report["protocol"] == "live_update"
+
+
+def test_synth_writes_a_file_that_ingest_reads_back(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    path = tmp_path / "f.csv"
+    argv = ["synth", "--out", str(path), "--nodes", "40", "--steps", "5",
+            "--edges-per-step", "30", "--period", "1000"]
+    assert main(argv) == 0
+    made = synthetic.generate_edges(n_nodes=40, n_steps=5, edges_per_step=30,
+                                    period=1000.0, seed=0)
+    assert capsys.readouterr().out == f"wrote {len(made)} edges over 40 nodes to {path}\n"
+    argv = ["ingest", "--dataset", str(path), "--frequency", "1000",
+            "--run-root", str(tmp_path / "runs")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    endpoints = np.unique(np.concatenate([made.src, made.dst]))  # the nodes with an edge
+    assert out[1:4] == [f"nodes: {endpoints.size}", f"edges: {len(made)}", "snapshots: 5 (1000)"]
+
+
+def test_grid_prints_its_best_cell(twelve_window_file, tmp_path, capsys):
+    argv = ["grid", "--dataset", str(twelve_window_file), "--run-root", str(tmp_path / "runs"),
+            "--frequency", "1000", "--seeds", "0", "--k-neg", "5", "--set", "hidden_dim=4",
+            "--set", "max_epochs=1", "--axis", "alpha=0.5,1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "grid: 2 cells, 0 failed"
+    assert out[1].startswith("best cell: ") and "overrides={'alpha': " in out[1]
+    assert out[2].startswith("  val MRR ") and " -> test MRR " in out[2]
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["ingest"], "ingest: dataset: a dataset path is required"),
+    (["run-live", "--set", "alpha"], "run-live: --set expects KEY=VALUE, got 'alpha'"),
+    (["grid", "--axis", "alpha"], "grid: --axis expects KEY=V1,V2,..., got 'alpha'"),
+    (["grid"], "grid: grid needs at least one --axis"),
+], ids=["ingest-without-dataset", "set-without-equals", "axis-without-equals",
+        "grid-without-axis"])
+def test_a_command_line_it_cannot_use_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                                             argv, line):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    runs = tmp_path / "runs"
+    assert main([*argv, "--run-root", str(runs)]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not runs.exists()

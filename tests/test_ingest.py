@@ -8,6 +8,7 @@ input; and it must be the path a clean canonical-integer file takes.
 import gzip
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,7 @@ DECLINED = [
     ("empty-file", "", None),
     ("only-blank-lines", "\n\n\n", None),
     ("only-comments", "# a\n\n#1,2,1,5\r\n#", None),
+    ("ws-only-comments", "# a\n\n", WS),
     ("hash-inside-comment", "# a # b\n1,2,1,5\n", None),
     ("hash-delimiter", "1#2#1#5\n", sn.EdgeSchema(delimiter="#", columns=sn.EDGE_COLUMNS)),
     ("too-few-fields", "1,2,1,5\n1,2\n", None),
@@ -203,6 +205,20 @@ def test_declined_files_reach_the_per_line_parser(tmp_path, monkeypatch,
     monkeypatch.setattr(sn, "_parse_lines", counting)
     outcome(sn.load_edge_list, path, schema or sn.EdgeSchema())
     assert len(calls) == 1
+
+
+NO_EDGES = [c for c in DECLINED
+            if c[0] in ("empty-file", "only-blank-lines", "only-comments", "ws-only-comments")]
+
+
+@pytest.mark.parametrize("name,text,schema", NO_EDGES, ids=ids(NO_EDGES))
+@pytest.mark.parametrize("suffix", [".csv", ".csv.gz"])
+def test_a_file_with_no_edges_raises_no_numpy_warning(tmp_path, name, text, schema, suffix):
+    path = write(tmp_path, text, "edges" + suffix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would raise in place of EmptyInputError
+        with pytest.raises(EmptyInputError, match="no edges found"):
+            sn.load_edge_list(path, schema or sn.EdgeSchema())
 
 
 @pytest.mark.parametrize("suffix", [".bz2", ".xz", ".lzma"])

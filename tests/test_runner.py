@@ -289,6 +289,32 @@ def test_a_file_that_changed_while_it_was_hashed_is_not_recorded(tmp_path, monke
     assert read_index(cache) == {}
 
 
+def test_a_file_rewritten_between_its_hash_and_its_parse_caches_nothing(tmp_path, monkeypatch,
+                                                                        settle):
+    a, b, c = (tmp_path / f"{n}.csv" for n in "abc")
+    edge_file(a)
+    synthetic.write_edge_file(b, synthetic.generate_edges(  # another graph, another size
+        n_nodes=40, n_steps=5, edges_per_step=60, period=1000.0, seed=5))
+    c.write_bytes(a.read_bytes())
+    settle()
+    cache = tmp_path / ".cache"
+    real = runner.load_edge_list
+
+    def rewritten_first(path, *args):  # a writer that lands after the hash
+        a.write_bytes(b.read_bytes())
+        return real(path, *args)
+
+    monkeypatch.setattr(runner, "load_edge_list", rewritten_first)
+    got = load_dataset(ExperimentConfig(dataset=str(a), frequency="1000"), cache_dir=cache)
+    monkeypatch.setattr(runner, "load_edge_list", real)
+    assert_same_graph(got, fresh_graph(ExperimentConfig(dataset=str(b), frequency="1000")))
+    assert got.source_fingerprint == file_fingerprint(c)  # taken before the parse
+    assert list(cache.glob("*.npz")) == []
+    assert str(a.resolve()) not in read_index(cache)
+    cfg = ExperimentConfig(dataset=str(c), frequency="1000")
+    assert_same_graph(load_dataset(cfg, cache_dir=cache), fresh_graph(cfg))
+
+
 @pytest.mark.parametrize("garbage", [
     lambda p: b"\xff\xfe not text",
     lambda p: b'{"cut": [1, 2',
