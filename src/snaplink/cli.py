@@ -10,17 +10,18 @@ with status 2 and one line naming the field or the parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SnaplinkError
 from .evaluate import PROTOCOLS
 from .model import UPDATE_KINDS
-from .runner import emit_report, grid_search, load_dataset, run_experiment
+from .runner import emit_report, grid_search, load_dataset, read_run, run_experiment
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -83,7 +84,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_run(args, protocol: str) -> int:
     run_dir = run_experiment(_build_config(args, protocol))
-    report = json.loads((run_dir / "report.json").read_text())
+    report = read_run(run_dir)
+    if report is None:
+        raise SnaplinkError(f"no readable run report in {run_dir}")
     print(f"run: {run_dir}")
     print(f"mean MRR over seeds {report['seeds']}: "
           f"{report['mean_mrr']:.4f} +/- {report['std_mrr']:.4f}")
@@ -125,7 +128,9 @@ def cmd_synth(args) -> int:
                            edges_per_step=args.edges_per_step, seed=args.seed,
                            period=args.period)
     write_edge_file(args.out, edges)
-    print(f"wrote {len(edges)} edges over {edges.node_count} nodes to {args.out}")
+    # the nodes with an edge: a node the generator drew no edge for is not in the file
+    nodes = np.union1d(edges.src, edges.dst).size
+    print(f"wrote {len(edges)} edges over {nodes} nodes to {args.out}")
     return 0
 
 

@@ -58,6 +58,11 @@ class StepRecord:
     wall_seconds: float = 0.0
 
 
+def _mean(values: list[float]) -> float:
+    """The mean of `values`; NaN when there are none."""
+    return float(np.mean(values)) if values else float("nan")
+
+
 @dataclass
 class EvalReport:
     protocol: str
@@ -72,18 +77,12 @@ class EvalReport:
 
     @property
     def mean_mrr(self) -> float:
-        rs = self.evaluated_steps
-        if not rs:
-            return float("nan")
-        return float(np.mean([r.mrr for r in rs]))
+        return _mean([r.mrr for r in self.evaluated_steps])
 
     @property
     def mean_val_mrr(self) -> float:
-        vals = [r.best_val_mrr for r in self.per_step + self.train_records
-                if r.best_val_mrr is not None]
-        if not vals:
-            return float("nan")
-        return float(np.mean(vals))
+        return _mean([r.best_val_mrr for r in self.per_step + self.train_records
+                      if r.best_val_mrr is not None])
 
     def summary_dict(self) -> dict:
         return {

@@ -450,9 +450,7 @@ def forward(snapshot: GraphSnapshot, h_prev: HierarchicalNodeState,
         for l in range(cfg.n_mp):
             tilde = gnn_layer(h, snapshot, model, l, mode)
             prev = dc.constant(h_prev.layers[l].astype(cfg.np_dtype, copy=False))
-            h = update_state(prev, tilde, cfg.update, kappa,
-                             model.params.group(f"upd.{l}") if cfg.update != "moving_average"
-                             else None)
+            h = update_state(prev, tilde, cfg.update, kappa, model.params.group(f"upd.{l}"))
             new_layers.append(h)
 
         for j in range(cfg.n_post):

@@ -25,6 +25,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
 
@@ -83,7 +84,7 @@ def load_dataset(cfg: ExperimentConfig, cache_dir: Path):
     if not path.is_file():
         raise ConfigError("dataset", f"not a file: {path}")
     index_path, name = cache_dir / FINGERPRINT_INDEX, str(path.resolve())
-    index, identity = _read_index(index_path), _identity(path)
+    index, identity = _read_json(index_path), _identity(path)
     recorded = index.get(name)
     if isinstance(recorded, list) and recorded[:-1] == identity \
             and isinstance(recorded[-1], str):
@@ -110,7 +111,7 @@ def load_dataset(cfg: ExperimentConfig, cache_dir: Path):
         if held and max(identity[3:]) + SETTLED_NS <= started:
             index[name] = [*identity, fingerprint]
         try:
-            _atomic_write(index_path, json.dumps(index, sort_keys=True, indent=1) + "\n")
+            _write_json(index_path, index)
         except OSError:
             pass  # the index only saves a hash; a cache it cannot be written to still loads
     return g
@@ -121,14 +122,18 @@ def _identity(path: Path) -> list[int]:
     return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
 
 
-def _read_index(path: Path) -> dict:
-    """The fingerprint index at `path`; a missing, unreadable or malformed
-    one is empty."""
+def _read_json(path: Path) -> dict:
+    """The JSON object at `path`; a missing, unreadable or malformed file,
+    one nested too deep to decode, or one that holds no object is empty."""
     try:
-        index = json.loads(path.read_text())
+        found = json.loads(path.read_text())
     except (OSError, ValueError, RecursionError):  # unreadable, not UTF-8 or not JSON
         return {}
-    return index if isinstance(index, dict) else {}
+    return found if isinstance(found, dict) else {}
+
+
+def _write_json(path: Path, record: dict) -> None:
+    _atomic_write(path, json.dumps(record, sort_keys=True, indent=1) + "\n")
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -168,7 +173,7 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
     root = Path(cfg.run_root)
     name = cfg.run_name or f"{cfg.protocol}-{cfg.update}-{fingerprint[:10]}"
     run_dir = root / name
-    if (_read_run(run_dir) or {}).get("fingerprint") == fingerprint and not cfg.force:
+    if (read_run(run_dir) or {}).get("fingerprint") == fingerprint and not cfg.force:
         return run_dir
     if graph is None:
         graph = load_dataset(cfg, cache_dir=root / ".cache")
@@ -198,8 +203,7 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
         del report  # the seed's final RunState is freed before the next seed runs
         summary["fingerprint"] = fingerprint
         summary["wall_seconds"] = time.perf_counter() - t0
-        _atomic_write(seed_dir / "report.json",
-                      json.dumps(summary, sort_keys=True, indent=1) + "\n")
+        _write_json(seed_dir / "report.json", summary)
         seed_summaries.append(summary)
 
     mrrs = [s["mean_mrr"] for s in seed_summaries]
@@ -217,7 +221,7 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
         "std_mrr": float(np.std(mrrs)),
         "mean_val_mrr": float(np.mean(val_mrrs)),
     }
-    _atomic_write(run_dir / "report.json", json.dumps(cross, sort_keys=True, indent=1) + "\n")
+    _write_json(run_dir / "report.json", cross)
     return run_dir
 
 
@@ -226,14 +230,19 @@ def _run_cell(args):
     try:
         cell_cfg = cfg.with_overrides({**overrides, "run_name": cell_name})
         run_dir = run_experiment(cell_cfg)
-        report = json.loads((run_dir / "report.json").read_text())
+        report = _read_json(run_dir / "report.json")
         return {"cell": cell_name, "overrides": overrides, "status": "ok",
                 "run_dir": str(run_dir), "mean_mrr": report["mean_mrr"],
                 "std_mrr": report["std_mrr"],
                 "mean_val_mrr": report["mean_val_mrr"]}
-    except (SnaplinkError, OSError, ValueError) as exc:
-        return {"cell": cell_name, "overrides": overrides, "status": "error",
-                "error": f"{type(exc).__name__}: {exc}"}
+    except (SnaplinkError, OSError, ValueError, KeyError) as exc:
+        return _failed_cell(args, exc)
+
+
+def _failed_cell(task, exc: Exception) -> dict:
+    _, overrides, cell_name = task
+    return {"cell": cell_name, "overrides": overrides, "status": "error",
+            "error": f"{type(exc).__name__}: {exc}"}
 
 
 def grid_search(base: ExperimentConfig, axes: dict[str, list[str]],
@@ -242,7 +251,9 @@ def grid_search(base: ExperimentConfig, axes: dict[str, list[str]],
 
     Failed cells are recorded and skipped, and so are cells whose mean
     validation MRR is not finite (no training step produced one); `best` is
-    None when no cell remains. Returns the index dict with the selected
+    None when no cell remains. A worker process that dies fails the cells
+    the pool still held, not the grid; a rerun finishes them, since
+    completed runs are skipped. Returns the index dict with the selected
     cell's config overrides and its test-side MRR; also written to
     <run_root>/<grid_name>/index.json.
     """
@@ -255,7 +266,13 @@ def grid_search(base: ExperimentConfig, axes: dict[str, list[str]],
 
     if base.workers > 1:
         with ProcessPoolExecutor(max_workers=base.workers) as pool:
-            results = list(pool.map(_run_cell, tasks))
+            futures = [pool.submit(_run_cell, t) for t in tasks]
+        results = []
+        for task, future in zip(tasks, futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                results.append(_failed_cell(task, exc))
     else:
         results = [_run_cell(t) for t in tasks]
 
@@ -271,7 +288,7 @@ def grid_search(base: ExperimentConfig, axes: dict[str, list[str]],
         "cells": results,
         "best": best,
     }
-    _atomic_write(grid_dir / "index.json", json.dumps(index, sort_keys=True, indent=1) + "\n")
+    _write_json(grid_dir / "index.json", index)
     return index
 
 
@@ -287,20 +304,12 @@ _RUN_REPORT_KEYS = ("protocol", "dataset", "update", "alpha", "seeds", "mean_mrr
                    "std_mrr", "mean_val_mrr")
 
 
-def _read_run(run_dir: Path) -> dict | None:
-    """The cross-seed report of `run_dir`, or None when there is none: no
-    report.json, text that is not JSON, or JSON that is not an object with
-    every key of `_RUN_REPORT_KEYS` (a seed directory's report, for one)."""
-    report = run_dir / "report.json"
-    if not report.exists():
-        return None
-    try:
-        found = json.loads(report.read_text())
-    except ValueError:  # not JSON, or not text
-        return None
-    if not isinstance(found, dict) or not all(k in found for k in _RUN_REPORT_KEYS):
-        return None
-    return found
+def read_run(run_dir: Path) -> dict | None:
+    """The cross-seed report of `run_dir`, or None when there is none: a
+    report.json that `_read_json` reads as empty, or an object without every
+    key of `_RUN_REPORT_KEYS` (a seed directory's report, for one)."""
+    found = _read_json(run_dir / "report.json")
+    return found if all(k in found for k in _RUN_REPORT_KEYS) else None
 
 
 def emit_report(run_dirs: list[Path], out_dir: Path) -> dict:
@@ -317,7 +326,7 @@ def emit_report(run_dirs: list[Path], out_dir: Path) -> dict:
     rows = []
     skipped = []
     for run_dir in run_dirs:
-        report = _read_run(run_dir)
+        report = read_run(run_dir)
         if report is None:
             skipped.append(str(run_dir))
             continue

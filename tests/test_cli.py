@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from snaplink import synthetic
+from snaplink import cli, synthetic
 from snaplink.cli import _build_config, build_parser, main
 from snaplink.config import ExperimentConfig
 
@@ -256,7 +256,31 @@ def test_report_lists_a_seed_directory_as_skipped(twelve_window_file, tmp_path, 
                        "skipped (missing/corrupt report): " + str(runs / "r" / "seed1")]
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", "\udcff"])
+@pytest.mark.parametrize("damage", ["directory", "too-deep"])
+def test_report_lists_a_run_with_a_damaged_report_as_skipped(tmp_path, capsys, damage):
+    report = tmp_path / "r" / "report.json"
+    if damage == "directory":
+        report.mkdir(parents=True)
+    else:
+        report.parent.mkdir()
+        report.write_text("[" * 100_000)  # too deep for the JSON decoder
+    out = tmp_path / "out"
+    assert main(["report", str(report.parent), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"reported 0 runs to {out}", f"skipped (missing/corrupt report): {report.parent}"]
+
+
+def test_a_run_whose_report_cannot_be_read_back_exits_2_with_one_line(tmp_path, capsys,
+                                                                      monkeypatch):
+    run_dir = tmp_path / "r"
+    (run_dir / "report.json").mkdir(parents=True)
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: run_dir)
+    assert main(["run-live", "--dataset", "unused", "--run-root", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"run-live: no readable run report in {run_dir}\n"
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "\udcff",
+                                  pytest.param("[" * 100_000, id="too-deep")])
 def test_run_live_replaces_a_report_that_is_not_a_run_report(twelve_window_file, tmp_path,
                                                              text):
     runs = tmp_path / "runs"
@@ -275,12 +299,14 @@ def test_synth_writes_a_file_that_ingest_reads_back(tmp_path, capsys, monkeypatc
     assert main(argv) == 0
     made = synthetic.generate_edges(n_nodes=40, n_steps=5, edges_per_step=30,
                                     period=1000.0, seed=0)
-    assert capsys.readouterr().out == f"wrote {len(made)} edges over 40 nodes to {path}\n"
+    endpoints = np.unique(np.concatenate([made.src, made.dst]))  # the nodes with an edge
+    assert endpoints.size < 40  # the generator's universe holds a node with no edge
+    assert capsys.readouterr().out == (
+        f"wrote {len(made)} edges over {endpoints.size} nodes to {path}\n")
     argv = ["ingest", "--dataset", str(path), "--frequency", "1000",
             "--run-root", str(tmp_path / "runs")]
     assert main(argv) == 0
     out = capsys.readouterr().out.splitlines()
-    endpoints = np.unique(np.concatenate([made.src, made.dst]))  # the nodes with an edge
     assert out[1:4] == [f"nodes: {endpoints.size}", f"edges: {len(made)}", "snapshots: 5 (1000)"]
 
 

@@ -439,15 +439,18 @@ def test_grid_reports_failed_cell_and_never_selects_a_nan_cell(tmp_path, monkeyp
 
 def test_grid_selects_by_validation_mrr_not_test_mrr(tmp_path, monkeypatch):
     monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
-    # (test MRR, validation MRR) per alpha; alpha 0.1 fails in the run and
-    # "abc" when its value is parsed
-    outcomes = {0.2: (0.9, 0.1), 0.5: (0.1, float("nan")), 0.7: (0.2, 0.3)}
+    # (test MRR, validation MRR) per alpha; alpha 0.1 fails in the run,
+    # "abc" when its value is parsed, and 0.3 leaves a report that is no object
+    outcomes = {0.2: (0.9, 0.1), 0.3: None, 0.5: (0.1, float("nan")), 0.7: (0.2, 0.3)}
 
     def fake_run(cfg):
         if cfg.alpha not in outcomes:
             raise ConfigError("alpha", "rejected")
         run_dir = tmp_path / cfg.run_name
         run_dir.mkdir(parents=True)
+        if outcomes[cfg.alpha] is None:
+            (run_dir / "report.json").write_text("[1, 2]")
+            return run_dir
         test, val = outcomes[cfg.alpha]
         (run_dir / "report.json").write_text(json.dumps(
             {"mean_mrr": test, "std_mrr": 0.0, "mean_val_mrr": val}))
@@ -455,8 +458,9 @@ def test_grid_selects_by_validation_mrr_not_test_mrr(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "run_experiment", fake_run)
     base = ExperimentConfig(dataset="unused", run_root=str(tmp_path))
-    index = grid_search(base, {"alpha": ["0.1", "abc", "0.2", "0.5", "0.7"]})
-    assert [c["status"] for c in index["cells"]] == ["error", "error", "ok", "ok", "ok"]
+    index = grid_search(base, {"alpha": ["0.1", "abc", "0.3", "0.2", "0.5", "0.7"]})
+    assert [c["status"] for c in index["cells"]] == ["error"] * 3 + ["ok"] * 3
+    assert index["cells"][2]["error"] == "KeyError: 'mean_mrr'"
     assert index["best"]["overrides"] == {"alpha": "0.7"}
 
     for a in (0.2, 0.7):
@@ -553,6 +557,37 @@ def test_parallel_grid_matches_the_serial_grid(tmp_path, monkeypatch):
         indexes[workers] = index
     assert [c["status"] for c in indexes[2]["cells"]] == ["ok"] * 4
     assert indexes[2] == indexes[1]
+
+
+def test_a_dead_grid_worker_fails_its_cells_and_a_rerun_finishes_them(tmp_path, monkeypatch):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    path = tmp_path / "edges.csv"
+    synthetic.write_edge_file(path, synthetic.generate_edges(
+        n_nodes=30, n_steps=6, edges_per_step=60, period=1000.0, seed=9))
+    base = ExperimentConfig(dataset=str(path), frequency="1000", seeds=(1,), k_neg=20,
+                            hidden_dim=8, max_epochs=1, patience=1, workers=2,
+                            run_root=str(tmp_path / "runs"))
+    axes = {"alpha": ["0.5", "0.7", "1.0"]}
+    run = runner.run_experiment
+
+    def dies_on_one_cell(cfg):
+        if cfg.alpha == 0.7:
+            os._exit(1)  # the worker dies, as under an OOM kill
+        return run(cfg)
+
+    # the pool forks its workers, so they call the patched name
+    monkeypatch.setattr(runner, "run_experiment", dies_on_one_cell)
+    index = grid_search(base, axes)
+    assert json.loads((tmp_path / "runs" / "grid" / "index.json").read_text()) == index
+    dead = index["cells"][1]
+    assert dead["status"] == "error" and dead["error"].startswith("BrokenProcessPool")
+    # the pool breaks as a whole, so the cells it still held fail with it
+    assert index["n_failed"] == sum(c["status"] == "error" for c in index["cells"]) >= 1
+
+    monkeypatch.setattr(runner, "run_experiment", run)
+    index = grid_search(base, axes)
+    assert index["n_failed"] == 0
+    assert [c["status"] for c in index["cells"]] == ["ok"] * 3
 
 
 def test_heap_setting_is_a_no_op_without_mallopt(monkeypatch):
