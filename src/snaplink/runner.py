@@ -19,6 +19,7 @@ skipped unless forced. Parsed datasets are cached under <run root>/.cache:
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import itertools
 import json
@@ -162,10 +163,69 @@ def _keep_freed_heap() -> None:
     mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
 
 
+# (get, set) thread-count symbols: the numpy wheel's suffixed OpenBLAS, an
+# unsuffixed build, an older wheel's 64-bit-index build
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+def _blas_thread_calls():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded, found by the library paths in /proc/self/maps; None where there
+    is none (another BLAS, or no /proc)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh
+                    if "blas" in line.lower() and ".so" in line}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get_count, set_count = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get_count is not None and set_count is not None:
+                get_count.argtypes, get_count.restype = (), ctypes.c_int
+                set_count.argtypes, set_count.restype = (ctypes.c_int,), None
+                return get_count, set_count
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS runs one thread inside the block; the caller's count is
+    restored when it ends, also when it raises. A no-op without OpenBLAS."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get_count, set_count = calls
+    before = get_count()
+    set_count(1)
+    try:
+        yield
+    finally:
+        set_count(before)
+
+
+@_one_blas_thread()
 def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
     """Execute one configuration across its seeds; returns the run directory.
 
     Re-running a completed directory is a no-op unless cfg.force is set.
+
+    The run holds OpenBLAS at one thread and restores the caller's count on
+    return or raise. A GEMM split across threads sums in another order, so
+    one rule for every run keeps its bits independent of the core count, and
+    a grid cell run by a pool worker (which calls this) matches the same cell
+    run serially. Grid parallelism is `workers` processes, one thread each,
+    not threads that contend for the same cores. The cost: on a machine with
+    many cores, a single run gives up BLAS parallelism.
     """
     _keep_freed_heap()
     cfg.validate()
@@ -177,8 +237,12 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
         return run_dir
     if graph is None:
         graph = load_dataset(cfg, cache_dir=root / ".cache")
-    # a split the graph cannot hold is rejected before the run directory exists
+    # a split the graph cannot hold is rejected before the run directory exists,
+    # and a report that could not replace what is at its path before any seed trains
     ev.n_train_steps(cfg.protocol, len(graph), cfg.test_fraction)
+    if (run_dir / "report.json").is_dir():
+        raise SnaplinkError(f"cannot write the run report: {run_dir / 'report.json'} "
+                            "is a directory")
     run_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(run_dir / "config.resolved.txt", cfg.to_text())
 

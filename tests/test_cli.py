@@ -279,6 +279,17 @@ def test_a_run_whose_report_cannot_be_read_back_exits_2_with_one_line(tmp_path, 
     assert capsys.readouterr().err == f"run-live: no readable run report in {run_dir}\n"
 
 
+def test_a_report_path_that_is_a_directory_exits_2_before_any_seed_trains(
+        twelve_window_file, tmp_path, capsys):
+    runs = tmp_path / "runs"
+    report = runs / "r" / "report.json"
+    report.mkdir(parents=True)
+    assert main(run_live_argv(twelve_window_file, runs)) == 2
+    assert capsys.readouterr().err == (
+        f"run-live: cannot write the run report: {report} is a directory\n")
+    assert [p.name for p in (runs / "r").iterdir()] == ["report.json"]  # no seed ran
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", "\udcff",
                                   pytest.param("[" * 100_000, id="too-deep")])
 def test_run_live_replaces_a_report_that_is_not_a_run_report(twelve_window_file, tmp_path,

@@ -3,6 +3,8 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -13,9 +15,9 @@ import pytest
 from snaplink import evaluate as ev
 from snaplink import runner, snapshots, synthetic
 from snaplink.config import ExperimentConfig, load_config
-from snaplink.errors import ConfigError, ParseError
+from snaplink.errors import ConfigError, NumericError, ParseError, SnaplinkError
 from snaplink.model import HierarchicalNodeState, ModelConfig, init_model
-from snaplink.runner import grid_search, load_dataset, run_experiment
+from snaplink.runner import grid_search, load_dataset, read_run, run_experiment
 from snaplink.snapshots import (EdgeSchema, cache_key, edges_from_arrays, file_fingerprint,
                                 load_edge_list, partition_snapshots, temp_path)
 
@@ -588,6 +590,140 @@ def test_a_dead_grid_worker_fails_its_cells_and_a_rerun_finishes_them(tmp_path, 
     index = grid_search(base, axes)
     assert index["n_failed"] == 0
     assert [c["status"] for c in index["cells"]] == ["ok"] * 3
+
+
+def test_a_report_path_that_is_a_directory_fails_before_any_seed_trains(
+        synth_graph, tmp_path, monkeypatch):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    (tmp_path / "r" / "report.json").mkdir(parents=True)
+    monkeypatch.setattr(ev, "run_protocol", lambda *a, **k: pytest.fail("a seed trained"))
+    cfg = ExperimentConfig(dataset="synthetic", protocol="live_update", seeds=(1,),
+                           k_neg=20, hidden_dim=8, max_epochs=1, patience=1,
+                           run_root=str(tmp_path), run_name="r")
+    with pytest.raises(SnaplinkError, match="report.json is a directory"):
+        run_experiment(cfg, graph=synth_graph)
+    assert [p.name for p in (tmp_path / "r").iterdir()] == ["report.json"]
+
+
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS thread count's getter, with the count at 2 for the test
+    and the old count back after it; skips where numpy's BLAS is another."""
+    calls = runner._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy did not load an OpenBLAS with thread-count calls")
+    get_count, set_count = calls
+    before = get_count()
+    set_count(2)
+    assert get_count() == 2
+    yield get_count
+    set_count(before)
+
+
+def small_fixed_run(tmp_path) -> ExperimentConfig:
+    return ExperimentConfig(dataset="synthetic", protocol="fixed_split", seeds=(3,),
+                            test_fraction=0.2, k_neg=20, hidden_dim=8,
+                            update="moving_average", max_epochs=1, patience=1,
+                            run_root=str(tmp_path))
+
+
+def test_a_run_holds_one_blas_thread_and_gives_the_callers_count_back(
+        synth_graph, tmp_path, monkeypatch, blas_threads):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    counts = []
+    real = ev.run_protocol
+
+    def spying(g, run_cfg, step_callback=None):
+        def callback(record):
+            counts.append(blas_threads())
+            step_callback(record)
+
+        return real(g, run_cfg, step_callback=callback)
+
+    monkeypatch.setattr(ev, "run_protocol", spying)
+    cfg = small_fixed_run(tmp_path)
+    run_experiment(cfg, graph=synth_graph)
+    assert len(counts) == len(synth_graph) - 1 and set(counts) == {1}
+    assert blas_threads() == 2
+
+    def diverging(*args, **kwargs):
+        counts.append(blas_threads())
+        raise NumericError("diverged")
+
+    monkeypatch.setattr(ev, "run_protocol", diverging)
+    with pytest.raises(NumericError):
+        run_experiment(replace(cfg, force=True), graph=synth_graph)
+    assert counts[-1] == 1 and blas_threads() == 2
+
+
+def test_each_forked_grid_cell_runs_at_one_blas_thread(tmp_path, monkeypatch, blas_threads):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    path = tmp_path / "edges.csv"
+    synthetic.write_edge_file(path, synthetic.generate_edges(
+        n_nodes=30, n_steps=6, edges_per_step=60, period=1000.0, seed=9))
+    seen = tmp_path / "seen"
+    seen.mkdir()
+    real = ev.run_protocol
+
+    def spying(g, run_cfg, step_callback=None):
+        # a forked worker cannot append to this process's list, so it writes a file
+        (seen / f"alpha{run_cfg.alpha}").write_text(f"{os.getpid()} {blas_threads()}")
+        return real(g, run_cfg, step_callback=step_callback)
+
+    monkeypatch.setattr(ev, "run_protocol", spying)
+    base = ExperimentConfig(dataset=str(path), frequency="1000", seeds=(1,), k_neg=20,
+                            hidden_dim=8, max_epochs=1, patience=1, workers=2,
+                            run_root=str(tmp_path / "runs"))
+    index = grid_search(base, {"alpha": ["0.5", "1.0"]})
+    assert index["n_failed"] == 0
+    cells = [(seen / f"alpha{a}").read_text().split() for a in (0.5, 1.0)]
+    assert all(int(pid) != os.getpid() and count == "1" for pid, count in cells)
+    assert blas_threads() == 2
+
+
+def test_a_run_without_openblas_completes(synth_graph, tmp_path, monkeypatch):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    with monkeypatch.context() as m:  # a library with no thread-count symbols is passed over
+        m.setattr(runner.ctypes, "CDLL", lambda path: object())
+        assert runner._blas_thread_calls() is None
+    monkeypatch.setattr(runner, "_blas_thread_calls", lambda: None)
+    run_dir = run_experiment(small_fixed_run(tmp_path), graph=synth_graph)
+    assert read_run(run_dir)["seeds"] == [3]
+
+
+# One live run on a generated file: it prints its mean MRR as a hex float.
+_HEX_RUN = """
+import json, sys
+from snaplink.config import ExperimentConfig
+from snaplink.runner import run_experiment
+
+cfg = ExperimentConfig(dataset=sys.argv[1], frequency="1000", protocol="live_update",
+                       update="gru", hidden_dim=64, k_neg=100, max_epochs=1, patience=1,
+                       seeds=(7,), run_root=sys.argv[2])
+print(json.loads((run_experiment(cfg) / "report.json").read_text())["mean_mrr"].hex())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs one BLAS thread")
+def test_a_runs_bits_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    # the smallest generated input found at which 1 and 2 threads, left to
+    # themselves, give different hexes: its weight gradients sum over about
+    # 600 node rows, enough for OpenBLAS to split those GEMMs between threads
+    path = tmp_path / "edges.csv"
+    synthetic.write_edge_file(path, synthetic.generate_edges(
+        n_nodes=600, n_steps=4, edges_per_step=500, period=1000.0, seed=7))
+    package_root = str(Path(runner.__file__).resolve().parents[1])
+    hexes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _HEX_RUN, str(path),
+                               str(tmp_path / f"threads{threads}")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        hexes.append(done.stdout.strip())
+    assert hexes[0] == hexes[1]
 
 
 def test_heap_setting_is_a_no_op_without_mallopt(monkeypatch):
