@@ -103,7 +103,8 @@ def load_dataset(cfg: ExperimentConfig, cache_dir: Path):
             pass
     parsed = g is None
     if parsed:
-        g = partition_snapshots(load_edge_list(path, schema, fingerprint), cfg.frequency)
+        g = partition_snapshots(load_edge_list(path, schema), cfg.frequency)
+        g.source_fingerprint = fingerprint
         cache_dir.mkdir(parents=True, exist_ok=True)
     held = _identity(path) == identity  # the file did not change while it was read
     if parsed and held:
@@ -124,11 +125,20 @@ def _identity(path: Path) -> list[int]:
 
 
 def _read_json(path: Path) -> dict:
-    """The JSON object at `path`; a missing, unreadable or malformed file,
-    one nested too deep to decode, or one that holds no object is empty."""
+    """The `_json_object` at `path`; a missing or unreadable file is empty."""
     try:
-        found = json.loads(path.read_text())
-    except (OSError, ValueError, RecursionError):  # unreadable, not UTF-8 or not JSON
+        text = path.read_text()
+    except (OSError, ValueError):  # unreadable or not UTF-8
+        return {}
+    return _json_object(text)
+
+
+def _json_object(text: str) -> dict:
+    """The JSON object `text` holds; text that is not JSON, is nested too
+    deep to decode or holds no object is empty."""
+    try:
+        found = json.loads(text)
+    except (ValueError, RecursionError):
         return {}
     return found if isinstance(found, dict) else {}
 
@@ -213,6 +223,21 @@ def _one_blas_thread():
         set_count(before)
 
 
+def _check_run_paths(run_dir: Path, seeds: tuple[int, ...]) -> None:
+    """Raise SnaplinkError naming the first path the run writes that is
+    taken: a directory where a file goes, or a non-directory where a
+    directory goes."""
+    seed_dirs = [run_dir / f"seed{seed}" for seed in seeds]
+    for path in [run_dir, *seed_dirs]:
+        if path.exists() and not path.is_dir():
+            raise SnaplinkError(f"cannot write the run: {path} is not a directory")
+    for path in [run_dir / "config.resolved.txt", run_dir / "report.json",
+                 *(d / name for d in seed_dirs
+                   for name in ("steps.ndjson", "model.npz", "report.json"))]:
+        if path.is_dir():
+            raise SnaplinkError(f"cannot write the run: {path} is a directory")
+
+
 @_one_blas_thread()
 def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
     """Execute one configuration across its seeds; returns the run directory.
@@ -238,11 +263,9 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
     if graph is None:
         graph = load_dataset(cfg, cache_dir=root / ".cache")
     # a split the graph cannot hold is rejected before the run directory exists,
-    # and a report that could not replace what is at its path before any seed trains
+    # and a path the run could not write before any seed trains
     ev.n_train_steps(cfg.protocol, len(graph), cfg.test_fraction)
-    if (run_dir / "report.json").is_dir():
-        raise SnaplinkError(f"cannot write the run report: {run_dir / 'report.json'} "
-                            "is a directory")
+    _check_run_paths(run_dir, cfg.seeds)
     run_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(run_dir / "config.resolved.txt", cfg.to_text())
 
@@ -381,7 +404,8 @@ def emit_report(run_dirs: list[Path], out_dir: Path) -> dict:
 
     Each run is labelled by its path under the common parent of `run_dirs`
     (one directory: its name), and its series file by that label with `/`
-    as `_`. Reads only persisted records. Returns {"skipped": [...],
+    as `_`. Reads only persisted records, and skips a steps line that holds
+    no step record (not JSON, or not an object). Returns {"skipped": [...],
     "tables": [...]}.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -435,7 +459,7 @@ def emit_report(run_dirs: list[Path], out_dir: Path) -> dict:
             if not nd.exists():
                 continue
             for line in nd.read_text().splitlines():
-                row = json.loads(line)
+                row = _json_object(line)
                 if row.get("record") != "step" or row.get("mrr") is None:
                     continue
                 series.append(f"{seed}\t{row['t']}\t{row['mrr']:.6f}"

@@ -100,7 +100,6 @@ class TemporalEdgeList:
     weight: np.ndarray     # float64
     timestamp: np.ndarray  # float64 seconds
     node_count: int
-    source_fingerprint: str = ""
 
     def __post_init__(self):
         if not (len(self.src) == len(self.dst) == len(self.weight) == len(self.timestamp)):
@@ -188,7 +187,7 @@ class DynamicGraph:
     period_seconds: float
     node_count: int
     frequency: str = ""
-    source_fingerprint: str = ""
+    source_fingerprint: str = ""  # the edge file's, set by `runner.load_dataset`
     snapshots: list[GraphSnapshot] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -285,15 +284,12 @@ def _open_text(path: Path, mode: str = "rt"):
     return open(path, mode)
 
 
-def load_edge_list(path, schema: EdgeSchema = EdgeSchema(),
-                   fingerprint: str | None = None) -> TemporalEdgeList:
+def load_edge_list(path, schema: EdgeSchema = EdgeSchema()) -> TemporalEdgeList:
     """Read a delimiter-separated edge file into a compacted, time-sorted list.
 
     Ids are compacted to dense integers in order of first appearance.
     Missing weight column defaults to 1.0. Raises ParseError with the line
     number on malformed rows and EmptyInputError when no edges are present.
-    `fingerprint` is the file's `file_fingerprint` when the caller already
-    has it; otherwise the file is hashed here.
 
     A file is parsed in one vectorised pass when it is ASCII text with no
     control character but tab and line ends (LF, CR or CRLF), every '#' is
@@ -306,15 +302,14 @@ def load_edge_list(path, schema: EdgeSchema = EdgeSchema(),
     (an indented or mid-line '#' too), and any row that pass cannot take (a
     field count, a float numpy rejects, a non-finite value, a negative
     timestamp), goes to the per-line parser, which is the only one that
-    reports errors. Both give the same arrays, node count and fingerprint.
+    reports errors. Both give the same arrays and node count.
     """
     path = Path(path)
     parsed = _parse_canonical(path, schema)
     if parsed is None:
         parsed = _parse_lines(path, schema)
     src, dst, weight, ts, node_count = parsed
-    return edges_from_arrays(src, dst, ts, weight, node_count,
-                             file_fingerprint(path) if fingerprint is None else fingerprint)
+    return edges_from_arrays(src, dst, ts, weight, node_count)
 
 
 def _lines(fh, path: Path):
@@ -516,8 +511,7 @@ def file_fingerprint(path) -> str:
     return h.hexdigest()[:16]
 
 
-def edges_from_arrays(src, dst, timestamp, weight=None, node_count=None,
-                      fingerprint="inline") -> TemporalEdgeList:
+def edges_from_arrays(src, dst, timestamp, weight=None, node_count=None) -> TemporalEdgeList:
     """Build a TemporalEdgeList from in-memory arrays: a parsed edge file,
     synthetic data or a test's edges. The sort by time is stable, so edges
     with equal timestamps keep their order."""
@@ -531,7 +525,7 @@ def edges_from_arrays(src, dst, timestamp, weight=None, node_count=None,
         node_count = int(max(src.max(), dst.max())) + 1 if len(src) else 0
     order = np.argsort(timestamp, kind="stable")
     return TemporalEdgeList(src[order], dst[order], weight[order], timestamp[order],
-                            node_count=node_count, source_fingerprint=fingerprint)
+                            node_count=node_count)
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +575,7 @@ def partition_snapshots(edges: TemporalEdgeList,
     freq_name = frequency if isinstance(frequency, str) else f"{period:.17g}s"
     return DynamicGraph(offsets, edges.src.copy(), edges.dst.copy(),
                         np.column_stack([edges.weight, tnorm]),
-                        start, period, edges.node_count,
-                        frequency=str(freq_name),
-                        source_fingerprint=edges.source_fingerprint)
+                        start, period, edges.node_count, frequency=str(freq_name))
 
 
 # ---------------------------------------------------------------------------
@@ -684,13 +676,9 @@ CACHE_ARRAYS = ("offsets", "src", "dst", "edge_features")
 def save_archive(path, fmt: str, arrays: dict[str, np.ndarray], meta: dict) -> None:
     """Write `arrays` bit-exactly as one uncompressed .npz, plus a `__meta__`
     entry: `meta` and `"format": fmt` as sorted-key JSON. The write goes
-    through `replacing`, so a reader sees the old file or the whole new one.
-    As with `np.savez`, ".npz" is appended to a path without it."""
-    path = Path(path)
-    if not path.name.endswith(".npz"):
-        path = path.with_name(path.name + ".npz")
+    through `replacing`, so a reader sees the old file or the whole new one."""
     header = json.dumps({**meta, "format": fmt}, sort_keys=True).encode()
-    with replacing(path) as tmp, open(tmp, "wb") as fh:
+    with replacing(Path(path)) as tmp, open(tmp, "wb") as fh:
         np.savez(fh, __meta__=np.frombuffer(header, np.uint8), **arrays)
 
 
@@ -727,13 +715,13 @@ def replacing(path: Path):
 
 
 def cache_key(source_fingerprint: str, frequency: str | int | float,
-              schema: EdgeSchema | None = None) -> str:
+              schema: EdgeSchema) -> str:
     """Cache file stem for one (source, period, schema); the archive format
     is part of the key, so an archive of another format is never opened.
     The period is written with 17 significant digits, which round-trip every
     float, so two periods never share a key."""
     raw = (f"{CACHE_FORMAT}|{source_fingerprint}|{period_seconds(frequency):.17g}"
-           f"|{schema.tag() if schema else ''}")
+           f"|{schema.tag()}")
     return hashlib.sha256(raw.encode()).hexdigest()[:20]
 
 

@@ -60,10 +60,8 @@ def generate_edges(n_nodes: int = 80, n_steps: int = 12,
         dst_all.append(dst)
         ts_all.append(ts)
 
-    return edges_from_arrays(
-        np.concatenate(src_all), np.concatenate(dst_all), np.concatenate(ts_all),
-        node_count=n_nodes, fingerprint=f"synthetic-{seed}-{n_nodes}x{n_steps}",
-    )
+    return edges_from_arrays(np.concatenate(src_all), np.concatenate(dst_all),
+                             np.concatenate(ts_all), node_count=n_nodes)
 
 
 def write_edge_file(path, edges: TemporalEdgeList) -> None:

@@ -1,8 +1,9 @@
 """Test-only helpers: a finite-difference gradient check for the tape, a
-step record's fields without its wall-clock time, and a parametrization over
-both protocols."""
+step record's fields without its wall-clock time, a parametrization over
+both protocols, and one over the paths a run writes, each blocked."""
 
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,32 @@ from snaplink.evaluate import PROTOCOLS
 
 # parametrizes `protocol` over both protocols, with the id "<protocol>_run"
 over_protocols = pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: f"{p}_run")
+
+# parametrizes (target, kind) over each path under a run root that the run "r"
+# with seed 1 writes, with what `block` puts in its way: a directory where a
+# file goes, a file where a directory goes
+over_blocked_run_paths = pytest.mark.parametrize("target,kind", [
+    pytest.param("r", "file", id="run-dir"),
+    pytest.param("r/config.resolved.txt", "dir", id="config"),
+    pytest.param("r/report.json", "dir", id="report"),
+    pytest.param("r/seed1", "file", id="seed-dir"),
+    pytest.param("r/seed1/steps.ndjson", "dir", id="steps"),
+    pytest.param("r/seed1/model.npz", "dir", id="model"),
+    pytest.param("r/seed1/report.json", "dir", id="seed-report"),
+])
+
+
+def block(path: Path, kind: str) -> Path:
+    """Make a directory ("dir") or a file ("file") at `path`, and its parents."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.mkdir() if kind == "dir" else path.write_text("in the way")
+    return path
+
+
+def tree(root: Path) -> list[str]:
+    """Every path under `root` but the dataset cache, relative and sorted."""
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*")
+                  if ".cache" not in p.relative_to(root).parts)
 
 
 def mean_all(x: dc.Var) -> dc.Var:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import block, over_blocked_run_paths, tree
 
 from snaplink import cli, synthetic
 from snaplink.cli import _build_config, build_parser, main
@@ -256,6 +257,20 @@ def test_report_lists_a_seed_directory_as_skipped(twelve_window_file, tmp_path, 
                        "skipped (missing/corrupt report): " + str(runs / "r" / "seed1")]
 
 
+def test_report_skips_a_steps_line_that_holds_no_object(twelve_window_file, tmp_path, capsys):
+    runs, out = tmp_path / "runs", tmp_path / "out"
+    assert main(run_live_argv(twelve_window_file, runs)) == 0
+    assert main(["report", str(runs / "r"), "--out", str(out)]) == 0
+    series = (out / "r.steps.tsv").read_text()
+    assert len(series.splitlines()) > 2  # the header lines and some step rows
+    with open(runs / "r" / "seed1" / "steps.ndjson", "a") as fh:
+        fh.write("not json\n[1]\n")
+    capsys.readouterr()
+    assert main(["report", str(runs / "r"), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "r.steps.tsv").read_text() == series
+
+
 @pytest.mark.parametrize("damage", ["directory", "too-deep"])
 def test_report_lists_a_run_with_a_damaged_report_as_skipped(tmp_path, capsys, damage):
     report = tmp_path / "r" / "report.json"
@@ -279,15 +294,16 @@ def test_a_run_whose_report_cannot_be_read_back_exits_2_with_one_line(tmp_path, 
     assert capsys.readouterr().err == f"run-live: no readable run report in {run_dir}\n"
 
 
-def test_a_report_path_that_is_a_directory_exits_2_before_any_seed_trains(
-        twelve_window_file, tmp_path, capsys):
+@over_blocked_run_paths
+def test_a_blocked_run_path_exits_2_before_any_seed_trains(twelve_window_file, tmp_path,
+                                                           capsys, target, kind):
     runs = tmp_path / "runs"
-    report = runs / "r" / "report.json"
-    report.mkdir(parents=True)
+    path = block(runs / target, kind)
+    made = tree(runs)
     assert main(run_live_argv(twelve_window_file, runs)) == 2
-    assert capsys.readouterr().err == (
-        f"run-live: cannot write the run report: {report} is a directory\n")
-    assert [p.name for p in (runs / "r").iterdir()] == ["report.json"]  # no seed ran
+    problem = "is a directory" if kind == "dir" else "is not a directory"
+    assert capsys.readouterr().err == f"run-live: cannot write the run: {path} {problem}\n"
+    assert tree(runs) == made  # no seed ran: nothing but the dataset cache was written
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "\udcff",

@@ -20,6 +20,7 @@ import pytest
 from conftest import fresh_state, make_synth_graph, toy_model, toy_snapshot
 from snaplink import diffcore as dc
 from snaplink import model as md
+from snaplink import runner, synthetic
 from snaplink import snapshots as sn
 from snaplink.config import ExperimentConfig
 from snaplink.runner import run_experiment
@@ -275,6 +276,20 @@ def test_the_benchmark_still_reads_a_graph(monkeypatch, tmp_path):
     sn.save_snapshot_cache(tmp_path / "cache.npz", cold)
     assert measure.graph_mb(cold) > 0
     assert checks.check_same_graph(cold, sn.load_snapshot_cache(tmp_path / "cache.npz")) == []
+
+
+def test_the_benchmark_finds_a_warm_load_equal_to_the_cold_one(monkeypatch, tmp_path):
+    """`bench/measure.py` loads each input cold through `runner.load_dataset`
+    and checks a warm load against it, fingerprint included."""
+    checks = load_bench("checks", monkeypatch)
+    path = tmp_path / "edges.csv"
+    synthetic.write_edge_file(path, synthetic.generate_edges(n_nodes=30, n_steps=5, seed=2))
+    cfg = ExperimentConfig(dataset=str(path), frequency="1000")
+    cold = runner.load_dataset(cfg, cache_dir=tmp_path / "cache")
+    monkeypatch.setattr(runner, "load_edge_list", lambda *a: pytest.fail("not a cache hit"))
+    warm = runner.load_dataset(cfg, cache_dir=tmp_path / "cache")
+    assert cold.source_fingerprint == sn.file_fingerprint(path)
+    assert checks.check_same_graph(cold, warm) == []
 
 
 def test_the_benchmark_still_checks_a_run(monkeypatch, tmp_path, synth_graph):

@@ -1,8 +1,8 @@
 """`load_edge_list` against a reference copy of the per-line parser.
 
-The vectorised parse must give the same arrays (bytes and dtypes), node
-count and fingerprint as the per-line loop, or the same exception, on every
-input; and it must be the path a clean canonical-integer file takes.
+The vectorised parse must give the same arrays (bytes and dtypes) and node
+count as the per-line loop, or the same exception, on every input; and it
+must be the path a clean canonical-integer file takes.
 """
 
 import gzip
@@ -60,8 +60,7 @@ def reference_load(path, schema=sn.EdgeSchema()):
     ts = np.asarray(t_l, dtype=np.float64)
     order = np.argsort(ts, kind="stable")
     return sn.TemporalEdgeList(src[order], dst[order], weight[order], ts[order],
-                               node_count=len(ids),
-                               source_fingerprint=sn.file_fingerprint(path))
+                               node_count=len(ids))
 
 
 def outcome(load, path, schema):
@@ -69,7 +68,7 @@ def outcome(load, path, schema):
         e = load(path, schema)
     except Exception as exc:  # the comparison covers the exception too
         return ("raised", type(exc), str(exc), getattr(exc, "line_number", None))
-    return ("loaded", e.node_count, e.source_fingerprint,
+    return ("loaded", e.node_count,
             [(a.dtype.str, a.tobytes()) for a in (e.src, e.dst, e.weight, e.timestamp)])
 
 
@@ -271,12 +270,6 @@ def test_one_mebibyte_boundary(tmp_path, text, taken):
     path = write(tmp_path, text)
     assert (sn._parse_canonical(path, sn.EdgeSchema()) is not None) == taken
     assert_same_as_reference(path)
-
-
-def test_passed_fingerprint_is_kept(tmp_path):
-    path = write(tmp_path, "1,2,1,5\n")
-    assert sn.load_edge_list(path).source_fingerprint == sn.file_fingerprint(path)
-    assert sn.load_edge_list(path, sn.EdgeSchema(), "given").source_fingerprint == "given"
 
 
 ID_SPELLINGS = ["0", "7", "12", "007", "-3", "+3", " 7 ", "\t8", "a1", "1234567890123456789",

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import block, over_blocked_run_paths, tree
 
 from snaplink import evaluate as ev
 from snaplink import runner, snapshots, synthetic
@@ -236,6 +237,24 @@ def test_a_warm_load_reads_the_fingerprint_from_the_index(tmp_path, monkeypatch,
     warm = load_dataset(cfg, cache_dir=cache)
     assert len(hashes) == 1
     assert_same_graph(fresh_graph(cfg), warm)
+
+
+def test_only_load_dataset_hashes_the_edge_file(tmp_path, monkeypatch):
+    path = edge_file(tmp_path / "edges.csv")
+    taken = []
+
+    def hashing(p):
+        taken.append(file_fingerprint(p))
+        return taken[-1]
+
+    monkeypatch.setattr(runner, "file_fingerprint", hashing)
+    monkeypatch.setattr(snapshots, "file_fingerprint",
+                        lambda p: pytest.fail("the parse hashed the file"))
+    assert len(load_edge_list(path)) == 5 * 40
+    g = load_dataset(ExperimentConfig(dataset=str(path), frequency="1000"),
+                     cache_dir=tmp_path / ".cache")
+    assert taken == [file_fingerprint(path)]  # a cold miss hashes once
+    assert g.source_fingerprint == taken[0]
 
 
 def test_a_same_size_rewrite_under_the_old_mtime_is_hashed_again(tmp_path, settle):
@@ -592,17 +611,21 @@ def test_a_dead_grid_worker_fails_its_cells_and_a_rerun_finishes_them(tmp_path, 
     assert [c["status"] for c in index["cells"]] == ["ok"] * 3
 
 
-def test_a_report_path_that_is_a_directory_fails_before_any_seed_trains(
-        synth_graph, tmp_path, monkeypatch):
+@over_blocked_run_paths
+def test_a_blocked_run_path_fails_before_any_seed_trains(synth_graph, tmp_path, monkeypatch,
+                                                         target, kind):
     monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
-    (tmp_path / "r" / "report.json").mkdir(parents=True)
+    path = block(tmp_path / target, kind)
+    made = tree(tmp_path)
     monkeypatch.setattr(ev, "run_protocol", lambda *a, **k: pytest.fail("a seed trained"))
     cfg = ExperimentConfig(dataset="synthetic", protocol="live_update", seeds=(1,),
                            k_neg=20, hidden_dim=8, max_epochs=1, patience=1,
                            run_root=str(tmp_path), run_name="r")
-    with pytest.raises(SnaplinkError, match="report.json is a directory"):
+    with pytest.raises(SnaplinkError) as raised:
         run_experiment(cfg, graph=synth_graph)
-    assert [p.name for p in (tmp_path / "r").iterdir()] == ["report.json"]
+    problem = "is a directory" if kind == "dir" else "is not a directory"
+    assert str(raised.value) == f"cannot write the run: {path} {problem}"
+    assert tree(tmp_path) == made  # nothing was written: no steps file, no temporary
 
 
 @pytest.fixture

@@ -596,9 +596,6 @@ def test_snapshot_cache_write_replaces_whole_file(tmp_path):
     sn.save_snapshot_cache(path, g)
     assert [p.name for p in tmp_path.iterdir()] == ["cache.npz"]
     assert len(sn.load_snapshot_cache(path)) == len(g)
-    # like np.savez, a name without the suffix gains ".npz"
-    sn.save_snapshot_cache(tmp_path / "bare", g)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.npz", "cache.npz"]
 
 
 def damage_nan_feature(arrays):
@@ -630,9 +627,10 @@ def test_load_snapshot_cache_rejects_a_damaged_archive(tmp_path, damage, message
 
 
 def test_cache_key_depends_on_inputs():
-    k1 = sn.cache_key("abc", "weekly")
-    k2 = sn.cache_key("abc", "daily")
-    k3 = sn.cache_key("abd", "weekly")
+    schema = sn.EdgeSchema()
+    k1 = sn.cache_key("abc", "weekly", schema)
+    k2 = sn.cache_key("abc", "daily", schema)
+    k3 = sn.cache_key("abd", "weekly", schema)
     assert len({k1, k2, k3}) == 3
 
 
