@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, SnaplinkError
+from .errors import SnaplinkError
 from .evaluate import PROTOCOLS
 from .model import UPDATE_KINDS
 from .runner import emit_report, grid_search, load_dataset, read_run, run_experiment
@@ -32,25 +32,26 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", help="edge-list file")
     p.add_argument("--schema", help="'delim:col,col,...', e.g. ws:src,dst,timestamp")
     p.add_argument("--frequency", help="daily, weekly, or seconds per window")
-    p.add_argument("--update", choices=UPDATE_KINDS)
-    p.add_argument("--alpha", type=float, help="meta blend factor in [0,1]")
+    p.add_argument("--update", help=f"state update: {', '.join(UPDATE_KINDS)}")
+    p.add_argument("--alpha", help="meta blend factor in [0,1]")
     p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--k-neg", dest="k_neg", type=int,
-                   help="evaluation negatives per source")
+    p.add_argument("--k-neg", dest="k_neg", help="evaluation negatives per source")
     p.add_argument("--run-root", dest="run_root",
                    help="base directory for runs; wins over $SNAPLINK_RUN_ROOT, "
                         "which wins over the config file (default ./runs)")
     p.add_argument("--run-name", dest="run_name", help="run directory name")
-    p.add_argument("--workers", type=int, help="parallel worker processes (grid)")
-    p.add_argument("--force", action="store_true", help="re-run even if complete")
+    p.add_argument("--workers", help="parallel worker processes (grid)")
+    p.add_argument("--force", action="store_const", const="true",
+                   help="re-run even if complete")
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
-    """Every flag given whose name is a config key, then each --set. An
-    absent flag parses to None, or to False for --force."""
+    """The text of every flag given whose name is a config key, then each
+    --set: a named flag is a spelling of --set, so the config parses and
+    checks every value. An absent flag parses to None."""
     keys = {f.name for f in fields(ExperimentConfig)}
-    overrides = {key: str(value) for key, value in vars(args).items()
-                 if key in keys and value is not None and value is not False}
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in keys and value is not None}
     for item in getattr(args, "sets", []):
         if "=" not in item:
             raise SnaplinkError(f"--set expects KEY=VALUE, got {item!r}")
@@ -70,8 +71,7 @@ def _build_config(args: argparse.Namespace, protocol: str | None) -> ExperimentC
 
 def cmd_ingest(args) -> int:
     cfg = _build_config(args, None)
-    if not cfg.dataset:
-        raise ConfigError("dataset", "a dataset path is required")
+    cfg.validate()
     cache_dir = Path(cfg.run_root) / ".cache"
     g = load_dataset(cfg, cache_dir=cache_dir)
     print(f"dataset: {cfg.dataset}")
@@ -157,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", action="append", default=[],
                    metavar="KEY=V1,V2,...", help="one grid axis (repeatable)")
     p.add_argument("--grid-name", default="grid")
-    p.add_argument("--protocol", choices=PROTOCOLS,
-                   help="default: the config file's, else live_update")
+    p.add_argument("--protocol", help=f"{', '.join(PROTOCOLS)}; "
+                                       "default: the config file's, else live_update")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("report", help="emit summary tables and plot data")

@@ -30,7 +30,10 @@ soon as its vjp has run, so a second `backward` through the same nodes raises.
 This is deliberately not a general autodiff framework: only the operations
 listed above are supported, and all values are dense 1-D/2-D float arrays.
 Every op keeps the dtype of its inputs; models default to float32
-(`ModelConfig.dtype`).
+(`ModelConfig.dtype`). The elementwise `add`, `sub` and `mul` broadcast their
+values as numpy does, but pass each parent the result-shaped gradient
+unreduced: an operand that needs a gradient has the result's shape, and only
+constants broadcast (a keep ratio, a degree column, the GRU's one).
 """
 
 from __future__ import annotations
@@ -130,10 +133,6 @@ class Var:
     def _vjp(self, vjp):
         self._node.vjp = vjp
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         return f"Var(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
@@ -166,6 +165,10 @@ def backward(root: Var) -> None:
     gradient is freed as soon as no unprocessed node can read it. Leaves
     keep their `grad`. A later `backward` that reaches a consumed node
     raises RuntimeError instead of silently returning no gradients.
+
+    A vjp may pass one array to several parents (`add` does), so leaves can
+    share a `grad` array. Nothing writes a gradient in place: no vjp or
+    optimizer does, and accumulation makes a new array with `+`.
     """
     if root.value.size != 1:
         raise DimensionError(f"backward needs a scalar root, got shape {root.value.shape}")
@@ -204,16 +207,6 @@ def backward(root: Var) -> None:
         node.parents = ()
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to `shape` after numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # Elementwise and linear-algebra operations. Each vjp closes over the arrays
 # and shapes it reads, and computes only the gradients its parents require.
@@ -221,26 +214,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Var, b: Var) -> Var:
-    sa, sb = a.shape, b.shape
-    return Var(a.value + b.value, (a, b),
-               lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+    return Var(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def sub(a: Var, b: Var) -> Var:
-    sa, sb = a.shape, b.shape
     need_a, need_b = a.requires_grad, b.requires_grad
     return Var(a.value - b.value, (a, b),
-               lambda g: (_unbroadcast(g, sa) if need_a else None,
-                          _unbroadcast(-g, sb) if need_b else None))
+               lambda g: (g if need_a else None, -g if need_b else None))
 
 
 def mul(a: Var, b: Var) -> Var:
-    sa, sb = a.shape, b.shape
     av = a.value if b.requires_grad else None  # only db reads a
     bv = b.value if a.requires_grad else None
     return Var(a.value * b.value, (a, b),
-               lambda g: (None if bv is None else _unbroadcast(g * bv, sa),
-                          None if av is None else _unbroadcast(g * av, sb)))
+               lambda g: (None if bv is None else g * bv,
+                          None if av is None else g * av))
 
 
 def relu(x: Var) -> Var:
@@ -366,10 +354,6 @@ def gru_cell(h_prev: Var, x: Var, params: dict[str, Var]) -> Var:
 
     `params` holds wz/bz/wr/br/wn/bn with each weight shaped (d, dx + dh).
     """
-    if h_prev.value.shape[0] != x.value.shape[0]:
-        raise DimensionError(
-            f"gru row counts differ: h_prev {h_prev.value.shape} vs x {x.value.shape}"
-        )
     xh = concat_cols([x, h_prev])
     z = sigmoid(affine(xh, params["wz"], params["bz"]))
     r = sigmoid(affine(xh, params["wr"], params["br"]))

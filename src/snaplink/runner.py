@@ -5,6 +5,7 @@ Each run owns a directory under the run root; it holds one copy of each fact:
     config.resolved.txt   the resolved config, its fingerprint in the header
     report.json           the cross-seed report, written last
     seed<k>/steps.ndjson  one "step" record per label step, flushed as it ends
+                          to the seed's `temp_path`, renamed here when the seed ends
     seed<k>/report.json   the seed's summary and wall time
     seed<k>/model.npz     the final `evaluate.RunState`: both models, node state, step
 
@@ -386,17 +387,31 @@ def grid_search(base: ExperimentConfig, axes: dict[str, list[str]],
 TABLE_HEADER = "# snaplink-table-v1"
 
 
-# the cross-seed report keys `emit_report` reads
-_RUN_REPORT_KEYS = ("protocol", "dataset", "update", "alpha", "seeds", "mean_mrr",
-                   "std_mrr", "mean_val_mrr")
+def _typed(*types):
+    """A check that a JSON value's type is exactly one of `types`."""
+    return lambda value: type(value) in types
+
+
+# what `emit_report` prints from a run report and a step record: field -> check
+_RUN_REPORT_FIELDS = {
+    **dict.fromkeys(("protocol", "dataset", "update"), _typed(str)),
+    **dict.fromkeys(("alpha", "mean_mrr", "std_mrr", "mean_val_mrr"), _typed(int, float)),
+    "seeds": lambda v: type(v) is list and all(type(s) is int for s in v),
+}
+_STEP_FIELDS = {**dict.fromkeys(("t", "n_positives", "epochs_run"), _typed(int)),
+                "mrr": _typed(int, float)}
+
+
+def _has_fields(record: dict, checks: dict) -> bool:
+    return all(key in record and check(record[key]) for key, check in checks.items())
 
 
 def read_run(run_dir: Path) -> dict | None:
     """The cross-seed report of `run_dir`, or None when there is none: a
-    report.json that `_read_json` reads as empty, or an object without every
-    key of `_RUN_REPORT_KEYS` (a seed directory's report, for one)."""
+    report.json that `_read_json` reads as empty, or an object with a field of
+    `_RUN_REPORT_FIELDS` absent or mistyped (a seed directory's report, for one)."""
     found = _read_json(run_dir / "report.json")
-    return found if all(k in found for k in _RUN_REPORT_KEYS) else None
+    return found if _has_fields(found, _RUN_REPORT_FIELDS) else None
 
 
 def emit_report(run_dirs: list[Path], out_dir: Path) -> dict:
@@ -405,8 +420,8 @@ def emit_report(run_dirs: list[Path], out_dir: Path) -> dict:
     Each run is labelled by its path under the common parent of `run_dirs`
     (one directory: its name), and its series file by that label with `/`
     as `_`. Reads only persisted records, and skips a steps line that holds
-    no step record (not JSON, or not an object). Returns {"skipped": [...],
-    "tables": [...]}.
+    no step record it can print: not JSON, not an object, or a field of
+    `_STEP_FIELDS` absent or mistyped. Returns {"skipped": [...], "tables": [...]}.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     run_dirs = [Path(d) for d in run_dirs]
@@ -460,7 +475,7 @@ def emit_report(run_dirs: list[Path], out_dir: Path) -> dict:
                 continue
             for line in nd.read_text().splitlines():
                 row = _json_object(line)
-                if row.get("record") != "step" or row.get("mrr") is None:
+                if row.get("record") != "step" or not _has_fields(row, _STEP_FIELDS):
                     continue
                 series.append(f"{seed}\t{row['t']}\t{row['mrr']:.6f}"
                               f"\t{row['n_positives']}\t{row['epochs_run']}")

@@ -2,6 +2,8 @@
 
 import gzip
 import json
+import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +189,58 @@ def test_every_named_flag_reaches_the_config(monkeypatch):
     assert parse() == ExperimentConfig(protocol="live_update")
 
 
+@pytest.mark.parametrize("verb,flag,key,value", [
+    ("run-live", "--alpha", "alpha", "abc"),
+    ("run-live", "--k-neg", "k_neg", "x"),
+    ("run-live", "--workers", "workers", "x"),
+    ("run-live", "--update", "update", "foo"),
+    ("ingest", "--k-neg", "k_neg", "0"),
+])
+def test_a_bad_named_flag_fails_as_its_set_form(tmp_path, capsys, monkeypatch, verb, flag,
+                                                key, value):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    runs = tmp_path / "runs"
+    common = [verb, "--dataset", str(tmp_path / "edges.csv"), "--run-root", str(runs)]
+    assert main([*common, "--set", f"{key}={value}"]) == 2
+    expected = capsys.readouterr().err
+    assert expected.startswith(f"{verb}: {key}: ") and expected.count("\n") == 1
+    assert main([*common, flag, value]) == 2
+    assert capsys.readouterr().err == expected
+    assert not runs.exists()
+
+
+def readme_commands() -> list[str]:
+    """Each `snaplink ...` command line of README.md, `\\` continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands, pending = [], ""
+    for line in text.splitlines():
+        line = pending + line.strip()
+        pending = line[:-1] if line.endswith("\\") else ""
+        if not pending and line.startswith("snaplink "):
+            commands.append(line)
+    return commands
+
+
+def readme_config_file() -> str:
+    """The README's `# exp.cfg` block, dedented."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("    # exp.cfg\n", 1)[1].split("\n\n", 1)[0]
+    return "\n".join(line.strip() for line in block.splitlines()) + "\n"
+
+
+def test_every_readme_command_parses_and_builds_a_valid_config(tmp_path, monkeypatch):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(readme_config_file())
+    commands = readme_commands()
+    assert len(commands) == 7
+    protocols = {"run-live": "live_update", "run-fixed": "fixed_split"}
+    for command in commands:
+        args = build_parser().parse_args(shlex.split(command)[1:])
+        if hasattr(args, "sets"):  # a verb that takes config flags
+            _build_config(args, protocols.get(args.command)).validate()
+
+
 def test_ingest_and_run_share_the_cache_under_the_env_run_root(twelve_window_file, tmp_path,
                                                                monkeypatch):
     env_root = tmp_path / "envroot"
@@ -269,6 +323,47 @@ def test_report_skips_a_steps_line_that_holds_no_object(twelve_window_file, tmp_
     assert main(["report", str(runs / "r"), "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert (out / "r.steps.tsv").read_text() == series
+
+
+@pytest.mark.parametrize("record", [
+    {"record": "step", "mrr": 0.5},  # no t, n_positives or epochs_run
+    {"record": "step", "t": 0, "mrr": "0.5", "n_positives": 1, "epochs_run": 1},
+    {"record": "step", "t": 0, "mrr": True, "n_positives": 1, "epochs_run": 1},
+    {"record": "step", "t": 0.5, "mrr": 0.5, "n_positives": 1, "epochs_run": 1},
+])
+def test_report_skips_a_step_record_it_cannot_print(twelve_window_file, tmp_path, capsys,
+                                                    record):
+    runs, out = tmp_path / "runs", tmp_path / "out"
+    assert main(run_live_argv(twelve_window_file, runs)) == 0
+    assert main(["report", str(runs / "r"), "--out", str(out)]) == 0
+    series = (out / "r.steps.tsv").read_text()
+    assert len(series.splitlines()) > 2  # the header lines and some step rows
+    with open(runs / "r" / "seed1" / "steps.ndjson", "a") as fh:
+        fh.write(json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert main(["report", str(runs / "r"), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "r.steps.tsv").read_text() == series
+
+
+@pytest.mark.parametrize("field,value", [
+    ("alpha", "x"), ("mean_mrr", None), ("std_mrr", True), ("protocol", 5),
+    ("seeds", ["1"]), ("seeds", 1),
+])
+def test_report_lists_a_report_it_cannot_print_as_skipped(twelve_window_file, tmp_path,
+                                                          capsys, field, value):
+    runs, out = tmp_path / "runs", tmp_path / "out"
+    assert main(run_live_argv(twelve_window_file, runs)) == 0
+    assert main(["report", str(runs / "r"), "--out", str(out)]) == 0
+    summary = (out / "summary_table.tsv").read_text()
+    shutil.copytree(runs / "r", runs / "bad")
+    report = json.loads((runs / "bad" / "report.json").read_text())
+    (runs / "bad" / "report.json").write_text(json.dumps({**report, field: value}))
+    capsys.readouterr()
+    assert main(["report", str(runs / "r"), str(runs / "bad"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"reported 1 runs to {out}", f"skipped (missing/corrupt report): {runs / 'bad'}"]
+    assert (out / "summary_table.tsv").read_text() == summary
 
 
 @pytest.mark.parametrize("damage", ["directory", "too-deep"])

@@ -669,7 +669,7 @@ def test_recorded_relu_keeps_one_bit_per_element_for_its_mask():
         tracemalloc.stop()
     assert retained <= out.value.nbytes + x.value.size // 8 + 8 * 1024, retained
 
-    g = rng_for(47).normal(size=x.shape).astype(np.float32)
+    g = rng_for(47).normal(size=x.value.shape).astype(np.float32)
     g[2, :3] = [-0.0, np.nan, np.inf]
     root = dc.Var(np.asarray(0.0, np.float32), (out,), lambda _: (g,))  # d root / d out = g
     with np.errstate(invalid="ignore"):  # inf * 0 is NaN on both sides
@@ -712,8 +712,8 @@ def test_backward_consumes_interior_nodes_and_keeps_leaf_grads():
     dc.backward(loss)
     for node in (hidden, loss):
         assert node.grad is None and node._node.parents == ()
-    assert x.grad.shape == x.shape and w.grad.shape == w.shape
-    assert b.grad.shape == b.shape
+    assert x.grad.shape == x.value.shape and w.grad.shape == w.value.shape
+    assert b.grad.shape == b.value.shape
 
 
 @pytest.mark.parametrize("second", ["same_root", "shared_subgraph"])
@@ -729,6 +729,20 @@ def test_backward_through_a_consumed_graph_raises(second):
     with pytest.raises(RuntimeError, match="consumed"):
         dc.backward(root)
     assert x.grad is None
+
+
+def test_leaves_that_share_an_add_gradient_accumulate_apart():
+    rng = rng_for(48)
+    p = dc.Param("p", rng.normal(size=(3, 2)))
+    q = dc.Param("q", rng.normal(size=(3, 2)))
+    dc.backward(mean_all(dc.add(p, q)))
+    assert p.grad is q.grad  # add hands both parents its own gradient array
+    np.testing.assert_array_equal(q.grad, np.full((3, 2), 1 / 6))
+    q_grad = q.grad.copy()
+    c = dc.constant(rng.normal(size=(3, 2)))
+    dc.backward(mean_all(dc.mul(p, c)))
+    np.testing.assert_array_equal(p.grad, q_grad + c.value / 6)
+    assert q.grad.tobytes() == q_grad.tobytes()
 
 
 def test_an_activation_no_vjp_reads_is_freed_with_its_var():
