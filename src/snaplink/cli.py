@@ -21,7 +21,7 @@ from .config import ExperimentConfig, load_config
 from .errors import SnaplinkError
 from .evaluate import PROTOCOLS
 from .model import UPDATE_KINDS
-from .runner import emit_report, grid_search, load_dataset, read_run, run_experiment
+from .runner import emit_report, finished_run, grid_search, load_dataset, run_experiment
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -40,7 +40,8 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
                    help="base directory for runs; wins over $SNAPLINK_RUN_ROOT, "
                         "which wins over the config file (default ./runs)")
     p.add_argument("--run-name", dest="run_name", help="run directory name")
-    p.add_argument("--workers", help="parallel worker processes (grid)")
+    p.add_argument("--workers", help="worker processes that run grid cells in parallel; "
+                                     "run-live and run-fixed run their seeds one after another")
     p.add_argument("--force", action="store_const", const="true",
                    help="re-run even if complete")
 
@@ -84,9 +85,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_run(args, protocol: str) -> int:
     run_dir = run_experiment(_build_config(args, protocol))
-    report = read_run(run_dir)
-    if report is None:
-        raise SnaplinkError(f"no readable run report in {run_dir}")
+    report = finished_run(run_dir)
     print(f"run: {run_dir}")
     print(f"mean MRR over seeds {report['seeds']}: "
           f"{report['mean_mrr']:.4f} +/- {report['std_mrr']:.4f}")

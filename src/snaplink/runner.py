@@ -9,8 +9,9 @@ Each run owns a directory under the run root; it holds one copy of each fact:
     seed<k>/report.json   the seed's summary and wall time
     seed<k>/model.npz     the final `evaluate.RunState`: both models, node state, step
 
-A run whose report.json holds its config fingerprint is complete and is
-skipped unless forced. Parsed datasets are cached under <run root>/.cache:
+A run whose report.json holds its config fingerprint and the content
+fingerprint of the dataset it read is complete, and is skipped unless forced.
+Parsed datasets are cached under <run root>/.cache:
 
     <key>.npz             one partitioned dataset, keyed by `snapshots.cache_key`
                           on the file's content, period and schema
@@ -125,13 +126,17 @@ def _identity(path: Path) -> list[int]:
     return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
 
 
+def _read_text(path: Path) -> str:
+    """The text at `path`; a missing or unreadable file is empty."""
+    try:
+        return path.read_text()
+    except (OSError, ValueError):  # unreadable (a directory, say) or not UTF-8
+        return ""
+
+
 def _read_json(path: Path) -> dict:
     """The `_json_object` at `path`; a missing or unreadable file is empty."""
-    try:
-        text = path.read_text()
-    except (OSError, ValueError):  # unreadable or not UTF-8
-        return {}
-    return _json_object(text)
+    return _json_object(_read_text(path))
 
 
 def _json_object(text: str) -> dict:
@@ -240,10 +245,17 @@ def _check_run_paths(run_dir: Path, seeds: tuple[int, ...]) -> None:
 
 
 @_one_blas_thread()
-def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
-    """Execute one configuration across its seeds; returns the run directory.
+def run_experiment(cfg: ExperimentConfig) -> Path:
+    """Execute one configuration across its seeds on `cfg.dataset`, read
+    through `load_dataset`; returns the run directory.
 
-    Re-running a completed directory is a no-op unless cfg.force is set.
+    The run's report.json holds the config fingerprint and the graph's
+    `source_fingerprint`, the content fingerprint its snapshot cache is keyed
+    on. Re-running a directory whose report holds both is a no-op unless
+    cfg.force is set, so an edge file rewritten or grown in place is run
+    again. The dataset is loaded before that check (a warm load reads the
+    fingerprint from the fingerprint index), so a complete run whose file is
+    gone raises ConfigError naming it. The seeds run one after another.
 
     The run holds OpenBLAS at one thread and restores the caller's count on
     return or raise. A GEMM split across threads sums in another order, so
@@ -259,10 +271,10 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
     root = Path(cfg.run_root)
     name = cfg.run_name or f"{cfg.protocol}-{cfg.update}-{fingerprint[:10]}"
     run_dir = root / name
-    if (read_run(run_dir) or {}).get("fingerprint") == fingerprint and not cfg.force:
+    graph = load_dataset(cfg, cache_dir=root / ".cache")
+    identity = {"fingerprint": fingerprint, "source_fingerprint": graph.source_fingerprint}
+    if identity.items() <= (read_run(run_dir) or {}).items() and not cfg.force:
         return run_dir
-    if graph is None:
-        graph = load_dataset(cfg, cache_dir=root / ".cache")
     # a split the graph cannot hold is rejected before the run directory exists,
     # and a path the run could not write before any seed trains
     ev.n_train_steps(cfg.protocol, len(graph), cfg.test_fraction)
@@ -298,7 +310,7 @@ def run_experiment(cfg: ExperimentConfig, graph=None) -> Path:
     val_mrrs = [s["mean_val_mrr"] for s in seed_summaries]
     cross = {
         "schema_version": ev.REPORT_SCHEMA_VERSION,
-        "fingerprint": fingerprint,
+        **identity,
         "protocol": cfg.protocol,
         "dataset": cfg.dataset,
         "update": cfg.update,
@@ -318,12 +330,12 @@ def _run_cell(args):
     try:
         cell_cfg = cfg.with_overrides({**overrides, "run_name": cell_name})
         run_dir = run_experiment(cell_cfg)
-        report = _read_json(run_dir / "report.json")
+        report = finished_run(run_dir)
         return {"cell": cell_name, "overrides": overrides, "status": "ok",
                 "run_dir": str(run_dir), "mean_mrr": report["mean_mrr"],
                 "std_mrr": report["std_mrr"],
                 "mean_val_mrr": report["mean_val_mrr"]}
-    except (SnaplinkError, OSError, ValueError, KeyError) as exc:
+    except (SnaplinkError, OSError, ValueError) as exc:
         return _failed_cell(args, exc)
 
 
@@ -331,6 +343,13 @@ def _failed_cell(task, exc: Exception) -> dict:
     _, overrides, cell_name = task
     return {"cell": cell_name, "overrides": overrides, "status": "error",
             "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _best_by_validation(runs: list[dict]) -> dict | None:
+    """The run with the largest finite `mean_val_mrr`; None when no run has one."""
+    # NaN compares False both ways, so max() would keep a NaN run listed first
+    scored = [r for r in runs if np.isfinite(r["mean_val_mrr"])]
+    return max(scored, key=lambda r: r["mean_val_mrr"]) if scored else None
 
 
 def grid_search(base: ExperimentConfig, axes: dict[str, list[str]],
@@ -365,9 +384,7 @@ def grid_search(base: ExperimentConfig, axes: dict[str, list[str]],
         results = [_run_cell(t) for t in tasks]
 
     ok = [r for r in results if r["status"] == "ok"]
-    # NaN compares False both ways, so max() would keep a NaN cell listed first
-    scored = [r for r in ok if np.isfinite(r["mean_val_mrr"])]
-    best = max(scored, key=lambda r: r["mean_val_mrr"]) if scored else None
+    best = _best_by_validation(ok)
     index = {
         "grid_name": grid_name,
         "axes": axes,
@@ -414,14 +431,25 @@ def read_run(run_dir: Path) -> dict | None:
     return found if _has_fields(found, _RUN_REPORT_FIELDS) else None
 
 
+def finished_run(run_dir: Path) -> dict:
+    """`read_run(run_dir)`; SnaplinkError naming `run_dir` when it is None."""
+    report = read_run(run_dir)
+    if report is None:
+        raise SnaplinkError(f"no readable run report in {run_dir}")
+    return report
+
+
 def emit_report(run_dirs: list[Path], out_dir: Path) -> dict:
     """Summary tables, meta-learning gain tables, and per-step series files.
 
     Each run is labelled by its path under the common parent of `run_dirs`
     (one directory: its name), and its series file by that label with `/`
-    as `_`. Reads only persisted records, and skips a steps line that holds
-    no step record it can print: not JSON, not an object, or a field of
-    `_STEP_FIELDS` absent or mistyped. Returns {"skipped": [...], "tables": [...]}.
+    as `_`. Reads only persisted records. A steps file that cannot be read
+    reads as empty, and a steps line is skipped that holds no step record it
+    can print: not JSON, not an object, or a field of `_STEP_FIELDS` absent
+    or mistyped. The meta-gain table picks each group's alpha as
+    `grid_search` picks a cell, by the largest finite `mean_val_mrr`, so its
+    gain over alpha = 1 may be negative. Returns {"skipped": [...], "tables": [...]}.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     run_dirs = [Path(d) for d in run_dirs]
@@ -447,18 +475,19 @@ def emit_report(run_dirs: list[Path], out_dir: Path) -> dict:
         ]))
     (out_dir / "summary_table.tsv").write_text("\n".join(lines) + "\n")
 
-    # meta gain table: per (protocol, dataset, update) group with an alpha=1 row
+    # meta gain table: per (protocol, dataset, update) group with an alpha=1 row,
+    # the test MRR at the alpha that `grid_search` would select on validation
     groups: dict[tuple, list[dict]] = {}
     for _, _, rep in rows:
         groups.setdefault((rep["protocol"], rep["dataset"], rep["update"]), []).append(rep)
-    gain_lines = [TABLE_HEADER,
-                  "protocol\tdataset\tupdate\tbase_mrr(alpha=1)\tbest_alpha\tbest_mrr\tgain_pct"]
+    gain_lines = [TABLE_HEADER, "protocol\tdataset\tupdate\tbase_mrr(alpha=1)"
+                                "\tval_best_alpha\tbest_mrr\tgain_pct"]
     for (protocol, dataset, update), reps in sorted(groups.items()):
         base = [r for r in reps if r["alpha"] == 1.0]
-        if not base or len(reps) < 2:
+        best = _best_by_validation(reps)
+        if not base or len(reps) < 2 or best is None:
             continue
         base_mrr = base[0]["mean_mrr"]
-        best = max(reps, key=lambda r: r["mean_mrr"])
         gain = (best["mean_mrr"] - base_mrr) / base_mrr * 100.0 if base_mrr else float("nan")
         gain_lines.append("\t".join([
             protocol, Path(dataset).name, update, f"{base_mrr:.6f}",
@@ -470,10 +499,7 @@ def emit_report(run_dirs: list[Path], out_dir: Path) -> dict:
     for run_dir, label, rep in rows:
         series = [TABLE_HEADER, "seed\tt\tmrr\tn_positives\tepochs_run"]
         for seed in rep["seeds"]:
-            nd = run_dir / f"seed{seed}" / "steps.ndjson"
-            if not nd.exists():
-                continue
-            for line in nd.read_text().splitlines():
+            for line in _read_text(run_dir / f"seed{seed}" / "steps.ndjson").splitlines():
                 row = _json_object(line)
                 if row.get("record") != "step" or not _has_fields(row, _STEP_FIELDS):
                     continue

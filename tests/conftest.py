@@ -51,16 +51,29 @@ def incident_counts(snapshots, n_nodes):
     return np.bincount(ends, minlength=n_nodes).astype(np.float64)
 
 
+def synth_edges():
+    """The edges of a 10-window synthetic dynamic graph with strong recurrence."""
+    return synthetic.generate_edges(n_nodes=40, n_steps=10, edges_per_step=150,
+                                    n_communities=4, recurrence=0.6, seed=11)
+
+
 def make_synth_graph():
-    """A 10-window synthetic dynamic graph with strong recurrence."""
-    edges = synthetic.generate_edges(n_nodes=40, n_steps=10, edges_per_step=150,
-                                     n_communities=4, recurrence=0.6, seed=11)
-    return partition_snapshots(edges, 1000.0)
+    return partition_snapshots(synth_edges(), 1000.0)
 
 
 @pytest.fixture(scope="session")
 def synth_graph():
     return make_synth_graph()
+
+
+@pytest.fixture
+def synth_file(tmp_path):
+    """`synth_edges` as an edge file of 1000-second windows. A run reads it
+    through `runner.load_dataset`, whose graph is not `synth_graph`: the file
+    renumbers ids by first appearance and rounds timestamps."""
+    path = tmp_path / "synth.csv"
+    synthetic.write_edge_file(path, synth_edges())
+    return path
 
 
 def dataset_path(name: str) -> Path | None:

@@ -346,6 +346,38 @@ def test_report_skips_a_step_record_it_cannot_print(twelve_window_file, tmp_path
     assert (out / "r.steps.tsv").read_text() == series
 
 
+@pytest.mark.parametrize("damage", ["undecodable", "directory"])
+def test_report_reads_a_steps_file_it_cannot_read_as_empty(twelve_window_file, tmp_path, capsys,
+                                                          damage):
+    runs, out = tmp_path / "runs", tmp_path / "out"
+    assert main([*run_live_argv(twelve_window_file, runs), "--seeds", "1,2"]) == 0
+    assert main(["report", str(runs / "r"), "--out", str(out)]) == 0
+    summary = (out / "summary_table.tsv").read_text()
+    steps = runs / "r" / "seed1" / "steps.ndjson"
+    if damage == "directory":
+        steps.unlink()
+        steps.mkdir()
+    else:
+        with open(steps, "ab") as fh:
+            fh.write(b"\xff")
+    capsys.readouterr()
+    assert main(["report", str(runs / "r"), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "summary_table.tsv").read_text() == summary
+    rows = (out / "r.steps.tsv").read_text().splitlines()[2:]
+    assert rows and {row.split("\t")[0] for row in rows} == {"2"}  # none from seed 1
+
+
+def test_a_complete_run_whose_dataset_is_gone_exits_2_naming_it(twelve_window_file, tmp_path,
+                                                                capsys):
+    runs = tmp_path / "runs"
+    assert main(run_live_argv(twelve_window_file, runs)) == 0
+    twelve_window_file.unlink()
+    capsys.readouterr()
+    assert main(run_live_argv(twelve_window_file, runs)) == 2
+    assert capsys.readouterr().err == f"run-live: dataset: not a file: {twelve_window_file}\n"
+
+
 @pytest.mark.parametrize("field,value", [
     ("alpha", "x"), ("mean_mrr", None), ("std_mrr", True), ("protocol", 5),
     ("seeds", ["1"]), ("seeds", 1),

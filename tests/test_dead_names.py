@@ -1,9 +1,10 @@
 """Every top-level function and class in the package is named somewhere
 else, every method and property is read as an attribute in `src/` code, and
-one that only tests name is listed in TEST_ONLY. The benchmark's tracer
-finds every name it wraps, a train step calls every tape op it expects to
-time, its graph size and cache check still read a graph, and its run check
-passes a run."""
+one that only tests name is listed in TEST_ONLY. A default that no `src/` or
+`bench/` call overrides is listed in UNPASSED_DEFAULTS. The benchmark's
+tracer finds every name it wraps, a train step calls every tape op it
+expects to time, its graph size and cache check still read a graph, and its
+run check passes a run."""
 
 import ast
 import importlib
@@ -37,6 +38,15 @@ TEST_ONLY = {
     "RunState.load",  # ROADMAP item 4's resume calls it
     "GraphSnapshot.n_edges",  # bench/checks.py counts a graph's edges with it
     "Var._vjp",  # bench/tracer.py wraps it to time each op's backward
+}
+
+
+# keyword parameters with a default ("module.function.param") that no src/
+# or bench/ call passes, each with the reason it is kept
+UNPASSED_DEFAULTS = {
+    "cli.main.argv": "the console script calls main(); tests pass a command line",
+    "diffcore.batch_norm.momentum": "the layer's constant; a test sets 0.5 to check the blend",
+    "diffcore.batch_norm.eps": "the layer's constant; a test shrinks it to check the moments",
 }
 
 
@@ -121,6 +131,44 @@ def names_only_tests_use(sources: dict[str, str], modules: list[str]) -> list[st
             if uses and all(label.startswith("tests/") for label in uses)]
 
 
+def passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether `call` passes the parameter `name`, at `position` among the
+    positional ones (None: keyword-only): by keyword, by position, through
+    `**`, or through a `*` argument, which may reach any position."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position or any(
+        isinstance(a, ast.Starred) for a in call.args))
+
+
+def unpassed_defaults(sources: dict[str, str], modules: list[str]) -> list[str]:
+    """"module.function.param" for each parameter with a default of a
+    top-level function of `modules` that no call in a `src/` or `bench/`
+    source outside a tests directory passes (`passes`). A call is matched by
+    the callee's name alone, so `x.name(...)` counts as a call of `name`: a
+    parameter can read as passed when it is not, never the other way."""
+    calls: dict[str, list[ast.Call]] = {}
+    for label, text in sources.items():
+        if label.startswith(("src/", "bench/")) and "tests" not in Path(label).parts:
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(callee, []).append(node)
+    out = []
+    for label in modules:
+        for fn in ast.parse(sources[label]).body:
+            if not isinstance(fn, ast.FunctionDef | ast.AsyncFunctionDef):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(fn.args.defaults)]
+            defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            out += [f"{Path(label).stem}.{fn.name}.{name}" for position, name in defaulted
+                    if not any(passes(c, position, name) for c in calls.get(fn.name, []))]
+    return out
+
+
 def package_sources() -> tuple[dict[str, str], list[str]]:
     sources = {str(p.relative_to(ROOT)): p.read_text()
                for d in SEARCHED for p in sorted((ROOT / d).rglob("*.py"))}
@@ -139,6 +187,29 @@ def test_every_test_only_name_is_listed():
     sources, modules = package_sources()
     assert sorted(names_only_tests_use(sources, modules)
                   + methods_src_does_not_name(sources, modules)) == sorted(TEST_ONLY)
+
+
+def test_every_default_no_caller_passes_is_listed():
+    """A default that only tests override is a second input path for them;
+    it is deleted, or listed with its reason."""
+    assert sorted(unpassed_defaults(*package_sources())) == sorted(UNPASSED_DEFAULTS)
+
+
+def test_unpassed_default_detector():
+    module = ("def f(a, b=1, c=2, *, d=3, e=4):\n"
+              "    pass\n"
+              "def g(x, y=0):\n"
+              "    pass\n"
+              "def h(z=0, w=0):\n"
+              "    pass\n"
+              "class K:\n"
+              "    def m(self, v=0):\n"
+              "        pass\n")
+    sources = {"src/mod.py": module,
+               "src/use.py": "f(0, 1, d=5)\ng(*xs)\nobj.h(**kw)\n",
+               "bench/tests/test_mod.py": "f(0, 1, 2, d=1, e=2)\n",
+               "tests/test_mod.py": "f(0, c=1, e=2)\n"}
+    assert unpassed_defaults(sources, ["src/mod.py"]) == ["mod.f.c", "mod.f.e"]
 
 
 def test_dead_name_detector():
@@ -292,16 +363,18 @@ def test_the_benchmark_finds_a_warm_load_equal_to_the_cold_one(monkeypatch, tmp_
     assert checks.check_same_graph(cold, warm) == []
 
 
-def test_the_benchmark_still_checks_a_run(monkeypatch, tmp_path, synth_graph):
+def test_the_benchmark_still_checks_a_run(monkeypatch, tmp_path, synth_file):
     """`bench/checks.py:check_model_run` reads a seed's reports and its
     `model.npz` by name, and the benchmark's own tests make a float "arr:"
     entry of that archive non-finite; a change in src/ that renamed the
     file or its entries would fail every model run."""
     monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
     checks = load_bench("checks", monkeypatch)
-    cfg = ExperimentConfig(dataset="synthetic", seeds=(0,), k_neg=20, hidden_dim=8,
-                           update="gru", max_epochs=2, patience=2, run_root=str(tmp_path))
-    run_dir = run_experiment(cfg, graph=synth_graph)
-    assert checks.check_model_run(run_dir, 0, len(synth_graph) - 1, cfg.k_neg) == []
+    cfg = ExperimentConfig(dataset=str(synth_file), frequency="1000", seeds=(0,), k_neg=20,
+                           hidden_dim=8, update="gru", max_epochs=2, patience=2,
+                           run_root=str(tmp_path))
+    run_dir = run_experiment(cfg)
+    graph = runner.load_dataset(cfg, cache_dir=tmp_path / ".cache")
+    assert checks.check_model_run(run_dir, 0, len(graph) - 1, cfg.k_neg) == []
     with np.load(run_dir / "seed0" / "model.npz") as data:
         assert any(k.startswith("arr:") and data[k].dtype.kind == "f" for k in data.files)

@@ -23,32 +23,37 @@ from snaplink.snapshots import (EdgeSchema, cache_key, edges_from_arrays, file_f
                                 load_edge_list, partition_snapshots, temp_path)
 
 
-def test_seed_report_keeps_wall_seconds(synth_graph, tmp_path, monkeypatch):
+def loaded(cfg):
+    """The graph a run of `cfg` reads: its dataset, through the run root's cache."""
+    return load_dataset(cfg, cache_dir=Path(cfg.run_root) / ".cache")
+
+
+def test_seed_report_keeps_wall_seconds(synth_file, tmp_path, monkeypatch):
     monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
-    cfg = ExperimentConfig(dataset="synthetic", protocol="fixed_split", seeds=(3,),
-                           test_fraction=0.2, k_neg=20, hidden_dim=8,
+    cfg = ExperimentConfig(dataset=str(synth_file), frequency="1000", protocol="fixed_split",
+                           seeds=(3,), test_fraction=0.2, k_neg=20, hidden_dim=8,
                            update="moving_average", max_epochs=2, patience=2,
                            run_root=str(tmp_path))
-    run_dir = run_experiment(cfg, graph=synth_graph)
+    run_dir = run_experiment(cfg)
     seed_report = json.loads((run_dir / "seed3" / "report.json").read_text())
     assert seed_report.pop("wall_seconds") > 0
     assert seed_report.pop("fingerprint") == cfg.fingerprint()
 
-    report = ev.run_protocol(synth_graph, cfg.to_run_config(3))
+    report = ev.run_protocol(loaded(cfg), cfg.to_run_config(3))
     assert seed_report == report.summary_dict()
 
 
-def test_runs_default_to_float32_and_a_config_file_opts_out(synth_graph, tmp_path,
+def test_runs_default_to_float32_and_a_config_file_opts_out(synth_file, tmp_path,
                                                            monkeypatch):
     monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
     path = tmp_path / "exp.cfg"
     path.write_text("dtype = float64\n")
-    settings = dict(dataset="synthetic", protocol="fixed_split", seeds=(3,),
-                    test_fraction=0.2, k_neg=20, hidden_dim=8, update="moving_average",
-                    max_epochs=1, patience=1, run_root=str(tmp_path))
+    settings = dict(dataset=str(synth_file), frequency="1000", protocol="fixed_split",
+                    seeds=(3,), test_fraction=0.2, k_neg=20, hidden_dim=8,
+                    update="moving_average", max_epochs=1, patience=1, run_root=str(tmp_path))
     for cfg, dtype in ((ExperimentConfig(**settings), np.float32),
                        (replace(load_config(path), **settings), np.float64)):
-        run_dir = run_experiment(cfg, graph=synth_graph)
+        run_dir = run_experiment(cfg)
         rs = ev.RunState.load(run_dir / "seed3" / "model.npz")
         assert rs.deploy.config.dtype == np.dtype(dtype).name
         # both models' running stats too
@@ -57,7 +62,7 @@ def test_runs_default_to_float32_and_a_config_file_opts_out(synth_graph, tmp_pat
     assert ModelConfig().dtype == "float32"  # one default, for runs and for the library
 
 
-def test_completed_run_is_skipped_unless_forced(synth_graph, tmp_path, monkeypatch):
+def test_completed_run_is_skipped_unless_forced(synth_file, tmp_path, monkeypatch):
     monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
     calls = []
     real = ev.run_protocol
@@ -67,14 +72,14 @@ def test_completed_run_is_skipped_unless_forced(synth_graph, tmp_path, monkeypat
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ev, "run_protocol", counting)
-    cfg = ExperimentConfig(dataset="synthetic", protocol="live_update", seeds=(1,),
-                           k_neg=20, hidden_dim=8, update="moving_average",
+    cfg = ExperimentConfig(dataset=str(synth_file), frequency="1000", protocol="live_update",
+                           seeds=(1,), k_neg=20, hidden_dim=8, update="moving_average",
                            max_epochs=1, patience=1, run_root=str(tmp_path))
-    run_dir = run_experiment(cfg, graph=synth_graph)
+    run_dir = run_experiment(cfg)
     assert calls == [1]
-    assert run_experiment(cfg, graph=synth_graph) == run_dir
+    assert run_experiment(cfg) == run_dir
     assert calls == [1]
-    assert run_experiment(replace(cfg, force=True), graph=synth_graph) == run_dir
+    assert run_experiment(replace(cfg, force=True)) == run_dir
     assert calls == [1, 1]
 
 
@@ -468,20 +473,18 @@ def test_grid_selects_by_validation_mrr_not_test_mrr(tmp_path, monkeypatch):
         if cfg.alpha not in outcomes:
             raise ConfigError("alpha", "rejected")
         run_dir = tmp_path / cfg.run_name
-        run_dir.mkdir(parents=True)
         if outcomes[cfg.alpha] is None:
+            run_dir.mkdir(parents=True)
             (run_dir / "report.json").write_text("[1, 2]")
             return run_dir
-        test, val = outcomes[cfg.alpha]
-        (run_dir / "report.json").write_text(json.dumps(
-            {"mean_mrr": test, "std_mrr": 0.0, "mean_val_mrr": val}))
-        return run_dir
+        return _fake_run(run_dir, *outcomes[cfg.alpha], alpha=cfg.alpha)
 
     monkeypatch.setattr(runner, "run_experiment", fake_run)
     base = ExperimentConfig(dataset="unused", run_root=str(tmp_path))
     index = grid_search(base, {"alpha": ["0.1", "abc", "0.3", "0.2", "0.5", "0.7"]})
     assert [c["status"] for c in index["cells"]] == ["error"] * 3 + ["ok"] * 3
-    assert index["cells"][2]["error"] == "KeyError: 'mean_mrr'"
+    assert index["cells"][2]["error"] == \
+        f"SnaplinkError: no readable run report in {tmp_path / 'grid' / 'cell002'}"
     assert index["best"]["overrides"] == {"alpha": "0.7"}
 
     for a in (0.2, 0.7):
@@ -490,10 +493,10 @@ def test_grid_selects_by_validation_mrr_not_test_mrr(tmp_path, monkeypatch):
     assert index["n_failed"] == 0 and index["best"] is None
 
 
-def test_steps_are_on_disk_after_each_step(synth_graph, tmp_path, monkeypatch):
+def test_steps_are_on_disk_after_each_step(synth_file, tmp_path, monkeypatch):
     monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
-    cfg = ExperimentConfig(dataset="synthetic", protocol="live_update", seeds=(2,),
-                           k_neg=20, hidden_dim=8, update="moving_average",
+    cfg = ExperimentConfig(dataset=str(synth_file), frequency="1000", protocol="live_update",
+                           seeds=(2,), k_neg=20, hidden_dim=8, update="moving_average",
                            max_epochs=1, patience=1, run_root=str(tmp_path),
                            run_name="flush")
     steps = temp_path(tmp_path / "flush" / "seed2" / "steps.ndjson")
@@ -508,23 +511,23 @@ def test_steps_are_on_disk_after_each_step(synth_graph, tmp_path, monkeypatch):
         return real(g, run_cfg, step_callback=callback)
 
     monkeypatch.setattr(ev, "run_protocol", spying)
-    run_experiment(cfg, graph=synth_graph)
-    assert lines_seen == list(range(1, len(synth_graph)))
+    run_experiment(cfg)
+    assert lines_seen == list(range(1, len(loaded(cfg))))
 
 
-def test_a_run_leaves_no_temporary_behind(synth_graph, tmp_path, monkeypatch):
+def test_a_run_leaves_no_temporary_behind(synth_file, tmp_path, monkeypatch):
     monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
-    cfg = ExperimentConfig(dataset="synthetic", protocol="fixed_split", seeds=(4,),
-                           test_fraction=0.5, k_neg=20, hidden_dim=8,
+    cfg = ExperimentConfig(dataset=str(synth_file), frequency="1000", protocol="fixed_split",
+                           seeds=(4,), test_fraction=0.5, k_neg=20, hidden_dim=8,
                            update="moving_average", max_epochs=1, patience=1,
                            run_root=str(tmp_path), run_name="clean")
-    run_experiment(cfg, graph=synth_graph)
+    run_experiment(cfg)
     written = sorted(str(p.relative_to(tmp_path / "clean"))
                      for p in (tmp_path / "clean").rglob("*"))
     assert written == ["config.resolved.txt", "report.json", "seed4",
                        "seed4/model.npz", "seed4/report.json", "seed4/steps.ndjson"]
     steps = (tmp_path / "clean" / "seed4" / "steps.ndjson").read_text().splitlines()
-    assert [json.loads(line)["record"] for line in steps] == ["step"] * (len(synth_graph) - 1)
+    assert [json.loads(line)["record"] for line in steps] == ["step"] * (len(loaded(cfg)) - 1)
 
 
 @pytest.mark.parametrize("target", ["checkpoint", "text"])
@@ -612,17 +615,17 @@ def test_a_dead_grid_worker_fails_its_cells_and_a_rerun_finishes_them(tmp_path, 
 
 
 @over_blocked_run_paths
-def test_a_blocked_run_path_fails_before_any_seed_trains(synth_graph, tmp_path, monkeypatch,
+def test_a_blocked_run_path_fails_before_any_seed_trains(synth_file, tmp_path, monkeypatch,
                                                          target, kind):
     monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
     path = block(tmp_path / target, kind)
     made = tree(tmp_path)
     monkeypatch.setattr(ev, "run_protocol", lambda *a, **k: pytest.fail("a seed trained"))
-    cfg = ExperimentConfig(dataset="synthetic", protocol="live_update", seeds=(1,),
-                           k_neg=20, hidden_dim=8, max_epochs=1, patience=1,
+    cfg = ExperimentConfig(dataset=str(synth_file), frequency="1000", protocol="live_update",
+                           seeds=(1,), k_neg=20, hidden_dim=8, max_epochs=1, patience=1,
                            run_root=str(tmp_path), run_name="r")
     with pytest.raises(SnaplinkError) as raised:
-        run_experiment(cfg, graph=synth_graph)
+        run_experiment(cfg)
     problem = "is a directory" if kind == "dir" else "is not a directory"
     assert str(raised.value) == f"cannot write the run: {path} {problem}"
     assert tree(tmp_path) == made  # nothing was written: no steps file, no temporary
@@ -643,15 +646,15 @@ def blas_threads():
     set_count(before)
 
 
-def small_fixed_run(tmp_path) -> ExperimentConfig:
-    return ExperimentConfig(dataset="synthetic", protocol="fixed_split", seeds=(3,),
-                            test_fraction=0.2, k_neg=20, hidden_dim=8,
+def small_fixed_run(synth_file, tmp_path) -> ExperimentConfig:
+    return ExperimentConfig(dataset=str(synth_file), frequency="1000", protocol="fixed_split",
+                            seeds=(3,), test_fraction=0.2, k_neg=20, hidden_dim=8,
                             update="moving_average", max_epochs=1, patience=1,
                             run_root=str(tmp_path))
 
 
 def test_a_run_holds_one_blas_thread_and_gives_the_callers_count_back(
-        synth_graph, tmp_path, monkeypatch, blas_threads):
+        synth_file, tmp_path, monkeypatch, blas_threads):
     monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
     counts = []
     real = ev.run_protocol
@@ -664,9 +667,9 @@ def test_a_run_holds_one_blas_thread_and_gives_the_callers_count_back(
         return real(g, run_cfg, step_callback=callback)
 
     monkeypatch.setattr(ev, "run_protocol", spying)
-    cfg = small_fixed_run(tmp_path)
-    run_experiment(cfg, graph=synth_graph)
-    assert len(counts) == len(synth_graph) - 1 and set(counts) == {1}
+    cfg = small_fixed_run(synth_file, tmp_path)
+    run_experiment(cfg)
+    assert len(counts) == len(loaded(cfg)) - 1 and set(counts) == {1}
     assert blas_threads() == 2
 
     def diverging(*args, **kwargs):
@@ -675,7 +678,7 @@ def test_a_run_holds_one_blas_thread_and_gives_the_callers_count_back(
 
     monkeypatch.setattr(ev, "run_protocol", diverging)
     with pytest.raises(NumericError):
-        run_experiment(replace(cfg, force=True), graph=synth_graph)
+        run_experiment(replace(cfg, force=True))
     assert counts[-1] == 1 and blas_threads() == 2
 
 
@@ -704,13 +707,13 @@ def test_each_forked_grid_cell_runs_at_one_blas_thread(tmp_path, monkeypatch, bl
     assert blas_threads() == 2
 
 
-def test_a_run_without_openblas_completes(synth_graph, tmp_path, monkeypatch):
+def test_a_run_without_openblas_completes(synth_file, tmp_path, monkeypatch):
     monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
     with monkeypatch.context() as m:  # a library with no thread-count symbols is passed over
         m.setattr(runner.ctypes, "CDLL", lambda path: object())
         assert runner._blas_thread_calls() is None
     monkeypatch.setattr(runner, "_blas_thread_calls", lambda: None)
-    run_dir = run_experiment(small_fixed_run(tmp_path), graph=synth_graph)
+    run_dir = run_experiment(small_fixed_run(synth_file, tmp_path))
     assert read_run(run_dir)["seeds"] == [3]
 
 
@@ -767,11 +770,14 @@ def test_heap_setting_is_a_no_op_without_mallopt(monkeypatch):
     assert len(calls) == 2
 
 
-def _fake_run(run_dir: Path, mrr: float) -> Path:
-    """A run directory holding only what `emit_report` reads."""
+def _fake_run(run_dir: Path, mrr: float, val_mrr: float | None = None,
+              alpha: float = 1.0) -> Path:
+    """A run directory holding only what `emit_report` reads; its validation
+    MRR is `mrr` unless given."""
     (run_dir / "seed0").mkdir(parents=True)
-    report = {"protocol": "live_update", "dataset": "d.csv", "update": "gru", "alpha": 1.0,
-              "seeds": [0], "mean_mrr": mrr, "std_mrr": 0.0, "mean_val_mrr": mrr}
+    report = {"protocol": "live_update", "dataset": "d.csv", "update": "gru", "alpha": alpha,
+              "seeds": [0], "mean_mrr": mrr, "std_mrr": 0.0,
+              "mean_val_mrr": mrr if val_mrr is None else val_mrr}
     (run_dir / "report.json").write_text(json.dumps(report))
     step = {"record": "step", "t": 0, "mrr": mrr, "n_positives": 3, "epochs_run": 1}
     (run_dir / "seed0" / "steps.ndjson").write_text(json.dumps(step) + "\n")
@@ -799,3 +805,65 @@ def test_report_labels_runs_by_their_path_under_the_common_parent(tmp_path):
         {"cell000.steps.tsv": "0.250000", "cell001.steps.tsv": "0.125000"})
     assert _reported([b], tmp_path / "one_run") == (
         ["cell000"], {"cell000.steps.tsv": "0.500000"})
+
+
+def test_the_meta_gain_table_picks_alpha_on_validation_as_the_grid_does(tmp_path, monkeypatch):
+    # (test MRR, validation MRR) per alpha: validation picks 0.5, whose test
+    # MRR is below alpha = 1's; test MRR alone would pick 0
+    outcomes = {0.0: (0.3, 0.1), 0.5: (0.2, 0.4), 1.0: (0.25, 0.3)}
+    monkeypatch.setattr(runner, "run_experiment", lambda cfg: _fake_run(
+        tmp_path / cfg.run_name, *outcomes[cfg.alpha], alpha=cfg.alpha))
+    index = grid_search(ExperimentConfig(dataset="unused", run_root=str(tmp_path)),
+                        {"alpha": ["0", "0.5", "1"]})
+    assert index["best"]["overrides"] == {"alpha": "0.5"}
+    out = tmp_path / "out"
+    runner.emit_report([Path(c["run_dir"]) for c in index["cells"]], out)
+    table = (out / "meta_gain_table.tsv").read_text().splitlines()
+    assert "val_best_alpha" in table[1].split("\t")
+    assert table[2:] == ["live_update\td.csv\tgru\t0.250000\t0.5\t0.200000\t-20.00"]
+
+
+def _grown(path: Path) -> None:
+    """`edge_file(path)`'s edges with a sixth window after them."""
+    old = path.read_bytes()
+    synthetic.write_edge_file(path, synthetic.generate_edges(
+        n_nodes=30, n_steps=6, edges_per_step=40, period=1000.0, seed=4))
+    assert path.read_bytes().startswith(old)
+
+
+def _without_source_fingerprint(path: Path) -> None:
+    """The run report as written before it held the dataset's fingerprint."""
+    report = path.parent / "runs" / "r" / "report.json"
+    runner._write_json(report, {k: v for k, v in json.loads(report.read_text()).items()
+                                if k != "source_fingerprint"})
+
+
+@pytest.mark.parametrize("change,reruns", [
+    (lambda p: edge_file(p, seed=5), True),  # rewritten with other edges
+    (_grown, True),
+    (lambda p: None, False),
+    (_without_source_fingerprint, True),
+], ids=["rewritten", "grown", "unchanged", "old-report"])
+def test_a_run_is_complete_only_for_the_content_it_read(tmp_path, monkeypatch, change, reruns):
+    monkeypatch.delenv("SNAPLINK_RUN_ROOT", raising=False)
+    path = edge_file(tmp_path / "edges.csv")
+    cfg = ExperimentConfig(dataset=str(path), frequency="1000", seeds=(1,), k_neg=20,
+                           hidden_dim=8, update="moving_average", max_epochs=1, patience=1,
+                           run_root=str(tmp_path / "runs"), run_name="r")
+    calls = []
+    real = ev.run_protocol
+    monkeypatch.setattr(ev, "run_protocol",
+                        lambda *a, **k: calls.append(len(a[0])) or real(*a, **k))
+    run_dir = run_experiment(cfg)
+    before = read_run(run_dir)
+    assert before["source_fingerprint"] == file_fingerprint(path)
+    change(path)
+    assert run_experiment(cfg) == run_dir
+    assert len(calls) == 1 + reruns
+    after = read_run(run_dir)
+    assert after["source_fingerprint"] == file_fingerprint(path)
+    forced = read_run(run_experiment(replace(cfg, run_name="forced", force=True)))
+    assert after["mean_mrr"] == forced["mean_mrr"]
+    assert calls[-1] == len(loaded(cfg))
+    if not reruns:
+        assert after == before
