@@ -362,17 +362,21 @@ def gru_cell(h_prev: Var, x: Var, params: dict[str, Var]) -> Var:
     return add(mul(sub(one, z), n), mul(z, h_prev))
 
 
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 def batch_norm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
-               running_var: np.ndarray, mode: str, momentum: float = 0.1,
-               eps: float = 1e-5) -> Var:
+               running_var: np.ndarray, mode: str) -> Var:
     """Normalize columns of x by batch statistics (train) or running stats (eval).
 
     The modes differ only in where mu and var come from, and so in dx:
     train mode takes them from the batch and updates the `running_mean` and
     `running_var` arrays in place (unbiased variance, torch-style momentum
-    blend); a model passes the values of its non-trainable running-statistic
-    Params. Batches with fewer than 2 rows degrade to eval behavior so tiny
-    snapshots never divide by a zero-count variance.
+    blend of weight `BN_MOMENTUM`); a model passes the values of its
+    non-trainable running-statistic Params. Either mode divides by
+    sqrt(var + `BN_EPS`). Batches with fewer than 2 rows degrade to eval
+    behavior so tiny snapshots never divide by a zero-count variance.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown batch_norm mode {mode!r}")
@@ -382,12 +386,12 @@ def batch_norm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     if batch:
         mu = x.value.mean(axis=0)
         var = x.value.var(axis=0)
-        m = momentum
+        m = BN_MOMENTUM
         running_mean[:] = (1.0 - m) * running_mean + m * mu
         running_var[:] = (1.0 - m) * running_var + m * var * n / (n - 1)
     else:
         mu, var = running_mean, running_var
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = x.value - mu
     xhat *= inv_std
     out = xhat * gv

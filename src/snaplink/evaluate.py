@@ -183,6 +183,12 @@ class RunState:
 
     @classmethod
     def load(cls, path) -> "RunState":
+        """The state `save` wrote to `path`, read through `load_archive`: the
+        models own copies of their parameters, and the node state's arrays
+        are read-only views of the mapped archive. A damaged archive raises
+        one of `DAMAGED_ARCHIVE_ERRORS` (`load_archive` says which, and
+        when), as do a missing entry (KeyError) and a history that is not
+        one count per node (ValueError)."""
         arrays, meta = load_archive(path, RUN_FORMAT)
         cfg = ModelConfig(**meta["config"])
         models = [init_model(cfg, np.random.default_rng(0)) for _ in range(2)]

@@ -15,7 +15,9 @@ every window's features of its graph when one of them is first read.
 
 This module also owns the one archive format of the snapshot cache and the
 run archive: an uncompressed `.npz` whose JSON `__meta__` entry holds a
-`format` tag, written atomically (`save_archive`, `load_archive`).
+`format` tag. `save_archive` writes it atomically; `load_archive` maps it
+read-only and returns views of the mapping, after checking each member's
+zip headers and CRC-32 in place, so a warm load copies no array.
 
 All functions are pure over their inputs and take explicit generators, so
 identical (file, schema, frequency, seed) reproduce identical outputs.
@@ -27,7 +29,9 @@ import gzip
 import hashlib
 import json
 import math
+import mmap
 import os
+import struct
 import warnings
 import zipfile
 import zlib
@@ -172,11 +176,12 @@ class DynamicGraph:
 
     Window t holds the edges offsets[t]:offsets[t + 1] of src, dst and
     edge_features, and spans [start + t * period, start + (t + 1) * period).
-    Construction checks the arrays (ValueError on a bad layout, an endpoint
-    outside [0, node_count), a non-finite feature or a window position
-    outside [0, 1)), makes them read-only and builds `snapshots`, whose
-    edges are views. The graph holds its edges only: no per-window node
-    features are built unless `GraphSnapshot.node_features` is read.
+    Construction checks the arrays, one pass each (ValueError on a bad
+    layout, endpoints that are not int64 or lie outside [0, node_count), a
+    non-finite weight or a window position outside [0, 1)), makes them
+    read-only and builds `snapshots`, whose edges are views. The graph
+    holds its edges only: no per-window node features are built unless
+    `GraphSnapshot.node_features` is read.
     """
 
     offsets: np.ndarray        # (T + 1,) int64
@@ -195,16 +200,20 @@ class DynamicGraph:
         if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
                 or offsets[-1] != n_edges or (np.diff(offsets) < 0).any()):
             raise ValueError(f"offsets must rise from 0 to the edge count {n_edges}")
-        if len(self.dst) != n_edges or self.edge_features.shape != (n_edges, EDGE_FEATURE_DIM):
+        if self.src.shape != (n_edges,) or self.dst.shape != (n_edges,) \
+                or self.edge_features.shape != (n_edges, EDGE_FEATURE_DIM):
             raise ValueError(f"edge arrays disagree with {n_edges} edges")
+        if self.src.dtype != np.int64 or self.dst.dtype != np.int64:
+            raise ValueError("edge endpoints must be int64")
         if n_edges:
-            if min(self.src.min(), self.dst.min()) < 0 or \
-                    max(self.src.max(), self.dst.max()) >= n:
+            # one pass per array: a negative int64 reads as 2**63 or more as uint64
+            if max(int(self.src.view(np.uint64).max()),
+                   int(self.dst.view(np.uint64).max())) >= n:
                 raise ValueError(f"edge endpoint outside [0, {n})")
-            if not np.isfinite(self.edge_features).all():
+            if not np.isfinite(self.edge_features[:, 0]).all():
                 raise ValueError("non-finite edge features")
             tnorm = self.edge_features[:, 1]
-            if tnorm.min() < 0.0 or tnorm.max() >= 1.0:
+            if not ((0.0 <= tnorm) & (tnorm < 1.0)).all():  # NaN fails both
                 raise ValueError("edge timestamp outside its window")
         for a in (offsets, self.src, self.dst, self.edge_features):
             a.flags.writeable = False
@@ -664,13 +673,23 @@ def sample_training_negatives(labels: LabelSet, n_nodes: int,
 # ---------------------------------------------------------------------------
 
 # what `load_archive`, and a loader over it, raise on a damaged archive: a cut
-# or corrupt zip (BadZipFile, EOFError, an unknown compression method), a missing
-# entry (KeyError), or a wrong format tag, meta or arrays (ValueError)
-DAMAGED_ARCHIVE_ERRORS = (zipfile.BadZipFile, EOFError, NotImplementedError,
-                          KeyError, ValueError)
+# or corrupt zip, or a member that is compressed, encrypted, named otherwise in
+# its local header, runs past the file's end or fails its CRC (BadZipFile); a
+# zip version `zipfile` does not read (NotImplementedError); a missing entry
+# (KeyError); a member that is not a plain `.npy` array, a wrong format tag, or
+# meta or arrays a loader rejects (ValueError)
+DAMAGED_ARCHIVE_ERRORS = (zipfile.BadZipFile, NotImplementedError, KeyError, ValueError)
 
 CACHE_FORMAT = "snaplink-snapshots-v2"
 CACHE_ARRAYS = ("offsets", "src", "dst", "edge_features")
+
+# a zip local file header: signature, version, flags, method, time, date, CRC,
+# sizes, name and extra-field lengths
+_LOCAL_HEADER = struct.Struct("<4s5H3L2H")
+_LOCAL_SIGNATURE = b"PK\x03\x04"
+# general-purpose flag bits: encrypted, compressed patched data, strong encryption
+_UNREADABLE_FLAGS = 0x01 | 0x20 | 0x40
+_UTF8_NAME_FLAG = 0x800
 
 
 def save_archive(path, fmt: str, arrays: dict[str, np.ndarray], meta: dict) -> None:
@@ -684,14 +703,72 @@ def save_archive(path, fmt: str, arrays: dict[str, np.ndarray], meta: dict) -> N
 
 def load_archive(path, fmt: str) -> tuple[dict[str, np.ndarray], dict]:
     """Read an archive written by `save_archive`: (arrays but `__meta__`,
-    meta). A format tag other than `fmt` raises ValueError; see
-    `DAMAGED_ARCHIVE_ERRORS` for what else a damaged archive raises."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("format") != fmt:
-            raise ValueError(f"archive format {meta.get('format')!r}, expected {fmt!r}")
-        arrays = {k: data[k] for k in data.files if k != "__meta__"}
+    meta). The file is mapped read-only, not copied: each array is a
+    read-only view of the mapping, which stays open (one file descriptor)
+    while any of them lives. Replace or delete a mapped file; never truncate
+    or rewrite it in place, or a read past its new end faults (SIGBUS).
+
+    A file that `zipfile` cannot read as a zip raises BadZipFile, or
+    NotImplementedError for a zip version it does not know. Each member must
+    be stored (not compressed), unencrypted, with a local header that names
+    it as the central directory does and bytes inside the file, else
+    BadZipFile; its bytes must match the directory's CRC-32 before they are
+    parsed (BadZipFile). It must then be a `.npy` array of format
+    1.0 or 2.0 within numpy's header-size limit, of no object dtype, whose
+    data fills the member exactly (ValueError). A missing `__meta__` raises
+    KeyError, and a format tag other than `fmt` ValueError."""
+    with open(path, "rb") as fh:
+        with zipfile.ZipFile(fh) as zf:
+            members = zf.infolist()
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    arrays = {info.filename.removesuffix(".npy"): _member_array(mapped, info)
+              for info in members}
+    meta = json.loads(arrays.pop("__meta__").tobytes().decode())
+    if meta.get("format") != fmt:
+        raise ValueError(f"archive format {meta.get('format')!r}, expected {fmt!r}")
     return arrays, meta
+
+
+def _member_array(mapped: mmap.mmap, info: zipfile.ZipInfo) -> np.ndarray:
+    """The `.npy` array a stored member of the mapped archive holds, as a
+    read-only view of the mapping; checked as `load_archive` says."""
+    name, start = info.orig_filename, info.header_offset
+    if not 0 <= start <= len(mapped) - _LOCAL_HEADER.size:
+        raise zipfile.BadZipFile(f"{name}: truncated local header")
+    sig, _, flags, method, *_, n_name, n_extra = _LOCAL_HEADER.unpack_from(mapped, start)
+    if sig != _LOCAL_SIGNATURE:
+        raise zipfile.BadZipFile(f"{name}: bad local header signature")
+    if (flags | info.flag_bits) & _UNREADABLE_FLAGS:
+        raise zipfile.BadZipFile(f"{name}: encrypted or patched")
+    if method != zipfile.ZIP_STORED or info.compress_type != zipfile.ZIP_STORED \
+            or info.compress_size != info.file_size:
+        raise zipfile.BadZipFile(f"{name}: not stored uncompressed")
+    lo = start + _LOCAL_HEADER.size
+    local_name = mapped[lo:lo + n_name].decode("utf-8" if flags & _UTF8_NAME_FLAG else "cp437")
+    if local_name != name:
+        raise zipfile.BadZipFile(f"{name}: local header names {local_name!r}")
+    lo += n_name + n_extra
+    hi = lo + info.compress_size
+    if hi > len(mapped):
+        raise zipfile.BadZipFile(f"{name}: data runs past the end of the file")
+    if zlib.crc32(memoryview(mapped)[lo:hi]) != info.CRC:
+        raise zipfile.BadZipFile(f"{name}: bad CRC-32")
+
+    mapped.seek(lo)
+    version = np.lib.format.read_magic(mapped)
+    if version == (1, 0):
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(mapped)
+    elif version == (2, 0):
+        shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(mapped)
+    else:
+        raise ValueError(f"{name}: unsupported .npy format {version}")
+    if dtype.hasobject:
+        raise ValueError(f"{name}: object arrays cannot be loaded")
+    offset, count = mapped.tell(), math.prod(shape)
+    if count * dtype.itemsize != hi - offset:  # a header read past the member fails too
+        raise ValueError(f"{name}: {hi - offset} data bytes for shape {shape}")
+    array = np.frombuffer(mapped, dtype, count, offset)
+    return array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape)
 
 
 def temp_path(path: Path) -> Path:
@@ -737,7 +814,8 @@ def save_snapshot_cache(path, g: DynamicGraph) -> None:
 
 def load_snapshot_cache(path) -> DynamicGraph:
     """Read an archive written by `save_snapshot_cache` into a DynamicGraph,
-    which checks the arrays (a damaged archive raises ValueError). Windows
+    which checks the arrays (a damaged archive raises ValueError). The
+    graph's arrays are views of the mapped archive (`load_archive`). Windows
     start at the first stored window.
     A missing entry of `CACHE_ARRAYS` raises KeyError; others are ignored."""
     arrays, meta = load_archive(path, CACHE_FORMAT)

@@ -45,8 +45,6 @@ TEST_ONLY = {
 # or bench/ call passes, each with the reason it is kept
 UNPASSED_DEFAULTS = {
     "cli.main.argv": "the console script calls main(); tests pass a command line",
-    "diffcore.batch_norm.momentum": "the layer's constant; a test sets 0.5 to check the blend",
-    "diffcore.batch_norm.eps": "the layer's constant; a test shrinks it to check the moments",
 }
 
 

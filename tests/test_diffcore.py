@@ -211,22 +211,24 @@ def test_batch_norm_constant_column_train():
     np.testing.assert_array_equal(out.value, np.zeros((6, 3)))
 
 
-def test_batch_norm_eval_identity_stats():
+def test_batch_norm_eval_identity_stats(monkeypatch):
+    monkeypatch.setattr(dc, "BN_EPS", 1e-5)
     rng = rng_for(9)
     x = rng.normal(size=(4, 3))
     gamma = rng.normal(size=3)
     beta = rng.normal(size=3)
     out = dc.batch_norm(dc.constant(x), dc.Param("g", gamma), dc.Param("b", beta),
-                        *initial_stats(3), "eval", eps=1e-5)
+                        *initial_stats(3), "eval")
     np.testing.assert_allclose(out.value, x / np.sqrt(1 + 1e-5) * gamma + beta,
                                rtol=0, atol=1e-15)
 
 
-def test_batch_norm_train_statistics():
+def test_batch_norm_train_statistics(monkeypatch):
     # eps small enough that var/(var+eps) sits within 1e-6 of 1
+    monkeypatch.setattr(dc, "BN_EPS", 1e-9)
     x = rng_for(10).normal(size=(50, 4)) * 3.0 + 1.0
     out = dc.batch_norm(dc.constant(x), dc.Param("g", np.ones(4)),
-                        dc.Param("b", np.zeros(4)), *initial_stats(4), "train", eps=1e-9)
+                        dc.Param("b", np.zeros(4)), *initial_stats(4), "train")
     assert np.abs(out.value.mean(axis=0)).max() < 1e-10
     assert np.abs(out.value.var(axis=0) - 1.0).max() < 1e-6
 
@@ -242,11 +244,12 @@ def test_batch_norm_single_row_train_falls_back_to_eval():
     np.testing.assert_array_equal(var, [4.0, 9.0])
 
 
-def test_batch_norm_updates_running_stats():
+def test_batch_norm_updates_running_stats(monkeypatch):
+    monkeypatch.setattr(dc, "BN_MOMENTUM", 0.5)
     mean, var = initial_stats(1)
     x = np.array([[0.0], [2.0]])  # mean 1, biased var 1, unbiased var 2
     dc.batch_norm(dc.constant(x), dc.Param("g", np.ones(1)),
-                  dc.Param("b", np.zeros(1)), mean, var, "train", momentum=0.5)
+                  dc.Param("b", np.zeros(1)), mean, var, "train")
     assert mean[0] == pytest.approx(0.5)
     assert var[0] == pytest.approx(0.5 * 1.0 + 0.5 * 2.0)
 

@@ -3,9 +3,12 @@
 import json
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 import time
+import tracemalloc
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -142,6 +145,61 @@ def nan_feature_archive(path):
         np.savez(fh, **arrays)
 
 
+def member_bytes(path, info):
+    """(start, end) in the zip at `path` of the stored bytes of member `info`."""
+    n_name, n_extra = struct.unpack_from("<2H", path.read_bytes(), info.header_offset + 26)
+    start = info.header_offset + 30 + n_name + n_extra
+    return start, start + info.compress_size
+
+
+def last_member(path):
+    with zipfile.ZipFile(path) as zf:
+        return zf.infolist()[-1]
+
+
+def flipped_byte_archive(path):
+    """One byte inside the last member's data inverted: only its CRC tells."""
+    data = bytearray(path.read_bytes())
+    data[member_bytes(path, last_member(path))[1] - 1] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def deflated_archive(path):
+    """The same arrays, stored deflated under the same name."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **arrays)
+
+
+def renamed_local_header_archive(path):
+    """The last member's local header names another file than the directory."""
+    info = last_member(path)
+    data = bytearray(path.read_bytes())
+    data[info.header_offset + 30] ^= 0x20  # flips the case of the name's first letter
+    path.write_bytes(bytes(data))
+
+
+def cut_in_last_member_archive(path):
+    start, end = member_bytes(path, last_member(path))
+    path.write_bytes(path.read_bytes()[:(start + end) // 2])
+
+
+def empty_archive(path):
+    path.write_bytes(b"")
+
+
+# each archive damage, and what the reader says about it
+READER_DAMAGES = [
+    (truncate_archive, "zip"),
+    (flipped_byte_archive, "CRC"),
+    (deflated_archive, "not stored"),
+    (renamed_local_header_archive, "local header names"),
+    (cut_in_last_member_archive, "zip"),
+    (empty_archive, "zip"),
+]
+
+
 def small_run_state() -> ev.RunState:
     model = init_model(ModelConfig(hidden_dim=4), np.random.default_rng(0))
     return ev.RunState(model, model.clone(), HierarchicalNodeState.zeros(6, model.config))
@@ -152,8 +210,8 @@ def checkpoint_archive(path):
     small_run_state().save(path)
 
 
-@pytest.mark.parametrize("damage", [truncate_archive, nan_feature_archive,
-                                    checkpoint_archive])
+@pytest.mark.parametrize("damage", [nan_feature_archive, checkpoint_archive,
+                                    *(damage for damage, _ in READER_DAMAGES)])
 def test_damaged_archive_is_a_cache_miss_and_is_rewritten(tmp_path, monkeypatch, damage):
     path = tmp_path / "edges.csv"
     synthetic.write_edge_file(path, synthetic.generate_edges(
@@ -181,6 +239,56 @@ def test_damaged_archive_is_a_cache_miss_and_is_rewritten(tmp_path, monkeypatch,
     fresh = fresh_graph(cfg)
     assert_same_graph(fresh, g)
     assert_same_graph(fresh, warm)
+
+
+@pytest.mark.parametrize("damage, message", READER_DAMAGES)
+def test_run_state_load_rejects_a_damaged_archive(tmp_path, damage, message):
+    path = tmp_path / "model.npz"
+    small_run_state().save(path)
+    damage(path)
+    with pytest.raises(snapshots.DAMAGED_ARCHIVE_ERRORS, match=message):
+        ev.RunState.load(path)
+
+
+def test_a_loaded_graph_outlives_its_archive(tmp_path):
+    """A warm graph maps its archive: replacing the file, as every write of
+    the cache does, or deleting it leaves the graph as it was loaded."""
+    path = edge_file(tmp_path / "edges.csv")
+    cfg = ExperimentConfig(dataset=str(path), frequency="1000")
+    cache = tmp_path / ".cache"
+    load_dataset(cfg, cache_dir=cache)
+    g = load_dataset(cfg, cache_dir=cache)
+    (archive,) = cache.glob("*.npz")
+    assert not g.src.flags.owndata and not g.src.flags.writeable  # a view of the mapping
+    fresh = fresh_graph(cfg)
+    other = partition_snapshots(load_edge_list(edge_file(tmp_path / "other.csv", seed=5)),
+                                "1000")
+    snapshots.save_snapshot_cache(archive, other)
+    assert_same_graph(fresh, g)
+    archive.unlink()
+    assert_same_graph(fresh, g)
+
+
+def test_a_warm_load_maps_its_arrays_instead_of_copying_them(tmp_path):
+    """What a warm `load_dataset` leaves allocated while its graph lives is
+    under 5% of the graph's array bytes: the arrays are views of the mapped
+    archive. A reader that copies them allocates all of it."""
+    path = tmp_path / "edges.csv"
+    synthetic.write_edge_file(path, synthetic.generate_edges(
+        n_nodes=2000, n_steps=10, edges_per_step=10_000, period=1000.0, seed=2))
+    cfg = ExperimentConfig(dataset=str(path), frequency="1000")
+    cache = tmp_path / ".cache"
+    load_dataset(cfg, cache_dir=cache)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = load_dataset(cfg, cache_dir=cache)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(getattr(g, k).nbytes for k in snapshots.CACHE_ARRAYS)
+    assert g.src.size >= 100_000
+    assert held < 0.05 * nbytes
 
 
 def test_damaged_archive_does_not_hide_a_parse_error(tmp_path):

@@ -626,6 +626,51 @@ def test_load_snapshot_cache_rejects_a_damaged_archive(tmp_path, damage, message
         sn.load_snapshot_cache(path)
 
 
+def graph_arrays():
+    """Writable copies of a valid graph's arrays and the other arguments."""
+    g = small_cache_graph()
+    arrays = {k: getattr(g, k).copy() for k in sn.CACHE_ARRAYS}
+    return arrays, dict(start=g.start, period_seconds=g.period_seconds,
+                        node_count=g.node_count)
+
+
+def set_entry(name, index, value):
+    """A damage that sets arrays[name][index] to `value` ("node_count": the graph's)."""
+    def damage(arrays, n):
+        arrays[name][index] = n if value == "node_count" else value
+    return damage
+
+
+def as_int32(arrays, n):
+    arrays["src"] = arrays["src"].astype(np.int32)
+    arrays["dst"] = arrays["dst"].astype(np.int32)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (set_entry("src", 4, -1), "outside"),
+    (set_entry("dst", 7, -1), "outside"),
+    (set_entry("src", 0, np.iinfo(np.int64).min), "outside"),
+    (set_entry("src", 2, "node_count"), "outside"),
+    (set_entry("dst", -1, "node_count"), "outside"),
+    (set_entry("edge_features", (3, 0), np.nan), "non-finite"),
+    (set_entry("edge_features", (3, 0), np.inf), "non-finite"),
+    (set_entry("edge_features", (5, 0), -np.inf), "non-finite"),
+    (set_entry("edge_features", (3, 1), np.nan), "window"),
+    (set_entry("edge_features", (3, 1), np.inf), "window"),
+    (set_entry("edge_features", (3, 1), 1.0), "window"),
+    (set_entry("edge_features", (3, 1), -1e-300), "window"),
+    (as_int32, "int64"),
+], ids=["negative-src", "negative-dst", "int64-min-src", "src-node-count",
+        "dst-node-count", "nan-weight", "inf-weight", "minus-inf-weight", "nan-tnorm",
+        "inf-tnorm", "tnorm-one", "tnorm-below-zero", "int32-endpoints"])
+def test_dynamic_graph_rejects_bad_arrays(damage, message):
+    arrays, kwargs = graph_arrays()
+    sn.DynamicGraph(*(a.copy() for a in arrays.values()), **kwargs)  # undamaged, they pass
+    damage(arrays, kwargs["node_count"])
+    with pytest.raises(ValueError, match=message):
+        sn.DynamicGraph(*arrays.values(), **kwargs)
+
+
 def test_cache_key_depends_on_inputs():
     schema = sn.EdgeSchema()
     k1 = sn.cache_key("abc", "weekly", schema)
